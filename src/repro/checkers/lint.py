@@ -26,8 +26,8 @@ justification (encouraged, never parsed).
 Rules come in two flavours: plain :class:`LintRule` sees one file at a
 time; :class:`ProjectRule` runs once over a
 :class:`repro.checkers.project.ProjectContext` built from every linted
-file, which is how the cross-module families (import layering, lockstep
-equivalence, observer completeness) see the whole program.
+file, which is how the cross-module families (import layering,
+observer completeness) see the whole program.
 """
 
 from __future__ import annotations
@@ -286,7 +286,6 @@ def _parse_error_finding(path: Path | str, display_path: str | None,
 def _apply_rules(
     contexts: Sequence[FileContext],
     rules: Sequence[LintRule],
-    tree_scan: bool,
 ) -> list[Finding]:
     """Run per-file and project rules, then filter suppressions."""
     file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
@@ -300,7 +299,7 @@ def _apply_rules(
         # imported lazily: project.py depends on this module
         from repro.checkers.project import ProjectContext
 
-        project = ProjectContext(contexts, tree_scan=tree_scan)
+        project = ProjectContext(contexts)
         for rule in project_rules:
             findings.extend(rule.check_project(project))
     line_supp = {c.display_path: _suppressions(c.source) for c in contexts}
@@ -324,9 +323,9 @@ def lint_file(
 ) -> list[Finding]:
     """Run the rule set over one file, honouring suppressions.
 
-    Project rules do run, but against a single-file project built in
-    non-tree-scan mode (rules that need to see sibling files -- e.g.
-    "lockstep group has only one site" -- stay quiet).
+    Project rules do run, but against a single-file project: they see
+    no sibling modules, so cross-file facts (imports, base classes
+    defined elsewhere) are only as complete as this one file.
     """
     if rules is None:
         rules = default_rules()
@@ -335,7 +334,7 @@ def lint_file(
         ctx = make_context(path, display_path)
     except SyntaxError as exc:
         return [_parse_error_finding(path, display_path, exc)]
-    return _apply_rules([ctx], rules, tree_scan=False)
+    return _apply_rules([ctx], rules)
 
 
 def lint_paths(
@@ -344,8 +343,6 @@ def lint_paths(
     """Run the rule set over files/directories; sorted, stable output."""
     if rules is None:
         rules = default_rules()
-    paths = list(paths)
-    tree_scan = any(Path(p).is_dir() for p in paths)
     contexts: list[FileContext] = []
     findings: list[Finding] = []
     for path in iter_python_files(paths):
@@ -353,7 +350,7 @@ def lint_paths(
             contexts.append(make_context(path))
         except SyntaxError as exc:
             findings.append(_parse_error_finding(path, None, exc))
-    findings.extend(_apply_rules(contexts, rules, tree_scan=tree_scan))
+    findings.extend(_apply_rules(contexts, rules))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return findings
 

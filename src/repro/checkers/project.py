@@ -2,9 +2,8 @@
 
 The per-file rules (SIM01..SIM09) see one AST at a time; the rule
 families added with SIM10..SIM14 need facts that only exist across the
-tree: the import graph (layering, SIM14), the class hierarchy (which
-classes subclass ``PageMappedFtl``, SIM12), and the paired "lockstep"
-regions whose AST-normalized bodies must stay equivalent (SIM11).
+tree: the import graph (layering, SIM14) and the class hierarchy (which
+classes subclass ``PageMappedFtl``, SIM12).
 
 :class:`ProjectContext` parses the linted file set exactly once and
 exposes those derived views.  It is deliberately *approximate* where
@@ -15,43 +14,15 @@ full import resolution would be overkill for a domain lint:
   same way the shipped package does;
 * class bases are resolved by simple name across the whole project
   (the simulator has no duplicate class names across packages).
-
-Lockstep regions are declared in comments::
-
-    # lockstep: begin <group>
-    ...statements that must stay equivalent across all sites...
-    # lockstep: skip-begin -- <why this site-only code is exempt>
-    ...site-specific statements (e.g. the op-capture append)...
-    # lockstep: skip-end
-    ...more shared statements...
-    # lockstep: end <group>
-
-Every group must have at least two sites; SIM11 normalizes each site's
-statements and reports any drift.
 """
 
 from __future__ import annotations
 
 import ast
-import io
-import re
-import tokenize
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.checkers.lint import FileContext
-
-#: lockstep marker comment grammar (see module docstring).
-LOCKSTEP_RE = re.compile(
-    r"#\s*lockstep:\s*(skip-begin|skip-end|begin|end)"
-    # group names may contain hyphens but must not start with one, so
-    # the "--" of a justification trailer is never eaten as a name
-    r"(?:\s+([A-Za-z0-9_][A-Za-z0-9_.\-]*))?"
-    r"(?:\s*--\s*(.*))?"
-)
-
-#: prose marker that must be backed by machine-checkable regions.
-LOCKSTEP_PROSE = "KEEP IN LOCKSTEP"
 
 
 @dataclass(frozen=True)
@@ -84,17 +55,6 @@ class ClassInfo:
     methods: dict[str, ast.FunctionDef | ast.AsyncFunctionDef]
 
 
-@dataclass(frozen=True)
-class LockstepSite:
-    """One occurrence of a lockstep group in one file."""
-
-    group: str
-    path: str                           #: display path of the file
-    begin_line: int
-    end_line: int
-    skips: tuple[tuple[int, int], ...]  #: (skip-begin line, skip-end line)
-
-
 @dataclass
 class ModuleInfo:
     """Everything the project knows about one source file."""
@@ -103,8 +63,6 @@ class ModuleInfo:
     ctx: FileContext
     imports: list[ImportEdge] = field(default_factory=list)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
-    #: line of the first :data:`LOCKSTEP_PROSE` comment, if any.
-    lockstep_prose_line: int | None = None
 
     @property
     def top_package(self) -> str | None:
@@ -205,160 +163,12 @@ def _collect_classes(module: str, tree: ast.Module) -> dict[str, ClassInfo]:
     return classes
 
 
-def _comments_of(source: str) -> Iterator[tuple[int, str]]:
-    """(line, text) for every comment token (strings never match)."""
-    readline = io.StringIO(source).readline
-    try:
-        for tok in tokenize.generate_tokens(readline):
-            if tok.type == tokenize.COMMENT:
-                yield tok.start[0], tok.string
-    except (tokenize.TokenError, IndentationError):  # pragma: no cover
-        return
-
-
-def _scan_lockstep(
-    ctx: FileContext,
-) -> tuple[list[LockstepSite], list[tuple[str, int, str]], int | None]:
-    """Parse the lockstep marker comments of one file.
-
-    Returns (sites, errors, prose_line) where each error is
-    (path, line, message) and prose_line is the first *comment* saying
-    "KEEP IN LOCKSTEP" (docstrings quoting the phrase don't count).
-    """
-    sites: list[LockstepSite] = []
-    errors: list[tuple[str, int, str]] = []
-    open_site: tuple[str, int] | None = None       # (group, begin line)
-    open_skip: int | None = None
-    skips: list[tuple[int, int]] = []
-    prose_line: int | None = None
-    for lineno, line in _comments_of(ctx.source):
-        if prose_line is None and LOCKSTEP_PROSE in line:
-            prose_line = lineno
-        match = LOCKSTEP_RE.search(line)
-        if not match:
-            continue
-        kind, group, reason = match.group(1), match.group(2), match.group(3)
-        if kind == "begin":
-            if not group:
-                errors.append((ctx.display_path, lineno,
-                               "lockstep begin without a group name"))
-            elif open_site is not None:
-                errors.append((ctx.display_path, lineno,
-                               "nested lockstep regions are not supported"))
-            else:
-                open_site, skips = (group, lineno), []
-        elif kind == "end":
-            if open_site is None:
-                errors.append((ctx.display_path, lineno,
-                               "lockstep end without a matching begin"))
-            elif group and group != open_site[0]:
-                errors.append((
-                    ctx.display_path, lineno,
-                    f"lockstep end {group!r} does not match open region "
-                    f"{open_site[0]!r}",
-                ))
-            else:
-                if open_skip is not None:
-                    errors.append((ctx.display_path, lineno,
-                                   "lockstep region ends inside a skip"))
-                sites.append(LockstepSite(
-                    group=open_site[0], path=ctx.display_path,
-                    begin_line=open_site[1], end_line=lineno,
-                    skips=tuple(skips),
-                ))
-                open_site = None
-        elif kind == "skip-begin":
-            if open_site is None:
-                errors.append((ctx.display_path, lineno,
-                               "lockstep skip outside any region"))
-            elif open_skip is not None:
-                errors.append((ctx.display_path, lineno,
-                               "nested lockstep skips are not supported"))
-            elif not reason:
-                errors.append((
-                    ctx.display_path, lineno,
-                    "lockstep skip-begin requires a justification "
-                    "(`# lockstep: skip-begin -- why`)",
-                ))
-            else:
-                open_skip = lineno
-        elif kind == "skip-end":
-            if open_skip is None:
-                errors.append((ctx.display_path, lineno,
-                               "lockstep skip-end without a skip-begin"))
-            else:
-                skips.append((open_skip, lineno))
-                open_skip = None
-    if open_site is not None:
-        errors.append((ctx.display_path, open_site[1],
-                       f"lockstep region {open_site[0]!r} is never closed"))
-    return sites, errors, prose_line
-
-
-def extract_region_statements(
-    tree: ast.Module, site: LockstepSite
-) -> tuple[list[ast.stmt], list[tuple[int, str]]]:
-    """Statements of a lockstep site, with skip sub-ranges removed.
-
-    Selects the outermost statements strictly between the begin and end
-    marker lines; statements fully inside a skip range are dropped.  A
-    statement that only partially overlaps a skip range is an error
-    (returned as ``(line, message)`` pairs).
-    """
-    selected: list[ast.stmt] = []
-    errors: list[tuple[int, str]] = []
-
-    def visit_outer(body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            end = getattr(stmt, "end_lineno", stmt.lineno)
-            if stmt.lineno > site.begin_line and end < site.end_line:
-                selected.append(stmt)
-            elif stmt.lineno <= site.end_line and end >= site.begin_line:
-                # statement spans a marker: look inside its blocks
-                for name in ("body", "orelse", "finalbody"):
-                    sub = getattr(stmt, name, None)
-                    if isinstance(sub, list):
-                        visit_outer(sub)
-                for handler in getattr(stmt, "handlers", []):
-                    visit_outer(handler.body)
-
-    visit_outer(tree.body)
-
-    kept: list[ast.stmt] = []
-    for stmt in selected:
-        end = getattr(stmt, "end_lineno", stmt.lineno)
-        dropped = False
-        for skip_begin, skip_end in site.skips:
-            if stmt.lineno > skip_begin and end < skip_end:
-                dropped = True
-                break
-            if stmt.lineno <= skip_end and end >= skip_begin and not (
-                stmt.lineno > skip_begin and end < skip_end
-            ):
-                errors.append((
-                    stmt.lineno,
-                    "statement partially overlaps a lockstep skip range",
-                ))
-                dropped = True
-                break
-        if not dropped:
-            kept.append(stmt)
-    kept.sort(key=lambda s: (s.lineno, s.col_offset))
-    return kept, errors
-
-
 class ProjectContext:
     """Parsed whole-program view over the linted file set."""
 
-    def __init__(self, contexts: Sequence[FileContext],
-                 tree_scan: bool = True) -> None:
-        #: whether the file set came from scanning directories (a lone
-        #: file cannot prove a lockstep group has no sibling site).
-        self.tree_scan = tree_scan
+    def __init__(self, contexts: Sequence[FileContext]) -> None:
         self.modules: dict[str, ModuleInfo] = {}
         self.by_path: dict[str, ModuleInfo] = {}
-        self.lockstep_sites: dict[str, list[LockstepSite]] = {}
-        self.lockstep_errors: list[tuple[str, int, str]] = []
         self._classes_by_name: dict[str, list[ClassInfo]] = {}
         for ctx in contexts:
             name = module_name_of(ctx)
@@ -372,11 +182,6 @@ class ProjectContext:
             self.by_path[ctx.display_path] = info
             for cls in info.classes.values():
                 self._classes_by_name.setdefault(cls.name, []).append(cls)
-            sites, errors, prose_line = _scan_lockstep(ctx)
-            info.lockstep_prose_line = prose_line
-            for site in sites:
-                self.lockstep_sites.setdefault(site.group, []).append(site)
-            self.lockstep_errors.extend(errors)
 
     # ------------------------------------------------------------------
     def iter_modules(self) -> Iterator[ModuleInfo]:

@@ -1,4 +1,4 @@
-"""The domain rule catalogue (SIM01..SIM16).
+"""The domain rule catalogue (SIM01..SIM16; SIM11 is retired).
 
 Each rule lives in its own module and encodes one simulator invariant:
 
@@ -29,15 +29,13 @@ Each rule lives in its own module and encodes one simulator invariant:
   evidence must stay canonical and re-verifiable; existing report
   emitters are baselined).
 
-The whole-program families (SIM10..SIM14) run over the
+The whole-program families (SIM10, SIM12..SIM14) run over the
 :class:`~repro.checkers.project.ProjectContext` built from every linted
 file:
 
 * ``SIM10`` (:mod:`.taint`) -- determinism taint: wall clock, entropy,
   process identity, and set iteration order must not flow into
   ``RunResult``, telemetry events, or JSON artifacts;
-* ``SIM11`` (:mod:`.lockstep`) -- ``# lockstep:``-tagged paired code
-  regions must stay AST-equivalent after normalization;
 * ``SIM12`` (:mod:`.observer_complete`) -- ``PageMappedFtl`` methods
   that mutate page status or the L2P must emit the matching observer
   event (directly or through a self-helper);
@@ -59,7 +57,6 @@ from repro.checkers.rules.encapsulation import StatusTableEncapsulationRule
 from repro.checkers.rules.fault_handling import SwallowedFlashErrorRule
 from repro.checkers.rules.float_eq import FloatEqualityRule
 from repro.checkers.rules.layering import ImportLayeringRule
-from repro.checkers.rules.lockstep import LockstepEquivalenceRule
 from repro.checkers.rules.no_print import NoPrintRule
 from repro.checkers.rules.observer_complete import ObserverCompletenessRule
 from repro.checkers.rules.observers import SanitizeObserverRule
@@ -81,7 +78,6 @@ ALL_RULES = (
     NoPrintRule,
     ParallelOnlyRule,
     DeterminismTaintRule,
-    LockstepEquivalenceRule,
     ObserverCompletenessRule,
     TimeUnitConsistencyRule,
     ImportLayeringRule,
@@ -99,7 +95,6 @@ __all__ = [
     "FloatEqualityRule",
     "ImportLayeringRule",
     "LockAccountingRule",
-    "LockstepEquivalenceRule",
     "NoPrintRule",
     "ObserverCompletenessRule",
     "ParallelOnlyRule",

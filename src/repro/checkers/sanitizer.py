@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from contextlib import ExitStack
 from typing import TYPE_CHECKING, Any
 
 from repro.flash.chip import ERASED_DATA, SCRUBBED_DATA, ZERO_DATA
@@ -391,32 +390,18 @@ class FtlSanitizer:
     def _probe(self, gppa: int, method: str) -> None:
         """Read a sanitized stale copy and assert it is unreadable.
 
-        Probe reads restore the chip's operation counters -- and run with
-        fault injection and the wear gate suspended -- so that a checked
-        run reports identical statistics *and* an identical fault
-        sequence to an unchecked one.  (The wear gate answers "is this
-        block still serviceable?"; the probe asks "was this page
-        sanitized?" -- a wear-degraded scrubbed page must still probe as
-        scrubbed, not crash the probe with an ECC error.)
+        Probes go through :meth:`PageMappedFtl.probe_read`, which
+        restores the chip's operation counters and suspends fault
+        injection and the wear gate, so that a checked run reports
+        identical statistics *and* an identical fault sequence to an
+        unchecked one.  (The wear gate answers "is this block still
+        serviceable?"; the probe asks "was this page sanitized?" -- a
+        wear-degraded scrubbed page must still probe as scrubbed, not
+        crash the probe with an ECC error.)
         """
         self.probes += 1
         ftl = self.ftl
-        chip_id, ppn = ftl.split_gppa(gppa)
-        chip = ftl.chips[chip_id]
-        injector = getattr(ftl, "fault_injector", None)
-        wear_gate = getattr(ftl, "wear_gate", None)
-        saved_reads = chip.stats.reads
-        saved_busy = chip.stats.busy_time_us
-        try:
-            with ExitStack() as stack:
-                if injector is not None:
-                    stack.enter_context(injector.suspended())
-                if wear_gate is not None:
-                    stack.enter_context(wear_gate.suspended())
-                result = chip.read_page(ppn)
-        finally:
-            chip.stats.reads = saved_reads
-            chip.stats.busy_time_us = saved_busy
+        result = ftl.probe_read(*ftl.split_gppa(gppa))
         data = result.data
         if method in ("plock", "block_lock"):
             if data == ERASED_DATA:

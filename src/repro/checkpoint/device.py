@@ -35,7 +35,6 @@ turns into quarantine + fallback, never a traceback.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from typing import TYPE_CHECKING, Any
 
 from repro.checkers.sanitizer import FtlSanitizer, InvariantViolation
@@ -43,6 +42,7 @@ from repro.core.evanesco_chip import EvanescoChip
 from repro.flash.chip import ZERO_DATA
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ftl.base import PageMappedFtl
     from repro.sim.engine import QueueingEngine
     from repro.ssd.device import SSD
 
@@ -194,30 +194,18 @@ def restore_audit(ssd: SSD) -> None:
 def _probe_locked_pages(ssd: SSD) -> None:
     """Assert every locked page on every Evanesco chip is unreadable.
 
-    Fault injection and the wear gate are suspended: the probe asserts
-    the lock state, and a locked read is blocked before sensing anyway.
+    Reads go through :meth:`PageMappedFtl.probe_read` (fault injection
+    and the wear gate suspended, chip counters restored): the probe
+    asserts the lock state, and a locked read is blocked before sensing
+    anyway.
     """
     ftl = ssd.ftl
-    injector = ftl.fault_injector
-    wear_gate = getattr(ftl, "wear_gate", None)
     for chip_id, chip in enumerate(ftl.chips):
-        if not isinstance(chip, EvanescoChip):
-            continue
-        saved_reads = chip.stats.reads
-        saved_busy = chip.stats.busy_time_us
-        try:
-            with ExitStack() as stack:
-                if injector is not None:
-                    stack.enter_context(injector.suspended())
-                if wear_gate is not None:
-                    stack.enter_context(wear_gate.suspended())
-                _probe_chip(chip_id, chip)
-        finally:
-            chip.stats.reads = saved_reads
-            chip.stats.busy_time_us = saved_busy
+        if isinstance(chip, EvanescoChip):
+            _probe_chip(ftl, chip_id, chip)
 
 
-def _probe_chip(chip_id: int, chip: EvanescoChip) -> None:
+def _probe_chip(ftl: PageMappedFtl, chip_id: int, chip: EvanescoChip) -> None:
     geometry = chip.geometry
     for block in chip.blocks:
         if chip._bap[block.index].is_disabled(0.0):
@@ -227,7 +215,7 @@ def _probe_chip(chip_id: int, chip: EvanescoChip) -> None:
                 if page.is_erased:
                     continue
                 ppn = geometry.ppn(block.index, offset)
-                result = chip.read_page(ppn)
+                result = ftl.probe_read(chip_id, ppn)
                 if not (result.blocked and result.data == ZERO_DATA):
                     raise CheckpointAuditError(
                         "locked-block-probe",
@@ -245,7 +233,7 @@ def _probe_chip(chip_id: int, chip: EvanescoChip) -> None:
                 # majority threshold: issued but not enforcing; the FTL
                 # already re-classified the page, nothing to assert.
                 continue
-            result = chip.read_page(ppn)
+            result = ftl.probe_read(chip_id, ppn)
             if not (result.blocked and result.data == ZERO_DATA):
                 raise CheckpointAuditError(
                     "locked-page-probe",

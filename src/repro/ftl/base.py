@@ -22,7 +22,8 @@ normalized to.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
+from collections.abc import Iterator
+from contextlib import ExitStack, contextmanager
 from typing import NamedTuple
 
 from repro.checkers.sanitizer import FtlSanitizer, default_checked
@@ -364,12 +365,34 @@ class PageMappedFtl:
         self.stats.salvage_reads += 1
         self.timing.read(chip_id)
         self.stats.flash_reads += 1
+        with self.faults_suspended():
+            return self.chips[chip_id].read_page(ppn)
+
+    @contextmanager
+    def faults_suspended(self) -> Iterator[None]:
+        """Suspend fault injection and the wear gate for the scope."""
         with ExitStack() as stack:
             if self.fault_injector is not None:
                 stack.enter_context(self.fault_injector.suspended())
             if self.wear_gate is not None:
                 stack.enter_context(self.wear_gate.suspended())
-            return self.chips[chip_id].read_page(ppn)
+            yield
+
+    def probe_read(self, chip_id: int, ppn: int) -> ReadResult:
+        """Out-of-band verification read that leaves no trace.
+
+        Runs with faults suspended and restores the chip's operation
+        counters, so a checked or audited run reports identical
+        statistics *and* an identical fault sequence to a plain one.
+        """
+        chip = self.chips[chip_id]
+        stats = chip.stats
+        saved = stats.reads, stats.busy_time_us
+        try:
+            with self.faults_suspended():
+                return chip.read_page(ppn)
+        finally:
+            stats.reads, stats.busy_time_us = saved
 
     # ------------------------------------------------------------------
     # write-path plumbing

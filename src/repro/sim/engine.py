@@ -648,7 +648,6 @@ class QueueingEngine:
         segment = queue[0] if self._fifo_queues else queue[0][2]
         if not segment.ready:
             return  # in-order mode: head-of-line stall until ready
-        # lockstep: begin engine-start-segment
         if self._fifo_queues:
             queue.popleft()
         else:
@@ -667,7 +666,6 @@ class QueueingEngine:
         heapq.heappush(heap._heap, (end, heap._seq, _EV_DONE, (server, token)))
         heap._seq += 1
         heap.pushed += 1
-        # lockstep: end engine-start-segment
 
     def _on_done(self, server: Server, token: int) -> None:
         if token != server.token:
@@ -736,34 +734,9 @@ class QueueingEngine:
                 self._complete(segment.request)
         if server.pending_locks and server.idle:
             self._drain_locks(server)  # the idle window deferral waits for
-        # tail of every completion: _start_next, inlined (the extra call
-        # per event is measurable).  KEEP IN LOCKSTEP with _start_next.
-        # The current-is-None guard stays: _drain_locks above may have
-        # already restarted this server via _enqueue.
-        queue = server.queue
-        if queue and server.current is None:
-            segment = queue[0] if self._fifo_queues else queue[0][2]
-            if segment.ready:
-                # lockstep: begin engine-start-segment
-                if self._fifo_queues:
-                    queue.popleft()
-                else:
-                    heapq.heappop(queue)
-                self.queued_segments -= 1
-                now = self.clock.now_us
-                server.current = segment
-                server.current_start_us = now
-                end = now + segment.duration_us
-                server.current_end_us = end
-                token = server.token + 1
-                server.token = token
-                heap = self.heap  # EventHeap.schedule, inlined (as above)
-                heapq.heappush(
-                    heap._heap, (end, heap._seq, _EV_DONE, (server, token))
-                )
-                heap._seq += 1
-                heap.pushed += 1
-                # lockstep: end engine-start-segment
+        # _drain_locks above may already have restarted this server via
+        # _enqueue; _start_next then returns early
+        self._start_next(server)
 
     def _complete(self, inflight: _InFlight) -> None:
         now = self.clock.now_us

@@ -122,69 +122,24 @@ class RecordingTiming(TimingModel):
             )
 
     # ------------------------------------------------------------------
-    # read/program run once per data page moved, so they inline both the
-    # capture append and the parent's scheduling body (one page move is
-    # two method layers otherwise).  KEEP IN LOCKSTEP with
-    # TimingModel.read/program -- any accounting drift here breaks the
-    # open-loop agreement contract, which the crosscheck tests enforce
-    # and the SIM11 lockstep regions below verify statically.
+    # The overrides call the base method explicitly rather than through
+    # super() + _emit: read/program run once per data page moved, and
+    # the explicit call keeps the capture append inline.
     def read(self, chip_id: int) -> float:
-        # lockstep: begin timing-read
-        chip_busy = self.chip_busy
-        if not 0 <= chip_id < len(chip_busy):
-            self._check_chip(chip_id)
-        channel_busy = self.channel_busy
-        t_read = self.t_read_us
-        t_xfer = self.t_xfer_us
-        ch = chip_id // self.chips_per_channel
-        sense_end = chip_busy[chip_id] + t_read
-        chip_busy[chip_id] = sense_end
-        chan_free = channel_busy[ch]
-        xfer_start = sense_end if sense_end > chan_free else chan_free
-        end = xfer_start + t_xfer
-        channel_busy[ch] = end
-        self.cell_work_us += t_read
-        self.xfer_work_us += t_xfer
-        self.total_work_us += t_read + t_xfer
-        # lockstep: skip-begin -- op capture is the whole point of this
-        # subclass; it has no accounting effect
+        end = TimingModel.read(self, chip_id)
         ops = self._ops
         if ops is not None:
-            ops.append(
-                FlashOp(OpKind.READ, chip_id, self._sanitize_depth > 0)
-            )
-        # lockstep: skip-end
+            ops.append(FlashOp(OpKind.READ, chip_id, self._sanitize_depth > 0))
         return end
-        # lockstep: end timing-read
 
     def program(self, chip_id: int) -> float:
-        # lockstep: begin timing-program
-        chip_busy = self.chip_busy
-        if not 0 <= chip_id < len(chip_busy):
-            self._check_chip(chip_id)
-        channel_busy = self.channel_busy
-        t_prog = self.t_prog_us
-        t_xfer = self.t_xfer_us
-        ch = chip_id // self.chips_per_channel
-        xfer_end = channel_busy[ch] + t_xfer
-        channel_busy[ch] = xfer_end
-        chip_free = chip_busy[chip_id]
-        start = chip_free if chip_free > xfer_end else xfer_end
-        end = start + t_prog
-        chip_busy[chip_id] = end
-        self.cell_work_us += t_prog
-        self.xfer_work_us += t_xfer
-        self.total_work_us += t_prog + t_xfer
-        # lockstep: skip-begin -- op capture is the whole point of this
-        # subclass; it has no accounting effect
+        end = TimingModel.program(self, chip_id)
         ops = self._ops
         if ops is not None:
             ops.append(
                 FlashOp(OpKind.PROGRAM, chip_id, self._sanitize_depth > 0)
             )
-        # lockstep: skip-end
         return end
-        # lockstep: end timing-program
 
     def erase(self, chip_id: int) -> float:
         end = super().erase(chip_id)

@@ -143,14 +143,9 @@ class TimingModel:
     # function calls per op.  The accounting order is fixed (cell, then
     # xfer, then total) -- float addition is order-sensitive and the
     # totals feed byte-identity contracts.
-    #
-    # KEEP IN LOCKSTEP with the inlined copies in
-    # :class:`repro.sim.ops.RecordingTiming`; the `# lockstep:` regions
-    # below make SIM11 verify the pairing on every lint run.
 
     def read(self, chip_id: int) -> float:
         """Schedule a page read: chip sense, then channel transfer out."""
-        # lockstep: begin timing-read
         chip_busy = self.chip_busy
         if not 0 <= chip_id < len(chip_busy):
             self._check_chip(chip_id)
@@ -165,11 +160,9 @@ class TimingModel:
         self.xfer_work_us += self.t_xfer_us
         self.total_work_us += self.t_read_us + self.t_xfer_us
         return end
-        # lockstep: end timing-read
 
     def program(self, chip_id: int) -> float:
         """Schedule a page program: channel transfer in, then cell op."""
-        # lockstep: begin timing-program
         chip_busy = self.chip_busy
         if not 0 <= chip_id < len(chip_busy):
             self._check_chip(chip_id)
@@ -186,7 +179,6 @@ class TimingModel:
         self.xfer_work_us += self.t_xfer_us
         self.total_work_us += self.t_prog_us + self.t_xfer_us
         return end
-        # lockstep: end timing-program
 
     def copy(self, src_chip: int, dst_chip: int) -> float:
         """Schedule a page copy (GC move): read on src, program on dst."""

@@ -1,4 +1,4 @@
-"""ProjectContext: module naming, import graph, hierarchy, lockstep scan."""
+"""ProjectContext: module naming, import graph, class hierarchy."""
 
 from __future__ import annotations
 
@@ -15,9 +15,9 @@ def _ctx(tmp_path, relpath: str, body: str):
     return make_context(path)
 
 
-def _project(tmp_path, files: dict[str, str], tree_scan: bool = True):
+def _project(tmp_path, files: dict[str, str]):
     contexts = [_ctx(tmp_path, rel, body) for rel, body in files.items()]
-    return ProjectContext(contexts, tree_scan=tree_scan)
+    return ProjectContext(contexts)
 
 
 class TestModuleNaming:
@@ -116,59 +116,3 @@ class TestHierarchy:
         # the override wins over the inherited definition
         assert table["_invalidate"] is scrub.methods["_invalidate"]
 
-
-class TestLockstepScan:
-    def test_region_with_skip(self, tmp_path):
-        project = _project(tmp_path, {
-            "repro/a.py": """
-                def f(self):
-                    # lockstep: begin grp
-                    x = 1
-                    # lockstep: skip-begin -- site-specific capture
-                    y = 2
-                    # lockstep: skip-end
-                    return x
-                    # lockstep: end grp
-            """,
-        })
-        assert project.lockstep_errors == []
-        (site,) = project.lockstep_sites["grp"]
-        assert site.begin_line < site.end_line
-        assert len(site.skips) == 1
-
-    def test_marker_text_in_docstrings_is_ignored(self, tmp_path):
-        project = _project(tmp_path, {
-            "repro/a.py": '''
-                """Docs show `# lockstep: begin example` without effect.
-
-                KEEP IN LOCKSTEP appears here only as prose-about-prose.
-                """
-                x = 1
-            ''',
-        })
-        assert project.lockstep_sites == {}
-        assert project.lockstep_errors == []
-        assert project.modules["repro.a"].lockstep_prose_line is None
-
-    def test_unclosed_region_is_an_error(self, tmp_path):
-        project = _project(tmp_path, {
-            "repro/a.py": """
-                # lockstep: begin grp
-                x = 1
-            """,
-        })
-        assert any("never closed" in msg
-                   for _, _, msg in project.lockstep_errors)
-
-    def test_skip_requires_justification(self, tmp_path):
-        project = _project(tmp_path, {
-            "repro/a.py": """
-                # lockstep: begin grp
-                # lockstep: skip-begin
-                x = 1
-                # lockstep: skip-end
-                # lockstep: end grp
-            """,
-        })
-        assert any("justification" in msg
-                   for _, _, msg in project.lockstep_errors)

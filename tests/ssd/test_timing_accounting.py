@@ -4,11 +4,18 @@ The closed-loop engine cross-checks against ``elapsed_us`` and splits
 work into chip vs channel occupancy, so the accounting identity
 ``total_work_us == cell_work_us + xfer_work_us`` and the per-field
 validation are normative (see the module docstring of
-:mod:`repro.ssd.timing`).
+:mod:`repro.ssd.timing`).  The capturing subclass the engine swaps in
+must charge exactly what the plain model charges; a differential
+property replays random op streams on both and compares bit for bit.
 """
 
-import pytest
+from contextlib import ExitStack
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.ops import SANITIZE_KINDS, FlashOp, OpKind, RecordingTiming
 from repro.ssd.config import SSDConfig, scaled_config
 from repro.ssd.device import SSD
 from repro.ssd.request import IoRequest, RequestOp
@@ -136,3 +143,99 @@ class TestInstrumentTiming:
             ssd.instrument_timing(
                 TimingModel(n_channels=1, chips_per_channel=1)
             )
+
+
+#: the scheduling methods both models expose, by captured op kind.
+_OP_KINDS = {
+    "read": OpKind.READ,
+    "program": OpKind.PROGRAM,
+    "erase": OpKind.ERASE,
+    "plock": OpKind.PLOCK,
+    "block_lock": OpKind.BLOCK_LOCK,
+    "scrub": OpKind.SCRUB,
+}
+
+_durations = st.floats(
+    min_value=0.1, max_value=5000.0, allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def _scenarios(draw):
+    """A topology, odd per-op durations, and an op stream on it.
+
+    Each step is (method, chip, sanitize nesting depth).  Arbitrary
+    float durations make the work totals sensitive to summation order.
+    """
+    n_channels = draw(st.integers(1, 3))
+    chips_per_channel = draw(st.integers(1, 3))
+    timings = {
+        name: draw(_durations) for name in TimingModel.TIMING_FIELDS
+    }
+    steps = draw(st.lists(
+        st.tuples(
+            st.sampled_from(sorted(_OP_KINDS)),
+            st.integers(0, n_channels * chips_per_channel - 1),
+            st.integers(0, 2),
+        ),
+        max_size=60,
+    ))
+    return n_channels, chips_per_channel, timings, steps
+
+
+def _run(model: TimingModel, method: str, chip_id: int, depth: int) -> float:
+    with ExitStack() as stack:
+        for _ in range(depth):
+            stack.enter_context(model.sanitize_region())
+        return getattr(model, method)(chip_id)
+
+
+def _bits(state: dict) -> str:
+    """repr is the shortest round-trip form, so equal reprs mean equal
+    float bits (it also tells -0.0 from 0.0, which ``==`` does not)."""
+    return repr(state)
+
+
+class TestRecordingTimingMatchesTimingModel:
+    @settings(max_examples=80, deadline=None)
+    @given(_scenarios())
+    def test_same_accounting_and_captured_ops(self, scenario):
+        n_channels, chips_per_channel, timings, steps = scenario
+        plain = TimingModel(n_channels, chips_per_channel, **timings)
+        recording = RecordingTiming(n_channels, chips_per_channel, **timings)
+        recording.begin_capture()
+        for method, chip_id, depth in steps:
+            expected_end = _run(plain, method, chip_id, depth)
+            assert _run(recording, method, chip_id, depth) == expected_end
+        assert _bits(recording.state_dict()) == _bits(plain.state_dict())
+        assert recording.elapsed_us == plain.elapsed_us
+        assert recording.end_capture() == [
+            FlashOp(
+                _OP_KINDS[method],
+                chip_id,
+                _OP_KINDS[method] in SANITIZE_KINDS or depth > 0,
+            )
+            for method, chip_id, depth in steps
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(_OP_KINDS)),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.one_of(st.integers(-5, -1), st.integers(0, 4)),
+    )
+    def test_out_of_range_chip_rejected_by_both(
+        self, method, n_channels, chips_per_channel, offset
+    ):
+        n_chips = n_channels * chips_per_channel
+        chip_id = offset if offset < 0 else n_chips + offset
+        plain = TimingModel(n_channels, chips_per_channel)
+        recording = RecordingTiming(n_channels, chips_per_channel)
+        recording.begin_capture()
+        for model in (plain, recording):
+            before = _bits(model.state_dict())
+            with pytest.raises(ValueError, match="out of range"):
+                getattr(model, method)(chip_id)
+            assert _bits(model.state_dict()) == before
+        assert recording.end_capture() == []
