@@ -26,6 +26,9 @@ raises :class:`CampaignMismatchError` instead of silently diverging.
 
 from __future__ import annotations
 
+import gc
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any
@@ -112,6 +115,26 @@ def _fingerprint(
         "checkpoint_every": checkpoint_every,
         "stop_when": stop_when,
     }
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Suspend cyclic GC, then restore whatever state the caller had.
+
+    Snapshot, encode and decode allocate about a million short-lived,
+    acyclic containers on top of a heap of hundreds of thousands of
+    tracked objects; left on, the collector re-scans that heap several
+    times per checkpoint.  Reference counting still frees everything
+    the burst drops.  A caller that had GC off keeps it off, exceptions
+    (such as an injected store crash) included.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _check_manifest(stored: dict[str, Any], current: dict[str, Any]) -> None:
@@ -244,11 +267,13 @@ def run_chunked_simulation(
         # but fails restore or the invariant audit is quarantined just
         # like a checksum failure, and the next-older one is tried.
         while True:
-            load = store.latest_good()  # raises CheckpointError when dry
+            with _gc_paused():
+                load = store.latest_good()  # raises CheckpointError when dry
             recovery.extend(load.corrupt)
             requests, steady_start, ssd, engine = build()
             try:
-                restore_device(ssd, engine, load.sections, audit=True)
+                with _gc_paused():
+                    restore_device(ssd, engine, load.sections, audit=True)
             except CheckpointAuditError as exc:
                 recovery.append(
                     store.quarantine_generation(
@@ -278,10 +303,11 @@ def run_chunked_simulation(
             break  # fired at a prior boundary (possibly pre-resume)
         stop = min(stop + checkpoint_every, n)
         engine.run_window(stop)
-        store.write_generation(
-            snapshot_device(ssd, engine),
-            meta={"stop": stop, "requests": n},
-        )
+        with _gc_paused():
+            store.write_generation(
+                snapshot_device(ssd, engine),
+                meta={"stop": stop, "requests": n},
+            )
         written += 1
         if stop_after is not None and written >= stop_after:
             return None

@@ -58,6 +58,13 @@ _ENUMS: dict[str, type[Enum]] = {
 
 _SCALARS = (str, int, float, bool, type(None))
 
+#: the *exact* scalar types both heads below pass through untouched.
+#: Subclasses (``IntEnum`` members, ``np.float64``, str subclasses) are
+#: deliberately absent: they take the ``isinstance`` chain, so the exact-
+#: type heads never change a single checkpoint byte.
+_PLAIN = frozenset(_SCALARS)
+_STR = frozenset({str})
+
 
 class CodecError(ValueError):
     """A value cannot be encoded, or encoded bytes cannot be decoded."""
@@ -65,6 +72,24 @@ class CodecError(ValueError):
 
 def encode(value: Any) -> Any:
     """Map a state value onto JSON-safe primitives, tagging rich types."""
+    # Exact-type head: device state is overwhelmingly plain scalars,
+    # lists, str-keyed dicts and tuples.  One type() lookup answers
+    # those, with scalar items inlined rather than recursed into;
+    # everything else falls through to the isinstance chain unchanged.
+    vtype = type(value)
+    if vtype in _PLAIN:
+        return value
+    if vtype is list:
+        return [v if type(v) in _PLAIN else encode(v) for v in value]
+    if vtype is tuple:
+        return {
+            TAG: "tuple",
+            "v": [v if type(v) in _PLAIN else encode(v) for v in value],
+        }
+    if vtype is dict and TAG not in value and _STR.issuperset(map(type, value)):
+        return {
+            k: v if type(v) in _PLAIN else encode(v) for k, v in value.items()
+        }
     if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
         return value
     if isinstance(value, float):
@@ -113,14 +138,22 @@ def encode(value: Any) -> Any:
 
 def decode(value: Any) -> Any:
     """Inverse of :func:`encode`; strict about unknown tags."""
-    if isinstance(value, _SCALARS):
+    # Dispatch on the exact type, as encode's head does: json.loads only
+    # ever produces exact builtin types, and neither does encode emit a
+    # list or dict subclass.  Scalar subclasses (an in-memory round trip
+    # of an IntEnum or np.float64) still pass through.
+    vtype = type(value)
+    if vtype in _PLAIN:
         return value
-    if isinstance(value, list):
-        return [decode(item) for item in value]
-    if isinstance(value, dict):
+    if vtype is list:
+        return [v if type(v) in _PLAIN else decode(v) for v in value]
+    if vtype is dict:
         tag = value.get(TAG)
         if tag is None:
-            return {k: decode(v) for k, v in value.items()}
+            return {
+                k: v if type(v) in _PLAIN else decode(v)
+                for k, v in value.items()
+            }
         if tag == "tuple":
             return tuple(decode(item) for item in value["v"])
         if tag == "deque":
@@ -149,6 +182,8 @@ def decode(value: Any) -> Any:
             gen.bit_generator.state = decode(value["state"])
             return gen
         raise CodecError(f"unknown codec tag: {tag!r}")
+    if isinstance(value, _SCALARS):
+        return value
     raise CodecError(f"cannot decode value of type {type(value).__name__}")
 
 
@@ -163,6 +198,12 @@ def canonical_dumps(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def section_checksum(text: str) -> str:
-    """SHA-256 hex digest of a section's exact file content."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def section_checksum(content: str | bytes) -> str:
+    """SHA-256 hex digest of a section's exact file content.
+
+    Text is hashed as its UTF-8 bytes, so a writer that already holds
+    the encoded bytes passes them straight in.
+    """
+    if isinstance(content, str):
+        content = content.encode("utf-8")
+    return hashlib.sha256(content).hexdigest()

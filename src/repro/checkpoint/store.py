@@ -131,6 +131,14 @@ class CheckpointError(Exception):
         return "\n".join(lines)
 
 
+def _write_synced(path: Path, data: bytes) -> None:
+    """Write ``data`` as the whole of ``path``, flushed and fsync'd."""
+    with open(path, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 def _fsync_path(path: Path) -> None:
     """fsync a file or directory so a preceding write/rename is durable."""
     fd = os.open(path, os.O_RDONLY)
@@ -156,12 +164,8 @@ class CheckpointStore:
     # -- campaign manifest ---------------------------------------------
     def write_campaign_manifest(self, manifest: dict[str, Any]) -> None:
         """Atomically write the campaign parameter fingerprint."""
-        text = canonical_dumps(encode(manifest))
         tmp = self.root / (_CAMPAIGN + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
+        _write_synced(tmp, canonical_dumps(encode(manifest)).encode("utf-8"))
         os.rename(tmp, self.root / _CAMPAIGN)
         _fsync_path(self.root)
 
@@ -219,15 +223,13 @@ class CheckpointStore:
         tmp.mkdir()
         checksums: dict[str, dict[str, Any]] = {}
         for name in sorted(sections):
-            text = canonical_dumps(encode(sections[name]))
-            path = tmp / f"{name}.json"
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
+            # one UTF-8 encode per section: the same bytes are
+            # checksummed, measured and written.
+            data = canonical_dumps(encode(sections[name])).encode("utf-8")
+            _write_synced(tmp / f"{name}.json", data)
             checksums[name] = {
-                "checksum": section_checksum(text),
-                "size": len(text.encode("utf-8")),
+                "checksum": section_checksum(data),
+                "size": len(data),
             }
             self._maybe_crash(f"section:{name}")
         manifest = {
@@ -236,11 +238,7 @@ class CheckpointStore:
             "sections": checksums,
             "meta": dict(meta or {}),
         }
-        text = canonical_dumps(manifest)
-        with open(tmp / _MANIFEST, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
+        _write_synced(tmp / _MANIFEST, canonical_dumps(manifest).encode("utf-8"))
         _fsync_path(tmp)
         self._maybe_crash("manifest")
         os.rename(tmp, final)

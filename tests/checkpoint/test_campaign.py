@@ -8,10 +8,12 @@ at the same cadence -- stats, latency percentiles, telemetry included.
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
 
+from repro.checkpoint import campaign
 from repro.checkpoint.campaign import (
     CampaignMismatchError,
     run_chunked_simulation,
@@ -117,6 +119,56 @@ class TestInterruption:
             r["reason"] for r in final.run.extra["checkpoint_recovery"]
         ]
         assert "torn-write" in reasons
+
+
+class TestGcState:
+    """Cyclic GC is paused for snapshot/write and restore, then handed
+    back exactly as the caller had it -- also when the write crashes."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_before(self, request):
+        prior = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if prior else gc.disable)()
+
+    def test_restored_after_injected_crash(self, ck_config, tmp_path, gc_before):
+        from repro.checkpoint.store import StoreCrashInjected
+
+        with pytest.raises(StoreCrashInjected):
+            run_chunked_simulation(
+                ck_config, "MailServer", "secSSD", tmp_path, EVERY,
+                _crash_after="section:ftl", **KW,
+            )
+        assert gc.isenabled() is gc_before
+
+    def test_paused_inside_and_restored_after(
+        self, ck_config, tmp_path, gc_before, monkeypatch
+    ):
+        seen = []
+
+        def spy(fn):
+            def wrapper(*args, **kwargs):
+                seen.append((fn.__name__, gc.isenabled()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("snapshot_device", "restore_device"):
+            monkeypatch.setattr(campaign, name, spy(getattr(campaign, name)))
+        run_chunked_simulation(
+            ck_config, "MailServer", "secSSD", tmp_path, EVERY,
+            stop_after=1, **KW,
+        )
+        assert gc.isenabled() is gc_before
+        run_chunked_simulation(
+            ck_config, "MailServer", "secSSD", tmp_path, EVERY,
+            resume=True, **KW,
+        )
+        assert gc.isenabled() is gc_before
+        assert {name for name, _ in seen} == {
+            "snapshot_device", "restore_device",
+        }
+        assert not any(enabled for _, enabled in seen)
 
 
 class TestCorruptionRecovery:

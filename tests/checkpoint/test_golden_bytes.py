@@ -1,0 +1,68 @@
+"""Golden pin on checkpoint bytes: the on-disk format must not drift.
+
+A tiny faulted, telemetered secSSD campaign is checkpointed and a sha256
+is taken over every file of its directory (relative path + content).
+The pinned digest was computed before the codec grew its exact-type
+heads; any codec, store or state_dict change that alters a single
+checkpoint byte fails here, and must either be fixed or ship with a
+``FORMAT_VERSION`` bump and a new digest.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from repro.checkpoint.campaign import run_chunked_simulation
+from repro.faults import FaultKind, FaultPlan
+from repro.ssd.config import scaled_config
+from repro.telemetry import Telemetry
+
+GOLDEN = "25b0b2d00c293fd63fed7c6c8050012bb33dc7803a8a6ff9410754d8db3bf20c"
+
+#: codec tags the pinned campaign must exercise (pLock flags carry the
+#: ndarrays, page-status tables the enums, RNG states the tuples).
+TAGS = ("enum", "tuple", "set", "deque", "dict", "ndarray")
+
+
+@pytest.fixture(scope="module")
+def campaign(tmp_path_factory) -> Path:
+    """Three generations of MailServer on an 8x4 secSSD."""
+    directory = tmp_path_factory.mktemp("golden")
+    run_chunked_simulation(
+        scaled_config(blocks_per_chip=8, wordlines_per_block=4),
+        "MailServer",
+        "secSSD",
+        directory,
+        checkpoint_every=250,
+        seed=3,
+        write_multiplier=0.5,
+        checked=True,
+        check_interval=13,
+        faults=FaultPlan.single(FaultKind.PROGRAM_FAIL, 0.005, seed=4),
+        telemetry=Telemetry(),
+        stop_after=3,
+    )
+    return directory
+
+
+def directory_digest(directory: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(directory).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def test_campaign_covers_the_rich_types(campaign):
+    newest = campaign / "gen-000003"
+    text = "".join(p.read_text() for p in newest.glob("*.json"))
+    assert [tag for tag in TAGS if f'"__t":"{tag}"' not in text] == []
+    assert '"cls":"FaultKind"' in (newest / "faults.json").read_text()
+    assert (newest / "telemetry.json").stat().st_size > 0
+
+
+def test_checkpoint_bytes_match_golden(campaign):
+    assert directory_digest(campaign) == GOLDEN
