@@ -58,7 +58,6 @@ from repro.analysis.torture import (
     run_power_loss_case,
     run_rate_case,
     run_torture,
-    stale_secured_exposures,
     torture_requests,
 )
 
@@ -103,7 +102,6 @@ __all__ = [
     "run_traced_study",
     "run_versioning_study",
     "run_workload_on_variant",
-    "stale_secured_exposures",
     "summarize_overheads",
     "torture_requests",
     "write_bench_json",

@@ -18,10 +18,10 @@ byte-identical scorecard):
   each cut mid-flight, recovered with
   :class:`~repro.ftl.recovery.PowerLossRecovery`, invariant-checked,
   leak-checked, and then driven with fresh post-recovery traffic;
-* **leak check** -- :func:`stale_secured_exposures` plays the Section 5.1
-  forensic attacker against the raw chip dumps: any readable (and, for
-  cryptSSD, decryptable) secured page whose version is no longer live is
-  an exposure.
+* **leak check** -- :func:`~repro.checkers.residue.stale_secured_leaks`
+  plays the Section 5.1 forensic attacker against the raw chip dumps:
+  any secured page whose version is no longer live and which reads back
+  ``readable`` under the residue rule is an exposure.
 
 The only excused exposures after a power cut are pages whose
 invalidating request was *in flight* when power died: the host was never
@@ -40,12 +40,12 @@ from pathlib import Path
 
 from repro.analysis.parallel import GridResultCache, GridTask, run_grid_detailed
 from repro.analysis.progress import ProgressReporter
+from repro.checkers.residue import stale_secured_leaks
 from repro.checkers.sanitizer import InvariantViolation
 from repro.checkpoint import run_chunked_simulation
 from repro.checkpoint.store import StoreCrashInjected
 from repro.faults import FaultKind, FaultPlan
 from repro.flash.errors import FlashError, PowerLossInjected
-from repro.ftl.mapping import UNMAPPED
 from repro.ftl.recovery import PowerLossRecovery
 from repro.sim.runner import capture_block_trace
 from repro.ssd.config import SSDConfig
@@ -110,61 +110,6 @@ def torture_requests(
         else:
             out.append(trim(lpa, span))
     return out
-
-
-# ---------------------------------------------------------------------------
-# the attacker-boundary leak check
-# ---------------------------------------------------------------------------
-def stale_secured_exposures(ssd: SSD) -> list[int]:
-    """Global PPAs of readable secured pages whose version is dead.
-
-    Plays the forensic attacker: walk every chip's raw dump (which
-    honours the on-chip AP logic -- locked pages are simply absent),
-    keep pages whose spare says ``secure``, excuse the live copy itself
-    and same-sequence duplicates of a still-live version (a GC source
-    whose version the host can legitimately still read), and -- for
-    key-deletion designs -- excuse ciphertext that no longer decrypts.
-    Whatever remains is recoverable stale secured data: an exposure.
-
-    Variants with ``sanitize_scope == "none"`` promise nothing, so the
-    check is vacuous for them by definition.
-    """
-    ftl = ssd.ftl
-    if getattr(ftl, "sanitize_scope", "none") == "none":
-        return []
-    decrypt = getattr(ftl, "decrypt", None)
-    leaks: list[int] = []
-    for chip_id, chip in enumerate(ftl.chips):
-        for ppn, payload in chip.raw_dump().items():
-            block_index, offset = ftl.geometry.split_ppn(ppn)
-            spare = chip.blocks[block_index].pages[offset].spare or {}
-            if not spare.get("secure"):
-                continue
-            gppa = ftl.make_gppa(chip_id, ppn)
-            lpa = int(spare.get("lpa", -1))
-            live_gppa = (
-                ftl.l2p.lookup(lpa)
-                if 0 <= lpa < ftl.config.logical_pages
-                else UNMAPPED
-            )
-            if live_gppa == gppa:
-                continue  # the live copy itself
-            if live_gppa != UNMAPPED:
-                live_chip, live_ppn = ftl.split_gppa(live_gppa)
-                live_block, live_off = ftl.geometry.split_ppn(live_ppn)
-                live_spare = (
-                    ftl.chips[live_chip]
-                    .blocks[live_block]
-                    .pages[live_off]
-                    .spare
-                    or {}
-                )
-                if live_spare.get("seq") == spare.get("seq"):
-                    continue  # same version is still live (GC duplicate)
-            if decrypt is not None and decrypt(payload) is None:
-                continue  # ciphertext whose key was deleted
-            leaks.append(gppa)
-    return sorted(leaks)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +299,7 @@ def traced_rate_case(
         sanitizer = ssd.ftl._sanitizer
         if sanitizer is not None:
             sanitizer.full_check()
-        leaks = stale_secured_exposures(ssd)
+        leaks = stale_secured_leaks(ssd)
         outcome = (
             "PASS"
             if not leaks
@@ -416,7 +361,7 @@ def run_power_loss_case(
         recovery.recover()
         if sanitizer is not None:
             sanitizer.full_check()
-        leaks = [g for g in stale_secured_exposures(ssd) if g not in exempt]
+        leaks = [g for g in stale_secured_leaks(ssd) if g not in exempt]
         if leaks:
             return _case_result(
                 ssd,
@@ -435,7 +380,7 @@ def run_power_loss_case(
         if sanitizer is not None:
             sanitizer.full_check()
         post_leaks = [
-            g for g in stale_secured_exposures(ssd) if g not in exempt
+            g for g in stale_secured_leaks(ssd) if g not in exempt
         ]
         outcome = (
             "PASS"

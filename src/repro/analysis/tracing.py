@@ -90,16 +90,7 @@ def run_traced_study(
                 "variant": variant,
                 "seed": seed,
                 "pages_per_block": config.geometry.pages_per_block,
-                # per-method pulse latencies: what the audit layer adds
-                # onto timestamp deltas when deriving exposure windows
-                # from this file offline (key deletion is a RAM update).
-                "sanitize_latency_us": {
-                    "plock": config.t_plock_us,
-                    "block_lock": config.t_block_lock_us,
-                    "erase": config.t_erase_us,
-                    "scrub": config.t_scrub_us,
-                    "key_delete": 0.0,
-                },
+                "sanitize_latency_us": config.sanitize_latency_us(),
             },
         )
     return out

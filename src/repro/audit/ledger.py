@@ -39,15 +39,6 @@ from repro.checkpoint.codec import canonical_dumps, section_checksum
 from repro.telemetry import TraceEvent
 from repro.telemetry.histogram import percentile
 
-#: sanitize methods that leave the page unreadable at the chip interface.
-DESTROYING_METHODS = frozenset({"plock", "block_lock", "erase"})
-
-#: invalidation reasons initiated by the host (a *deletion* in the
-#: paper's sense); relocation reasons (gc, refresh, ...) leave equally
-#: stale secured residue, so windows are measured over all of them, but
-#: reports break the counts out by reason.
-HOST_REASONS = frozenset({"host-trim", "host-update"})
-
 
 @dataclass
 class PageGeneration:

@@ -51,22 +51,6 @@ def audit_telemetry(capacity: int = AUDIT_CAPACITY) -> Telemetry:
     return Telemetry(capacity=capacity, sample=None)
 
 
-def sanitize_latency_map(config: SSDConfig) -> dict[str, float]:
-    """Per-method physical pulse latency carried into trace headers.
-
-    Key deletion is a controller-RAM update, not a flash pulse, so it
-    reads 0 -- which is honest *and* damning: the ciphertext itself
-    stays readable forever (the verifier checks that separately).
-    """
-    return {
-        "plock": config.t_plock_us,
-        "block_lock": config.t_block_lock_us,
-        "erase": config.t_erase_us,
-        "scrub": config.t_scrub_us,
-        "key_delete": 0.0,
-    }
-
-
 def config_fingerprint(config: SSDConfig) -> str:
     """Short deterministic fingerprint of the device configuration."""
     geometry = config.geometry
@@ -195,7 +179,7 @@ def audit_live_run(
         "variant": variant,
         "pages_per_block": config.geometry.pages_per_block,
         "config_fingerprint": config_fingerprint(config),
-        "sanitize_latency_us": sanitize_latency_map(config),
+        "sanitize_latency_us": config.sanitize_latency_us(),
     }
     if seed is not None:
         meta["seed"] = seed

@@ -19,10 +19,8 @@ model):
 3. :func:`verify_device` -- the forensic cross-check: image the chips
    through :class:`~repro.security.attacker.RawChipAttacker` (the
    Section 5.1 raw-chip adversary) and attempt recovery of every page
-   the ledger claims sanitized.  Method-aware expectations: pLock /
-   bLock / erase must leave the page unreadable outright; scrub may
-   leave only the destroyed-pattern residue; key deletion may leave
-   ciphertext but never plaintext.  Any readable residue is a
+   the ledger claims sanitized: a readback the claimed method's residue
+   rule (:mod:`repro.checkers.residue`) does not accept is a
    ``recoverable-sanitized-page``; a readable page the ledger never saw,
    or one whose LPA contradicts the ledger, is
    ``ledger-device-divergence``.
@@ -42,11 +40,9 @@ from repro.audit.certificate import (
     KEY_ID,
     sign,
 )
-from repro.audit.ledger import DESTROYING_METHODS, PageLedger
+from repro.audit.ledger import PageLedger
+from repro.checkers.residue import DeviceResidue, accepts
 from repro.checkpoint.codec import canonical_dumps, section_checksum
-from repro.flash.chip import SCRUBBED_DATA
-from repro.ftl.crypto_based import is_ciphertext
-from repro.security.attacker import RawChipAttacker
 from repro.ssd.device import SSD
 from repro.telemetry import TraceEvent
 
@@ -128,6 +124,9 @@ def verify_certificate(
 ) -> AuditReport:
     """Recompute checksums, hash chain, and seal of one certificate."""
     report = AuditReport()
+    if not isinstance(cert, dict):
+        report.add("bad-format", "certificate", "certificate is not a JSON object")
+        return report
     if cert.get("format") != CERT_FORMAT:
         report.add(
             "bad-format",
@@ -143,6 +142,9 @@ def verify_certificate(
     chain = cert.get("chain")
     if not isinstance(sections, dict) or not isinstance(chain, list):
         report.add("bad-format", "certificate", "missing sections or chain")
+        return report
+    if not all(isinstance(link, dict) for link in chain):
+        report.add("bad-format", "certificate", "chain link is not a JSON object")
         return report
     chained_names = [link.get("section") for link in chain]
     if chained_names != sorted(sections):
@@ -262,38 +264,23 @@ def verify_events(
 # ---------------------------------------------------------------------------
 # pass 3: the physical device
 # ---------------------------------------------------------------------------
-def _acceptable_residue(method: str, payload: object) -> bool:
-    """May ``payload`` legitimately remain readable after ``method``?"""
-    if method in DESTROYING_METHODS:
-        return False
-    if method == "scrub":
-        return payload == SCRUBBED_DATA
-    if method == "key_delete":
-        return is_ciphertext(payload)
-    return False  # unknown method claims nothing
-
-
 def verify_device(ledger: PageLedger, ssd: SSD, complete: bool = True) -> AuditReport:
     """Forensic cross-check of the ledger against the final chip state."""
     report = AuditReport()
-    image = {
-        page.gppa: page
-        for page in RawChipAttacker(ssd).image_device().pages
-    }
+    device = DeviceResidue(ssd)
     last_gen = {gen.gppa: gen for gen in ledger.generations}
     for gppa, gen in sorted(last_gen.items()):
-        recovered = image.get(gppa)
+        recovered = device.image.get(gppa)
         if gen.closed:
             report.checked("device.sanitized_pages")
-            if recovered is not None and not _acceptable_residue(
-                str(gen.sanitize_method), recovered.payload
-            ):
+            readback = device.readback(gppa)
+            if not accepts(str(gen.sanitize_method), readback.residue):
                 report.add(
                     "recoverable-sanitized-page",
                     "device",
                     f"gppa {gppa}: ledger claims {gen.sanitize_method!r} at "
                     f"t={gen.sanitize_ts} but the raw-chip attacker still "
-                    f"reads {recovered.payload!r}",
+                    f"reads {readback.data!r}",
                 )
         elif recovered is not None and recovered.lpa is not None:
             # open generation: a readable host payload must agree with
@@ -307,7 +294,7 @@ def verify_device(ledger: PageLedger, ssd: SSD, complete: bool = True) -> AuditR
                     f"ledger recorded lpa {gen.lpa}",
                 )
     if complete:
-        for gppa in sorted(set(image) - set(last_gen)):
+        for gppa in sorted(set(device.image) - set(last_gen)):
             report.add(
                 "ledger-device-divergence",
                 "device",
@@ -332,7 +319,7 @@ def verify_all(
     # the certificate's ledger digest must match the trace we replayed:
     # a trace edited *after* issuance diverges here even if the edit is
     # internally consistent.
-    sections = cert.get("sections")
+    sections = cert.get("sections") if isinstance(cert, dict) else None
     if isinstance(sections, dict):
         claimed = sections.get("ledger", {})
         if isinstance(claimed, dict):

@@ -17,9 +17,8 @@ every host/GC batch, the invariants the whole reproduction stands on:
    page is invalidated, it must be sanitized before the request
    completes -- and the sanitized copy must *actually* be unreadable.
    The checker issues real reads against stale secured copies and
-   asserts the chip returns all-zero (locked), scrubbed, or erased
-   data -- or, for key-deletion designs, that the ciphertext no longer
-   decrypts.
+   holds each readback to the sanitize method's residue rule
+   (:mod:`repro.checkers.residue`).
 
 Violations raise :class:`InvariantViolation` carrying the recent event
 trail so the failing FTL path can be reconstructed.
@@ -37,7 +36,7 @@ import os
 from collections import deque
 from typing import TYPE_CHECKING, Any
 
-from repro.flash.chip import ERASED_DATA, SCRUBBED_DATA, ZERO_DATA
+from repro.checkers.residue import sanitize_violation
 from repro.ftl.observer import notify_optional
 from repro.ftl.page_status import PageStatus
 
@@ -272,8 +271,7 @@ class FtlSanitizer:
                 f"unsanitized at batch end (e.g. gppa {sample}); scope="
                 f"{self.scope!r}",
             )
-        for gppa in sorted(self._fresh):
-            self._probe(gppa, self._sanitized[gppa])
+        self._check_unreadable(sorted(self._fresh))
         self._fresh.clear()
         if self.batch % self.interval == 0:
             self.full_check()
@@ -284,8 +282,7 @@ class FtlSanitizer:
         self._check_shadow_divergence()
         self._check_block_counters()
         self._check_mapping_bijection()
-        for gppa, method in sorted(self._sanitized.items()):
-            self._probe(gppa, method)
+        self._check_unreadable(sorted(self._sanitized))
 
     def resync(self) -> None:
         """Re-adopt the FTL's tables as ground truth.
@@ -387,67 +384,13 @@ class FtlSanitizer:
     # ------------------------------------------------------------------
     # security probes: actually read the stale copy
     # ------------------------------------------------------------------
-    def _probe(self, gppa: int, method: str) -> None:
-        """Read a sanitized stale copy and assert it is unreadable.
-
-        Probes go through :meth:`PageMappedFtl.probe_read`, which
-        restores the chip's operation counters and suspends fault
-        injection and the wear gate, so that a checked run reports
-        identical statistics *and* an identical fault sequence to an
-        unchecked one.  (The wear gate answers "is this block still
-        serviceable?"; the probe asks "was this page sanitized?" -- a
-        wear-degraded scrubbed page must still probe as scrubbed, not
-        crash the probe with an ECC error.)
-        """
-        self.probes += 1
-        ftl = self.ftl
-        result = ftl.probe_read(*ftl.split_gppa(gppa))
-        data = result.data
-        if method in ("plock", "block_lock"):
-            if data == ERASED_DATA:
-                return  # erased since the lock: even more unreadable
-            if not (result.blocked and data == ZERO_DATA):
-                self._fail(
-                    "unreadable-probe",
-                    f"gppa {gppa} was sanitized via {method!r} but a read "
-                    f"returned {data!r} (blocked={result.blocked}); "
-                    "expected the all-zero locked pattern",
-                )
-        elif method == "scrub":
-            if result.blocked and data == ZERO_DATA:
-                # scrubbed beneath a still-enforcing lock: wear-out
-                # retirement scrubs bLocked GC victims whose clearing
-                # erase never happened -- doubly unreadable
-                return
-            if data not in (SCRUBBED_DATA, ERASED_DATA):
-                self._fail(
-                    "unreadable-probe",
-                    f"gppa {gppa} was sanitized via scrub but a read "
-                    f"returned {data!r}; expected scrubbed/erased cells",
-                )
-        elif method == "erase":
-            if data != ERASED_DATA:
-                self._fail(
-                    "unreadable-probe",
-                    f"gppa {gppa} was sanitized via erase but a read "
-                    f"returned {data!r}; expected erased cells",
-                )
-        elif method == "key_delete":
-            decrypt = getattr(ftl, "decrypt", None)
-            if data == ERASED_DATA or decrypt is None:
-                return
-            if decrypt(data) is not None:
-                self._fail(
-                    "unreadable-probe",
-                    f"gppa {gppa} was sanitized via key deletion but its "
-                    "ciphertext still decrypts (key survived)",
-                )
-        else:
-            self._fail(
-                "unreadable-probe",
-                f"gppa {gppa} reported an unknown sanitize method "
-                f"{method!r}; cannot verify unreadability",
-            )
+    def _check_unreadable(self, gppas: list[int]) -> None:
+        """Read each sanitized stale copy and apply the residue rule."""
+        for gppa in gppas:
+            self.probes += 1
+            detail = sanitize_violation(self.ftl, gppa, self._sanitized[gppa])
+            if detail is not None:
+                self._fail("unreadable-probe", detail)
 
     # ------------------------------------------------------------------
     def summary(self) -> dict[str, int]:

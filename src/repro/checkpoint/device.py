@@ -37,12 +37,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.checkers.residue import lock_violation
 from repro.checkers.sanitizer import FtlSanitizer, InvariantViolation
-from repro.core.evanesco_chip import EvanescoChip
-from repro.flash.chip import ZERO_DATA
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.ftl.base import PageMappedFtl
     from repro.sim.engine import QueueingEngine
     from repro.ssd.device import SSD
 
@@ -161,10 +159,11 @@ def restore_audit(ssd: SSD) -> None:
     restored tables, which verifies the structural invariants (bijection,
     counters) and is detached afterwards.
 
-    On Evanesco chips the audit then re-verifies enforcement physically:
-    every pLocked page and every page of a bLocked block must still read
-    as blocked all-zero data.  Probe reads restore the chip counters and
-    run with fault injection suspended, so an audited restore reports
+    On Evanesco chips the audit then re-verifies enforcement physically
+    (:func:`repro.checkers.residue.lock_violation`): every pLocked page
+    and every bLocked block must still read back ``locked`` -- erased
+    cells do not count.  Probe reads restore the chip counters and run
+    with fault injection suspended, so an audited restore reports
     statistics identical to an unaudited one.
     """
     ftl = ssd.ftl
@@ -188,56 +187,6 @@ def restore_audit(ssd: SSD) -> None:
             # detach: the recording observer was chained in front of the
             # FTL's observer by the sanitizer's constructor.
             ftl.observer = ftl.observer._inner
-    _probe_locked_pages(ssd)
-
-
-def _probe_locked_pages(ssd: SSD) -> None:
-    """Assert every locked page on every Evanesco chip is unreadable.
-
-    Reads go through :meth:`PageMappedFtl.probe_read` (fault injection
-    and the wear gate suspended, chip counters restored): the probe
-    asserts the lock state, and a locked read is blocked before sensing
-    anyway.
-    """
-    ftl = ssd.ftl
-    for chip_id, chip in enumerate(ftl.chips):
-        if isinstance(chip, EvanescoChip):
-            _probe_chip(ftl, chip_id, chip)
-
-
-def _probe_chip(ftl: PageMappedFtl, chip_id: int, chip: EvanescoChip) -> None:
-    geometry = chip.geometry
-    for block in chip.blocks:
-        if chip._bap[block.index].is_disabled(0.0):
-            # one probe per bLocked block: the first programmed page
-            # must come back blocked (the SSL gate is block-wide).
-            for offset, page in enumerate(block.pages):
-                if page.is_erased:
-                    continue
-                ppn = geometry.ppn(block.index, offset)
-                result = ftl.probe_read(chip_id, ppn)
-                if not (result.blocked and result.data == ZERO_DATA):
-                    raise CheckpointAuditError(
-                        "locked-block-probe",
-                        f"chip {chip_id} block {block.index} is bLocked "
-                        f"but reading ppn {ppn} returned "
-                        f"{result.data!r} (blocked={result.blocked})",
-                    )
-                break
-            continue
-        pap = chip._pap[block.index]
-        for offset in pap.locked_offsets():
-            ppn = geometry.ppn(block.index, offset)
-            if not chip.page_locked(ppn):
-                # a lock pulse that an injected fault left below the
-                # majority threshold: issued but not enforcing; the FTL
-                # already re-classified the page, nothing to assert.
-                continue
-            result = ftl.probe_read(chip_id, ppn)
-            if not (result.blocked and result.data == ZERO_DATA):
-                raise CheckpointAuditError(
-                    "locked-page-probe",
-                    f"chip {chip_id} ppn {ppn} is pLocked but a read "
-                    f"returned {result.data!r} "
-                    f"(blocked={result.blocked})",
-                )
+    failure = lock_violation(ftl)
+    if failure is not None:
+        raise CheckpointAuditError(*failure)

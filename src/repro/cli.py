@@ -240,13 +240,20 @@ def cmd_audit(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.audit import audit_trace_file, certificate_text
+    from repro.audit.verifier import verify_certificate
 
     if args.trace is not None:
         cert = None
-        if args.cert:
-            with open(args.cert) as fh:
-                cert = json.load(fh)
         try:
+            if args.cert:
+                with open(args.cert) as fh:
+                    try:
+                        cert = json.load(fh)
+                    except ValueError as exc:
+                        raise ValueError(f"{args.cert}: not JSON: {exc}") from exc
+                for finding in verify_certificate(cert).findings:
+                    if finding.code == "bad-format":
+                        raise ValueError(f"{args.cert}: {finding.detail}")
             audited = audit_trace_file(
                 args.trace,
                 certificate=cert,
@@ -414,7 +421,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if results:
         print(format_tail_latency(results))
     if args.trace_out:
-        from repro.audit.run import config_fingerprint, sanitize_latency_map
+        from repro.audit.run import config_fingerprint
         from repro.telemetry.export import trace_header, write_chrome_trace
 
         config = _config(args)
@@ -426,7 +433,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 pages_per_block=config.geometry.pages_per_block,
                 config_fingerprint=config_fingerprint(config),
-                sanitize_latency_us=sanitize_latency_map(config),
+                sanitize_latency_us=config.sanitize_latency_us(),
             )
             for v, tel in trace_sessions.items()
         }

@@ -39,7 +39,6 @@ from repro.audit.run import (
     audit_sim_result,
     audit_telemetry,
     config_fingerprint,
-    sanitize_latency_map,
 )
 from repro.fleet.report import aggregate_fleet, device_report
 from repro.fleet.tenants import (
@@ -171,7 +170,7 @@ def _device_header(
         device=spec.device_id,
         pages_per_block=config.geometry.pages_per_block,
         config_fingerprint=config_fingerprint(config),
-        sanitize_latency_us=sanitize_latency_map(config),
+        sanitize_latency_us=config.sanitize_latency_us(),
     )
 
 

@@ -7,18 +7,18 @@ Section 1 defines data sanitization for a set of files F:
 * **C2** -- after a file f is updated, the storage system keeps no *old*
   content of f.
 
-The auditor runs the Section 5.1 attacker against the device and decides
-whether either condition is violated for the audited files.  "Stores no
-content" is evaluated at the attacker boundary: data behind a pLock/bLock
-is unreadable through every interface, hence sanitized (the paper's
-central claim); data that is merely FTL-invalid on a plain chip is NOT
-sanitized.
+Both are filters over the residue walk
+(:meth:`~repro.checkers.residue.DeviceResidue.recovered`): only pages
+that read back ``readable`` at the attacker boundary count, so data
+behind a pLock/bLock is sanitized (the paper's central claim) while
+data merely FTL-invalid on a plain chip is NOT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.checkers.residue import DeviceResidue, page_at, plaintext
 from repro.security.attacker import RawChipAttacker
 from repro.ssd.device import SSD
 
@@ -56,9 +56,8 @@ class SanitizationAuditor:
     # ------------------------------------------------------------------
     def audit_deleted_files(self, deleted_tags: set[object]) -> AuditReport:
         """C1: no content of any deleted file may be recoverable."""
-        image = self.attacker.image_device()
         report = AuditReport(checked_files=len(deleted_tags))
-        for page in image.pages:
+        for page in DeviceResidue(self.ssd).recovered():
             if page.file_tag in deleted_tags:
                 report.violations.append(
                     Violation("C1", page.file_tag, page.gppa, page.payload)
@@ -73,9 +72,8 @@ class SanitizationAuditor:
         ``live_versions`` maps LPA -> the payload the host last wrote
         (the version that is allowed to survive).
         """
-        image = self.attacker.image_device()
         report = AuditReport(checked_lpas=len(live_versions))
-        for page in image.pages:
+        for page in DeviceResidue(self.ssd).recovered():
             lpa = page.lpa
             if lpa is None or lpa not in live_versions:
                 continue
@@ -110,8 +108,5 @@ def collect_live_versions(
         gppa = ftl.l2p.lookup(lpa)
         if gppa < 0:
             continue
-        chip_id, ppn = ftl.split_gppa(gppa)
-        block_index, offset = ftl.geometry.split_ppn(ppn)
-        page = ftl.chips[chip_id].blocks[block_index].page(offset)
-        out[lpa] = page.data
+        out[lpa] = plaintext(ftl, page_at(ftl, gppa).data)
     return out

@@ -151,6 +151,17 @@ class SSDConfig:
     def physical_bytes(self) -> int:
         return self.physical_pages * self.geometry.page_size_bytes
 
+    def sanitize_latency_us(self) -> dict[str, float]:
+        """Per-method pulse latency that trace headers carry for exposure
+        windows (key deletion is a controller-RAM update: 0)."""
+        return {
+            "plock": self.t_plock_us,
+            "block_lock": self.t_block_lock_us,
+            "erase": self.t_erase_us,
+            "scrub": self.t_scrub_us,
+            "key_delete": 0.0,
+        }
+
 
 def paper_config() -> SSDConfig:
     """The exact Section-7 SecureSSD configuration (32 GiB)."""

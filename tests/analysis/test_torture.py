@@ -7,9 +7,9 @@ from repro.analysis.torture import (
     run_power_loss_case,
     run_rate_case,
     run_torture,
-    stale_secured_exposures,
     torture_requests,
 )
+from repro.checkers.residue import stale_secured_leaks as stale_secured_exposures
 from repro.faults import FaultKind, FaultPlan
 from repro.ssd.device import SSD
 from repro.ssd.request import RequestOp, trim, write

@@ -75,6 +75,14 @@ class TestTamperedArtifact:
         cert["format"] = "evanesco-cert/999"
         assert _codes(verify_certificate(cert)) == ["bad-format"]
 
+    def test_non_object_certificate_is_bad_format(self):
+        assert _codes(verify_certificate([SECTIONS])) == ["bad-format"]
+
+    def test_non_object_chain_link_is_bad_format(self):
+        cert = copy.deepcopy(build_certificate(SECTIONS))
+        cert["chain"][1] = "run"
+        assert _codes(verify_certificate(cert)) == ["bad-format"]
+
 
 class TestByteDeterminism:
     def test_independent_identical_runs_issue_identical_bytes(self):

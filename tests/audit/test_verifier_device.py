@@ -7,7 +7,8 @@ from repro.audit.ledger import PageGeneration, PageLedger
 from repro.audit.verifier import verify_device
 from repro.analysis.tracing import run_traced_study
 from repro.security.attacker import RawChipAttacker
-from repro.ssd import scaled_config
+from repro.ssd import SSD, scaled_config
+from repro.ssd.request import write
 
 
 def _codes(report):
@@ -88,3 +89,27 @@ class TestKeyDeletionResidue:
         audit = audit_sim_result(run.sim, run.telemetry, config, seed=5)
         assert audit.ok, [f.to_dict() for f in audit.report.findings]
         assert audit.ledger.sanitized_by_method.get("key_delete", 0) > 0
+
+    def test_key_delete_claim_on_decryptable_ciphertext_refuted(self):
+        # the key survived: to the Section 5.1 attacker this "residue" is
+        # the plaintext, so a key_delete claim on it is a lie.
+        config = scaled_config(blocks_per_chip=8, wordlines_per_block=4)
+        ssd = SSD(config, "cryptSSD")
+        for lpa in range(4):
+            ssd.submit(write(lpa, secure=True))
+        ledger = PageLedger(pages_per_block=config.geometry.pages_per_block)
+        ledger.generations.append(
+            PageGeneration(
+                gppa=ssd.ftl.mapped_gppa(0),
+                lpa=0,
+                secure=True,
+                program_ts=0.0,
+                invalidate_ts=1.0,
+                invalidate_reason="host-trim",
+                sanitize_ts=2.0,
+                sanitize_method="key_delete",
+            )
+        )
+        report = verify_device(ledger, ssd, complete=False)
+        assert not report.ok
+        assert _codes(report) == ["recoverable-sanitized-page"]

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.torture import stale_secured_exposures, torture_requests
+from repro.analysis.torture import torture_requests
+from repro.checkers.residue import stale_secured_leaks as stale_secured_exposures
 from repro.faults import FaultKind, FaultPlan
 from repro.flash.block import BlockState
 from repro.flash.errors import PowerLossInjected

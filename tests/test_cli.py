@@ -559,6 +559,30 @@ class TestAuditCommand:
         assert main(["audit", str(tmp_path / "missing.jsonl")]) == 2
         assert "audit:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        ("content", "message"),
+        [
+            (None, "No such file"),
+            ("{not json", "not JSON"),
+            ('{"format": "evanesco-cert/1", "key_id": "evanesco-repro-audit/1",'
+             ' "sections": {}, "chain": [7]}', "chain link is not a JSON object"),
+            ("[1, 2]", "certificate is not a JSON object"),
+        ],
+    )
+    def test_malformed_cert_is_usage_error(
+        self, tmp_path, capsys, content, message
+    ):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text("")
+        cert = tmp_path / "cert.json"
+        if content is not None:
+            cert.write_text(content)
+        code = main(["audit", str(trace), "--cert", str(cert)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.count("\n") == 1 and out.startswith("audit: ")
+        assert message in out
+
     def test_unknown_variant_rejected(self, capsys):
         assert main(["audit", "--variant", "nope"]) == 2
         assert "unknown variant" in capsys.readouterr().out
