@@ -56,9 +56,9 @@ from repro.analysis.torture import (
     TortureScorecard,
     run_checkpoint_case,
     run_power_loss_case,
-    run_rate_case,
     run_torture,
     torture_requests,
+    traced_rate_case,
 )
 
 __all__ = [
@@ -94,7 +94,6 @@ __all__ = [
     "run_checkpoint_case",
     "run_figure14",
     "run_power_loss_case",
-    "run_rate_case",
     "run_secure_fraction_sweep",
     "run_tail_latency_study",
     "run_timeplot_study",
@@ -104,6 +103,7 @@ __all__ = [
     "run_workload_on_variant",
     "summarize_overheads",
     "torture_requests",
+    "traced_rate_case",
     "write_bench_json",
     "write_trace_files",
 ]

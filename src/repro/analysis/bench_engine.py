@@ -23,7 +23,6 @@ baseline -- never the wall-clock numbers, which vary per machine.
 from __future__ import annotations
 
 import gc
-import json
 import platform
 import time
 from collections.abc import Callable
@@ -31,6 +30,7 @@ from pathlib import Path
 
 from repro.analysis.parallel import GridResultCache, GridTask, run_grid_detailed
 from repro.analysis.progress import ProgressReporter
+from repro.checkpoint.codec import report_dumps
 from repro.sim.arrivals import ClosedLoopArrivals
 from repro.sim.policies import policy_by_name
 from repro.sim.runner import simulate_workload
@@ -206,7 +206,7 @@ def run_bench(
 def write_bench_json(payload: dict[str, object], path: str | Path) -> Path:
     """Write the benchmark artifact (sorted keys, trailing newline)."""
     target = Path(path)
-    target.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    target.write_text(report_dumps(payload))
     return target
 
 

@@ -239,35 +239,6 @@ def _case_result(
     )
 
 
-def run_rate_case(
-    config: SSDConfig,
-    variant: str,
-    plan: FaultPlan,
-    kind_label: str,
-    detail: str,
-    n_requests: int,
-    seed: int,
-    telemetry: Telemetry | None = None,
-) -> TortureCase:
-    """One fault-rate run: replay, full-check, leak-check.
-
-    ``telemetry`` attaches a trace session (``repro torture
-    --trace-out`` uses this to record one representative faulted run
-    per variant, fault instants included).
-    """
-    case, _ = traced_rate_case(
-        config,
-        variant,
-        plan,
-        kind_label,
-        detail,
-        n_requests,
-        seed,
-        telemetry=telemetry,
-    )
-    return case
-
-
 def traced_rate_case(
     config: SSDConfig,
     variant: str,
@@ -278,11 +249,14 @@ def traced_rate_case(
     seed: int,
     telemetry: Telemetry | None = None,
 ) -> tuple[TortureCase, SSD]:
-    """:func:`run_rate_case`, plus the simulated device itself.
+    """One fault-rate run: replay, full-check, leak-check.
 
-    The device stays alive for post-run forensic probing: the audit
-    layer's ``repro torture --cert-out`` path issues a sanitization
-    certificate against the raw chips a faulted run left behind.
+    Returns the case and the simulated device.  ``telemetry`` attaches
+    a trace session (``repro torture --trace-out`` records one
+    representative faulted run per variant, fault instants included);
+    the device stays alive for post-run forensic probing (``repro
+    torture --cert-out`` certifies the raw chips a faulted run left
+    behind).
     """
     ssd = SSD(
         config,
@@ -517,7 +491,7 @@ def _run_torture_case(task: GridTask) -> TortureCase:
     """Grid worker: one torture case (picklable dispatch)."""
     case_kind, case_args = task.payload
     if case_kind == "rate":
-        return run_rate_case(*case_args)
+        return traced_rate_case(*case_args)[0]
     if case_kind == "checkpoint":
         return run_checkpoint_case(*case_args)
     return run_power_loss_case(*case_args)

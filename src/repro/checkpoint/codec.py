@@ -198,6 +198,16 @@ def canonical_dumps(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def report_dumps(payload: Any) -> str:
+    """Human-readable report JSON: sorted keys, two-space indent, newline.
+
+    The one sanctioned writer for pretty report artifacts (``simulate
+    --json``, ``fleet --json``, ``BENCH_sim.json``); deterministic for a
+    given payload, like :func:`canonical_dumps`, but diff-friendly.
+    """
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def section_checksum(content: str | bytes) -> str:
     """SHA-256 hex digest of a section's exact file content.
 

@@ -53,6 +53,10 @@ metrics (IOPS, p99) against a committed baseline.
 from __future__ import annotations
 
 import argparse
+import json
+from collections.abc import Iterator
+from contextlib import contextmanager
+from pathlib import Path
 
 from repro.analysis import (
     format_figure14,
@@ -75,18 +79,104 @@ from repro.flash.reliability import (
 from repro.ssd import scaled_config
 
 
+class CommandExit(Exception):
+    """Abort a command: :func:`main` prints ``message``, exits ``code``."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+        self.message = message
+
+
 def _config(args: argparse.Namespace):
     # endurance/wear knobs exist only on the commands that expose them;
     # getattr defaults keep every other command on the fresh-forever
     # device its committed artifacts were produced with
-    return scaled_config(
-        blocks_per_chip=args.blocks,
-        wordlines_per_block=args.wordlines,
-        pe_limit=getattr(args, "pe_limit", None),
-        wear_coupling=getattr(args, "wear_coupling", False),
-        wear_leveling_threshold=getattr(args, "wear_leveling", None),
-        wear_aware_allocation=getattr(args, "wear_alloc", False),
-    )
+    try:
+        return scaled_config(
+            blocks_per_chip=args.blocks,
+            wordlines_per_block=args.wordlines,
+            pe_limit=getattr(args, "pe_limit", None),
+            wear_coupling=getattr(args, "wear_coupling", False),
+            wear_leveling_threshold=getattr(args, "wear_leveling", None),
+            wear_aware_allocation=getattr(args, "wear_alloc", False),
+        )
+    except ValueError as exc:
+        raise CommandExit(2, f"{args.command}: {exc}") from exc
+
+
+def _variants(args: argparse.Namespace, default) -> tuple[str, ...]:
+    """``--variants`` (or the command's ``default``), all known."""
+    from repro.ftl import FTL_VARIANTS
+
+    variants = tuple(args.variants or default)
+    unknown = [v for v in variants if v not in FTL_VARIANTS]
+    if unknown:
+        raise CommandExit(
+            2, f"unknown variant(s) {unknown}; choose from {sorted(FTL_VARIANTS)}"
+        )
+    return variants
+
+
+def _check_policy(args: argparse.Namespace) -> None:
+    from repro.sim.policies import POLICIES
+
+    if args.policy != "auto" and args.policy not in POLICIES:
+        raise CommandExit(
+            2,
+            f"unknown policy {args.policy!r}; choose from "
+            f"{['auto', *sorted(POLICIES)]}",
+        )
+
+
+def _progress(args: argparse.Namespace):
+    """The ``--progress`` stderr reporter, labelled with the command."""
+    if not args.progress:
+        return None
+    from repro.analysis.progress import ProgressReporter
+
+    return ProgressReporter(args.command)
+
+
+def _print_shards(payload: dict) -> None:
+    if payload.get("cached_shards") or payload.get("retried_shards"):
+        print(
+            f"grid shards: {payload.get('cached_shards', 0)} cached, "
+            f"{payload.get('retried_shards', 0)} retried"
+        )
+
+
+@contextmanager
+def _checkpoint_errors(command: str) -> Iterator[None]:
+    """An unrecoverable checkpoint store exits 1 with its recovery
+    report; a store from another campaign is a usage error (exit 2)."""
+    from repro.checkpoint import CampaignMismatchError, CheckpointError
+
+    try:
+        yield
+    except CheckpointError as exc:
+        raise CommandExit(1, exc.render()) from exc
+    except CampaignMismatchError as exc:
+        raise CommandExit(2, f"{command}: {exc}") from exc
+
+
+def _write_certificates(base: str, audited_by_variant: dict) -> int:
+    """One signed certificate per variant (``stem.variant.suffix`` when
+    there are several); exit status 1 if any audit failed."""
+    from repro.audit import certificate_text
+
+    base_path = Path(base)
+    several = len(audited_by_variant) > 1
+    for variant, audited in audited_by_variant.items():
+        path = (
+            base_path.with_name(f"{base_path.stem}.{variant}{base_path.suffix}")
+            if several
+            else base_path
+        )
+        path.write_text(certificate_text(audited.certificate))
+        status = "ok" if audited.ok else "AUDIT FAILED"
+        print(f"certificate written to {path} ({status})")
+    return 0 if all(a.ok for a in audited_by_variant.values()) else 1
 
 
 def cmd_table1(args: argparse.Namespace) -> None:
@@ -236,9 +326,6 @@ def _print_audit(target: str, audited, device_probe: bool) -> None:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     """Sanitization audit: trace file or live run -> signed certificate."""
-    import json
-    from pathlib import Path
-
     from repro.audit import audit_trace_file, certificate_text
     from repro.audit.verifier import verify_certificate
 
@@ -274,8 +361,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
             print(f"unknown variant {args.variant!r}; choose from "
                   f"{sorted(FTL_VARIANTS)}")
             return 2
+        config = _config(args)
         runs = run_traced_study(
-            _config(args),
+            config,
             args.workload,
             (args.variant,),
             seed=args.seed,
@@ -283,9 +371,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             capacity=AUDIT_CAPACITY,
         )
         run = runs[args.variant]
-        audited = audit_sim_result(
-            run.sim, run.telemetry, _config(args), seed=args.seed
-        )
+        audited = audit_sim_result(run.sim, run.telemetry, config, seed=args.seed)
         target = f"{args.workload}/{args.variant} (live run)"
         device_probe = True
     _print_audit(target, audited, device_probe)
@@ -299,26 +385,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Closed-loop tail-latency study on the discrete-event engine."""
-    import json
-
-    from repro.analysis.latency import (
-        format_tail_latency,
-        policy_for_variant,
-        run_tail_latency_study,
-    )
-    from repro.ftl import FTL_VARIANTS
+    from repro.analysis.latency import format_tail_latency, policy_for_variant
     from repro.sim.arrivals import BurstyArrivals, ClosedLoopArrivals, PoissonArrivals
-    from repro.sim.policies import POLICIES, policy_by_name
+    from repro.sim.policies import policy_by_name
+    from repro.sim.runner import simulate_workload
 
-    variants = tuple(args.variants or ("baseline", "erSSD", "scrSSD", "secSSD"))
-    unknown = [v for v in variants if v not in FTL_VARIANTS]
-    if unknown:
-        print(f"unknown variant(s) {unknown}; choose from {sorted(FTL_VARIANTS)}")
-        return 2
-    if args.policy != "auto" and args.policy not in POLICIES:
-        print(f"unknown policy {args.policy!r}; choose from "
-              f"{['auto', *sorted(POLICIES)]}")
-        return 2
+    variants = _variants(args, ("baseline", "erSSD", "scrSSD", "secSSD"))
+    _check_policy(args)
+    config = _config(args)
     if args.rate is not None:
         arrivals = (
             BurstyArrivals(args.rate, seed=args.seed)
@@ -339,75 +413,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trace_sessions = {}
     results = {}
     for variant in variants:
-        from repro.sim.runner import simulate_workload
-
         policy = (
             policy_for_variant(variant)
             if args.policy == "auto"
             else policy_by_name(args.policy)
         )
         telemetry = None
-        if args.trace_out or args.cert_out:
-            if args.cert_out:
-                # audit-grade session: big ring, no sampling -- a lossy
-                # stream would poison the ledger behind the certificate
-                from repro.audit.run import audit_telemetry
+        if args.cert_out:
+            # audit-grade session: big ring, no sampling -- a lossy
+            # stream would poison the ledger behind the certificate
+            from repro.audit.run import audit_telemetry
 
-                telemetry = audit_telemetry()
-            else:
-                from repro.telemetry import Telemetry
+            telemetry = trace_sessions[variant] = audit_telemetry()
+        elif args.trace_out:
+            from repro.telemetry import Telemetry
 
-                telemetry = Telemetry()
-            trace_sessions[variant] = telemetry
-        if checkpointing:
-            from pathlib import Path
-
-            from repro.checkpoint import (
-                CampaignMismatchError,
-                CheckpointError,
-                run_chunked_simulation,
-            )
-
-            try:
-                result = run_chunked_simulation(
-                    _config(args),
-                    args.workload,
-                    variant,
-                    Path(args.checkpoint_dir) / variant,
-                    args.checkpoint_every,
-                    seed=args.seed,
-                    write_multiplier=args.multiplier,
-                    policy=policy,
-                    arrivals=arrivals,
-                    checked=True if args.checked else None,
-                    check_interval=args.interval,
-                    telemetry=telemetry,
-                    resume=args.resume,
-                    stop_after=args.stop_after,
-                )
-            except CheckpointError as exc:
-                print(exc.render())
-                return 1
-            except CampaignMismatchError as exc:
-                print(f"simulate: {exc}")
-                return 2
-            if result is None:
-                print(
-                    f"{variant}: stopped after {args.stop_after} "
-                    f"checkpoint(s) in {args.checkpoint_dir}; "
-                    "continue with --resume"
-                )
-                continue
-            for report in result.run.extra.get("checkpoint_recovery", []):
-                print(
-                    f"{variant}: recovered past gen "
-                    f"{report['generation']:06d} ({report['reason']}: "
-                    f"{report['detail']}) -> {report['quarantined_to']}"
-                )
-            results[variant] = result
-        else:
+            telemetry = trace_sessions[variant] = Telemetry()
+        if not checkpointing:
             results[variant] = simulate_workload(
-                _config(args),
+                config,
                 args.workload,
                 variant,
                 seed=args.seed,
@@ -418,13 +442,46 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 check_interval=args.interval,
                 telemetry=telemetry,
             )
+            continue
+        from repro.checkpoint import run_chunked_simulation
+
+        with _checkpoint_errors("simulate"):
+            result = run_chunked_simulation(
+                config,
+                args.workload,
+                variant,
+                Path(args.checkpoint_dir) / variant,
+                args.checkpoint_every,
+                seed=args.seed,
+                write_multiplier=args.multiplier,
+                policy=policy,
+                arrivals=arrivals,
+                checked=True if args.checked else None,
+                check_interval=args.interval,
+                telemetry=telemetry,
+                resume=args.resume,
+                stop_after=args.stop_after,
+            )
+        if result is None:
+            print(
+                f"{variant}: stopped after {args.stop_after} "
+                f"checkpoint(s) in {args.checkpoint_dir}; "
+                "continue with --resume"
+            )
+            continue
+        for report in result.run.extra.get("checkpoint_recovery", []):
+            print(
+                f"{variant}: recovered past gen "
+                f"{report['generation']:06d} ({report['reason']}: "
+                f"{report['detail']}) -> {report['quarantined_to']}"
+            )
+        results[variant] = result
     if results:
         print(format_tail_latency(results))
     if args.trace_out:
         from repro.audit.run import config_fingerprint
         from repro.telemetry.export import trace_header, write_chrome_trace
 
-        config = _config(args)
         headers = {
             v: trace_header(
                 tel.bus,
@@ -444,40 +501,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         print(f"trace written to {args.trace_out}")
     if args.json:
-        payload = {v: r.to_dict() for v, r in results.items()}
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        from repro.checkpoint.codec import report_dumps
+
+        Path(args.json).write_text(
+            report_dumps({v: r.to_dict() for v, r in results.items()})
+        )
         print(f"full reports written to {args.json}")
     if args.cert_out:
-        from pathlib import Path
+        from repro.audit import audit_sim_result
 
-        from repro.audit import audit_sim_result, certificate_text
-
-        base = Path(args.cert_out)
-        failed = 0
-        for variant, result in results.items():
-            audited = audit_sim_result(
-                result, trace_sessions[variant], _config(args), seed=args.seed
-            )
-            path = (
-                base
-                if len(results) == 1
-                else base.with_name(f"{base.stem}.{variant}{base.suffix}")
-            )
-            path.write_text(certificate_text(audited.certificate))
-            status = "ok" if audited.ok else "AUDIT FAILED"
-            print(f"certificate written to {path} ({status})")
-            failed += 0 if audited.ok else 1
-        if failed:
-            return 1
+        return _write_certificates(
+            args.cert_out,
+            {
+                v: audit_sim_result(r, trace_sessions[v], config, seed=args.seed)
+                for v, r in results.items()
+            },
+        )
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """Benchmark the event engine and emit BENCH_sim.json."""
-    import json
-
     from repro.analysis.bench_engine import (
         compare_bench_detailed,
         format_bench,
@@ -485,27 +529,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
         run_bench,
         write_bench_json,
     )
-    from repro.ftl import FTL_VARIANTS
 
-    variants = tuple(args.variants or ("baseline", "secSSD"))
-    unknown = [v for v in variants if v not in FTL_VARIANTS]
-    if unknown:
-        print(f"unknown variant(s) {unknown}; choose from {sorted(FTL_VARIANTS)}")
-        return 2
+    variants = _variants(args, ("baseline", "secSSD"))
+    config = _config(args)
     # load the baseline before anything is written: CI gates and
     # refreshes the same path (--compare BENCH_sim.json --out
     # BENCH_sim.json), which must not compare the run against itself
     baseline = None
     if args.compare:
-        with open(args.compare) as fh:
-            baseline = json.load(fh)
-    progress = None
-    if args.progress:
-        from repro.analysis.progress import ProgressReporter
-
-        progress = ProgressReporter("bench")
+        try:
+            with open(args.compare) as fh:
+                baseline = json.load(fh)
+        except OSError as exc:
+            raise CommandExit(2, f"bench: {exc}") from exc
+        except ValueError as exc:
+            raise CommandExit(
+                2, f"bench: {args.compare}: not JSON: {exc}"
+            ) from exc
     payload = run_bench(
-        _config(args),
+        config,
         workload=args.workload,
         variants=variants,
         queue_depth=args.qd,
@@ -515,14 +557,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         jobs=args.jobs,
         resume_dir=args.resume,
-        progress=progress,
+        progress=_progress(args),
     )
     print(format_bench(payload))
-    if payload.get("cached_shards") or payload.get("retried_shards"):
-        print(
-            f"grid shards: {payload.get('cached_shards', 0)} cached, "
-            f"{payload.get('retried_shards', 0)} retried"
-        )
+    _print_shards(payload)
     target = write_bench_json(payload, args.out)
     print(f"benchmark artifact written to {target}")
     if baseline is not None:
@@ -538,40 +576,29 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Fleet-scale campaign: many devices, many tenants, one report."""
-    import json
-
     from repro.fleet import FleetConfig, format_fleet, run_fleet
-    from repro.ftl import FTL_VARIANTS
 
-    variants = tuple(
-        args.variants or ("baseline", "erSSD", "scrSSD", "secSSD")
-    )
-    unknown = [v for v in variants if v not in FTL_VARIANTS]
-    if unknown:
-        print(f"unknown variant(s) {unknown}; choose from {sorted(FTL_VARIANTS)}")
-        return 2
-    cfg = FleetConfig(
-        devices=args.devices,
-        tenants=args.tenants,
-        seed=args.seed,
-        variants=variants,
-        base_workload=args.workload,
-        zipf_s=args.zipf,
-        spread=args.spread,
-        storm=args.storm,
-        storm_count=args.storms,
-        storm_fraction=args.storm_fraction,
-        device_blocks=args.blocks,
-        device_wordlines=args.wordlines,
-        write_multiplier=args.multiplier,
-        queue_depth=args.qd,
-        devices_per_shard=args.shard,
-    )
-    progress = None
-    if args.progress:
-        from repro.analysis.progress import ProgressReporter
-
-        progress = ProgressReporter("fleet")
+    variants = _variants(args, ("baseline", "erSSD", "scrSSD", "secSSD"))
+    try:
+        cfg = FleetConfig(
+            devices=args.devices,
+            tenants=args.tenants,
+            seed=args.seed,
+            variants=variants,
+            base_workload=args.workload,
+            zipf_s=args.zipf,
+            spread=args.spread,
+            storm=args.storm,
+            storm_count=args.storms,
+            storm_fraction=args.storm_fraction,
+            device_blocks=args.blocks,
+            device_wordlines=args.wordlines,
+            write_multiplier=args.multiplier,
+            queue_depth=args.qd,
+            devices_per_shard=args.shard,
+        )
+    except ValueError as exc:
+        raise CommandExit(2, f"fleet: {exc}") from exc
     run = run_fleet(
         cfg,
         jobs=args.jobs,
@@ -579,7 +606,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         stop_after_shards=args.stop_after_shards,
         audit=args.audit,
         trace_dir=args.trace_out,
-        progress=progress,
+        progress=_progress(args),
     )
     if run is None:
         print(
@@ -596,11 +623,11 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             f"{run.retried_shards} retried"
         )
     if args.json:
+        from repro.checkpoint.codec import report_dumps
+
         # the JSON artifact holds only the merged report: byte-identical
         # for serial, parallel, and resumed runs of the same config
-        with open(args.json, "w") as fh:
-            json.dump(run.report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        Path(args.json).write_text(report_dumps(run.report))
         print(f"fleet report written to {args.json}")
     if args.audit:
         failed = sum(
@@ -671,19 +698,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
         run_traced_study,
         write_trace_files,
     )
-    from repro.ftl import FTL_VARIANTS
     from repro.sim.arrivals import ClosedLoopArrivals
-    from repro.sim.policies import POLICIES
 
-    variants = tuple(args.variants or ("secSSD",))
-    unknown = [v for v in variants if v not in FTL_VARIANTS]
-    if unknown:
-        print(f"unknown variant(s) {unknown}; choose from {sorted(FTL_VARIANTS)}")
-        return 2
-    if args.policy != "auto" and args.policy not in POLICIES:
-        print(f"unknown policy {args.policy!r}; choose from "
-              f"{['auto', *sorted(POLICIES)]}")
-        return 2
+    variants = _variants(args, ("secSSD",))
+    _check_policy(args)
     try:
         sample = parse_sample_spec(args.sample)
     except ValueError as exc:
@@ -712,14 +730,11 @@ def cmd_torture(args: argparse.Namespace) -> int:
         CHECKPOINT_MODES,
         TORTURE_VARIANTS,
         run_torture,
+        traced_rate_case,
     )
-    from repro.ftl import FTL_VARIANTS
+    from repro.faults import FaultKind, FaultPlan
 
-    variants = tuple(args.variants or TORTURE_VARIANTS)
-    unknown = [v for v in variants if v not in FTL_VARIANTS]
-    if unknown:
-        print(f"unknown variant(s) {unknown}; choose from {sorted(FTL_VARIANTS)}")
-        return 2
+    variants = _variants(args, TORTURE_VARIANTS)
     modes = (
         CHECKPOINT_MODES
         if args.checkpoint_modes is None
@@ -730,13 +745,9 @@ def cmd_torture(args: argparse.Namespace) -> int:
         print(f"unknown checkpoint mode(s) {bad_modes}; "
               f"choose from {list(CHECKPOINT_MODES)}")
         return 2
-    progress = None
-    if args.progress:
-        from repro.analysis.progress import ProgressReporter
-
-        progress = ProgressReporter("torture")
+    config = _config(args)
     card = run_torture(
-        _config(args),
+        config,
         variants=variants,
         seed=args.seed,
         n_requests=args.ops,
@@ -746,89 +757,62 @@ def cmd_torture(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         checkpoint_modes=modes,
         resume_dir=args.resume,
-        progress=progress,
+        progress=_progress(args),
     )
     print(card.to_json() if args.json else card.format())
+    # --trace-out and --cert-out each replay one representative faulted
+    # run per variant: the highest configured rate maximizes fault
+    # instants in the trace and in the certificate's forensic pass
+    rate = max(args.rates) if args.rates else 1e-2
+
+    def replay(variant: str, telemetry):
+        _, ssd = traced_rate_case(
+            config,
+            variant,
+            FaultPlan.single(FaultKind.PROGRAM_FAIL, rate, seed=args.seed),
+            FaultKind.PROGRAM_FAIL.value,
+            f"rate={rate:g}",
+            args.ops,
+            args.seed,
+            telemetry=telemetry,
+        )
+        return ssd
+
     if args.trace_out:
-        from repro.analysis.torture import run_rate_case
-        from repro.faults import FaultKind, FaultPlan
         from repro.telemetry import Telemetry
         from repro.telemetry.export import write_chrome_trace
 
-        # one representative faulted replay per variant, traced: the
-        # highest configured rate maximizes fault instants in the view
-        rate = max(args.rates) if args.rates else 1e-2
         streams = {}
         for variant in variants:
             telemetry = Telemetry()
-            run_rate_case(
-                _config(args),
-                variant,
-                FaultPlan.single(FaultKind.PROGRAM_FAIL, rate, seed=args.seed),
-                FaultKind.PROGRAM_FAIL.value,
-                f"rate={rate:g}",
-                args.ops,
-                args.seed,
-                telemetry=telemetry,
-            )
+            replay(variant, telemetry)
             streams[variant] = telemetry.bus.events
         write_chrome_trace(args.trace_out, streams)
         print(f"trace written to {args.trace_out}")
     if args.cert_out:
-        from pathlib import Path
+        from repro.audit import audit_live_run, audit_telemetry
 
-        from repro.analysis.torture import traced_rate_case
-        from repro.audit import (
-            audit_live_run,
-            audit_telemetry,
-            certificate_text,
-        )
-        from repro.faults import FaultKind, FaultPlan
-
-        # one representative faulted replay per variant, audited: the
-        # certificate's forensic pass proves no sanitized page survived
-        # readable on the raw chips even with faults firing
-        rate = max(args.rates) if args.rates else 1e-2
-        base = Path(args.cert_out)
-        failed = 0
+        # the certificate's forensic pass proves no sanitized page
+        # survived readable on the raw chips even with faults firing
+        audited = {}
         for variant in variants:
             telemetry = audit_telemetry()
-            _, ssd = traced_rate_case(
-                _config(args),
-                variant,
-                FaultPlan.single(FaultKind.PROGRAM_FAIL, rate, seed=args.seed),
-                FaultKind.PROGRAM_FAIL.value,
-                f"rate={rate:g}",
-                args.ops,
-                args.seed,
-                telemetry=telemetry,
-            )
-            audited = audit_live_run(
+            ssd = replay(variant, telemetry)
+            audited[variant] = audit_live_run(
                 telemetry,
-                _config(args),
+                config,
                 workload="torture",
                 variant=variant,
                 ssd=ssd,
                 seed=args.seed,
             )
-            path = (
-                base
-                if len(variants) == 1
-                else base.with_name(f"{base.stem}.{variant}{base.suffix}")
-            )
-            path.write_text(certificate_text(audited.certificate))
-            status = "ok" if audited.ok else "AUDIT FAILED"
-            print(f"certificate written to {path} ({status})")
-            failed += 0 if audited.ok else 1
-        if failed:
+        if _write_certificates(args.cert_out, audited):
             return 1
     return 0 if card.passed else 1
 
 
 def cmd_age(args: argparse.Namespace) -> int:
     """Device-aging lifetime campaign: wear each variant to first death."""
-    import json
-
     from repro.analysis.aging import (
         AGING_VARIANTS,
         format_lifetime,
@@ -836,20 +820,11 @@ def cmd_age(args: argparse.Namespace) -> int:
     )
     from repro.analysis.parallel import GridTaskError
     from repro.checkpoint import CampaignMismatchError, CheckpointError
-    from repro.ftl import FTL_VARIANTS
     from repro.ftl.allocator import OutOfBlocksError
     from repro.telemetry import Telemetry
 
-    variants = tuple(args.variants or AGING_VARIANTS)
-    unknown = [v for v in variants if v not in FTL_VARIANTS]
-    if unknown:
-        print(f"unknown variant(s) {unknown}; choose from {sorted(FTL_VARIANTS)}")
-        return 2
-    progress = None
-    if args.progress:
-        from repro.analysis.progress import ProgressReporter
-
-        progress = ProgressReporter("age")
+    variants = _variants(args, AGING_VARIANTS)
+    config = _config(args)
     telemetry = Telemetry()
 
     def _died(exc: OutOfBlocksError) -> int:
@@ -862,34 +837,31 @@ def cmd_age(args: argparse.Namespace) -> int:
         )
         return 1
 
-    try:
-        payload = run_aging_campaign(
-            _config(args),
-            args.workload,
-            args.dir,
-            args.checkpoint_every,
-            variants=variants,
-            seed=args.seed,
-            write_multiplier=args.multiplier,
-            checked=True if args.checked else None,
-            jobs=args.jobs,
-            stop_after=args.stop_after,
-            progress=progress,
-            telemetry=telemetry,
-        )
-    except OutOfBlocksError as exc:
-        return _died(exc)
-    except GridTaskError as exc:
-        # jobs > 1: worker exceptions arrive wrapped with the cell name
-        if isinstance(exc.__cause__, OutOfBlocksError):
-            return _died(exc.__cause__)
-        raise
-    except CheckpointError as exc:
-        print(exc.render())
-        return 1
-    except CampaignMismatchError as exc:
-        print(f"age: {exc}")
-        return 2
+    with _checkpoint_errors("age"):
+        try:
+            payload = run_aging_campaign(
+                config,
+                args.workload,
+                args.dir,
+                args.checkpoint_every,
+                variants=variants,
+                seed=args.seed,
+                write_multiplier=args.multiplier,
+                checked=True if args.checked else None,
+                jobs=args.jobs,
+                stop_after=args.stop_after,
+                progress=_progress(args),
+                telemetry=telemetry,
+            )
+        except OutOfBlocksError as exc:
+            return _died(exc)
+        except GridTaskError as exc:
+            # worker exceptions arrive wrapped with the cell name
+            if isinstance(exc.__cause__, OutOfBlocksError):
+                return _died(exc.__cause__)
+            if isinstance(exc.__cause__, (CampaignMismatchError, CheckpointError)):
+                raise exc.__cause__ from exc
+            raise
     if payload.get("paused"):
         print(
             f"age: stopped after {args.stop_after} checkpoint(s) per "
@@ -897,14 +869,8 @@ def cmd_age(args: argparse.Namespace) -> int:
         )
         return 0
     print(format_lifetime(payload))
-    if payload.get("cached_shards") or payload.get("retried_shards"):
-        print(
-            f"grid shards: {payload.get('cached_shards', 0)} cached, "
-            f"{payload.get('retried_shards', 0)} retried"
-        )
+    _print_shards(payload)
     if args.json:
-        from pathlib import Path
-
         from repro.checkpoint.codec import canonical_dumps
 
         report = dict(payload)
@@ -920,11 +886,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     from repro.checkers.sanitizer import InvariantViolation
     from repro.ftl import FTL_VARIANTS
 
-    variants = args.variants or sorted(FTL_VARIANTS)
-    unknown = [v for v in variants if v not in FTL_VARIANTS]
-    if unknown:
-        print(f"unknown variant(s) {unknown}; choose from {sorted(FTL_VARIANTS)}")
-        return 2
+    variants = _variants(args, sorted(FTL_VARIANTS))
     config = _config(args)
     failures = 0
     for variant in variants:
@@ -979,398 +941,328 @@ COMMANDS = {
 }
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type`` of the count flags the library rejects below 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+#: every flag more than one subcommand takes, declared once; a command
+#: attaches the ones it needs with :func:`_attach`, overriding defaults.
+#: Same spelling, different meaning stays per command: ``--resume``
+#: (DIR here, a bare flag on simulate), ``--json`` (PATH here, a bare
+#: flag on torture), ``--trace-out`` (PATH here, DIR on fleet), ``--out``.
+FLAGS: dict[str, dict] = {
+    "--blocks": dict(type=positive_int, default=20,
+                     help="blocks per chip (device scale)"),
+    "--wordlines": dict(type=positive_int, default=16,
+                        help="wordlines per block (device scale)"),
+    "--seed": dict(type=int, default=1),
+    "--multiplier": dict(type=float, default=1.0,
+                         help="steady-state writes as a multiple of capacity"),
+    "--workload": dict(default="MailServer", help="workload trace to replay"),
+    "--variants": dict(nargs="*", default=None,
+                       help="FTL variants (default: the command's own set)"),
+    "--policy": dict(default="auto",
+                     help="scheduling policy, or 'auto' for each variant's "
+                          "honest best"),
+    "--qd": dict(type=positive_int, default=32,
+                 help="closed-loop queue depth (per device)"),
+    "--pe-limit": dict(type=positive_int, default=None,
+                       help="block P/E endurance; worn-out blocks are "
+                            "scrub-retired as grown-bad (default: unlimited)"),
+    "--jobs": dict(type=positive_int, default=1,
+                   help="worker processes for the experiment grid (simulated "
+                        "results are identical for any count)"),
+    "--progress": dict(action="store_true",
+                       help="stream shard-completion/ETA lines to stderr "
+                            "(artifacts unchanged)"),
+    "--resume": dict(default=None, metavar="DIR",
+                     help="persist completed grid shards to DIR and resume "
+                          "a killed run from there"),
+    "--checked": dict(action="store_true",
+                      help="attach the runtime invariant sanitizer"),
+    "--interval": dict(type=int, default=50,
+                       help="host batches between full O(device) sanitizer "
+                            "checks"),
+    "--checkpoint-every": dict(type=positive_int, default=None, metavar="N",
+                               help="requests per crash-consistent "
+                                    "checkpoint window"),
+    "--stop-after": dict(type=int, default=None, metavar="K",
+                         help="pause after K new checkpoints (deterministic "
+                              "interruption, for tests and CI smoke)"),
+    "--json": dict(default=None, metavar="PATH",
+                   help="also write the report as JSON"),
+    "--trace-out": dict(default=None, metavar="PATH",
+                        help="record one traced run per variant as a "
+                             "Chrome-trace-event file"),
+    "--cert-out": dict(default=None, metavar="PATH",
+                       help="audit the run(s) and write signed sanitization "
+                            "certificates (one per variant)"),
+}
+
+#: device-scale flags; each command attaches its own copy (per-command
+#: defaults never leak through a shared parent's set_defaults)
+SCALE = ("--blocks", "--wordlines", "--seed", "--multiplier")
+
+
+def _attach(p: argparse.ArgumentParser, *flags: str, **defaults) -> None:
+    """Add the shared ``FLAGS`` to ``p``; ``defaults`` (keyed by dest)
+    override the declared default for this command only."""
+    for flag in flags:
+        kwargs = dict(FLAGS[flag])
+        dest = flag[2:].replace("-", "_")
+        if dest in defaults:
+            kwargs["default"] = defaults[dest]
+        p.add_argument(flag, **kwargs)
+
+
+def _audit_flags(p: argparse.ArgumentParser) -> None:
+    _attach(p, *SCALE, "--workload", "--cert-out")
+    p.add_argument("trace", nargs="?", default=None,
+                   help="archived JSONL trace to audit (omit to "
+                        "run and audit a live workload instead)")
+    p.add_argument("--variant", default="secSSD",
+                   help="live-run mode: FTL variant to audit")
+    p.add_argument("--cert", default=None, metavar="CERT",
+                   help="verify the trace against this previously "
+                        "issued certificate instead of issuing one")
+    p.add_argument("--pages-per-block", type=int, default=None,
+                   help="device geometry for headerless traces")
+
+
+def _lint_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("paths", nargs="*", default=None,
+                   help="files/dirs to lint (default: the package)")
+    p.add_argument("--no-hints", action="store_true",
+                   help="omit fix hints from the report")
+    p.add_argument("--format", choices=("text", "json", "sarif"),
+                   default="text",
+                   help="report format (default: text)")
+    p.add_argument("--out", default=None, metavar="FILE",
+                   help="write the report to FILE instead of stdout")
+    p.add_argument("--baseline", default=None, metavar="FILE",
+                   help="baseline file of accepted findings "
+                        "(default: ./.lint-baseline.json if present)")
+    p.add_argument("--no-baseline", action="store_true",
+                   help="ignore any baseline file")
+    p.add_argument("--write-baseline", action="store_true",
+                   help="regenerate the baseline from the current "
+                        "findings and exit")
+    p.add_argument("--rules", action="store_true",
+                   help="list the rule catalogue and exit")
+
+
+def _torture_flags(p: argparse.ArgumentParser) -> None:
+    # a small device so the request stream actually reaches GC and
+    # lazy-erase activity: 700 requests overwrite 12x4's capacity
+    _attach(p, *SCALE[:3], "--variants", "--pe-limit", "--jobs",
+            "--progress", "--resume", "--trace-out", "--cert-out",
+            blocks=12, wordlines=4)
+    p.add_argument("--ops", type=int, default=700,
+                   help="host requests per torture case")
+    p.add_argument("--rates", nargs="*", type=float,
+                   default=[1e-3, 1e-2],
+                   help="per-op fault probabilities for the sweep")
+    p.add_argument("--window", type=int, default=200,
+                   help="power-loss boundaries to sweep per variant")
+    p.add_argument("--window-start", type=int, default=0,
+                   help="first op index of the power-loss window")
+    p.add_argument("--checkpoint-modes", nargs="*", default=None,
+                   metavar="MODE",
+                   help="checkpoint-corruption cases to include "
+                        "(powercut bitflip truncate; default all; "
+                        "pass no MODE to disable)")
+    p.add_argument("--json", action="store_true",
+                   help="emit the machine-readable scorecard")
+
+
+def _age_flags(p: argparse.ArgumentParser) -> None:
+    # a device big enough that wear spread develops before the horizon
+    # ends, at the calibrated P/E budget; --checkpoint-every is also the
+    # first-wearout stop granularity, so keep it small enough that
+    # retirement cannot spiral into pool exhaustion mid-window
+    _attach(p, *SCALE, "--workload", "--variants", "--pe-limit",
+            "--checkpoint-every", "--stop-after", "--jobs", "--progress",
+            "--checked", "--json",
+            blocks=16, wordlines=8, pe_limit=25, checkpoint_every=50)
+    p.add_argument("--wear-leveling", type=int, default=4,
+                   metavar="DELTA",
+                   help="static wear-leveling threshold "
+                        "(max-min erase spread that triggers a "
+                        "cold-block migration; omit to disable)")
+    p.add_argument("--wear-alloc", action="store_true",
+                   help="wear-aware dynamic allocation: open the "
+                        "least-worn reusable block, not the "
+                        "FIFO head")
+    p.add_argument("--wear-coupling", action="store_true",
+                   help="derive read reliability from live block "
+                        "wear (off by default: keeps same-seed "
+                        "artifacts of other commands identical)")
+    p.add_argument("--dir", default="age-ck", metavar="DIR",
+                   help="campaign root (per-variant checkpoint "
+                        "stores + grid result cache); killable "
+                        "and resumable by re-running the same "
+                        "command (default: ./age-ck)")
+
+
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
+    _attach(p, *SCALE, "--workload", "--variants", "--policy", "--qd",
+            "--checked", "--interval", "--pe-limit", "--json",
+            "--trace-out", "--cert-out", "--checkpoint-every",
+            "--stop-after")
+    p.add_argument("--rate", type=float, default=None,
+                   help="open Poisson arrivals at this IOPS "
+                        "instead of a closed loop")
+    p.add_argument("--bursty", action="store_true",
+                   help="with --rate: bursty ON/OFF arrivals")
+    p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
+                   help="campaign directory (one subdirectory "
+                        "per variant)")
+    p.add_argument("--resume", action="store_true",
+                   help="resume an interrupted campaign from "
+                        "--checkpoint-dir (byte-identical to an "
+                        "uninterrupted run)")
+
+
+def _trace_flags(p: argparse.ArgumentParser) -> None:
+    _attach(p, *SCALE, "--workload", "--variants", "--policy", "--qd")
+    p.add_argument("--out", default="trace.json",
+                   help="Chrome-trace-event output path")
+    p.add_argument("--jsonl", default=None, metavar="PATH",
+                   help="also write the raw event stream as "
+                        "JSON lines (one file per variant)")
+    p.add_argument("--capacity", type=int, default=65536,
+                   help="trace ring-buffer capacity in events "
+                        "(oldest dropped beyond it)")
+    p.add_argument("--sample", nargs="*", default=None,
+                   metavar="CAT=N",
+                   help="keep every Nth event of a category, "
+                        "e.g. ftl.page=8 sim.service=4")
+
+
+def _bench_flags(p: argparse.ArgumentParser) -> None:
+    _attach(p, *SCALE, "--workload", "--variants", "--policy", "--qd",
+            "--pe-limit", "--jobs", "--progress", "--resume",
+            workload="Mobile", policy="fifo")
+    p.add_argument("--repeats", type=positive_int, default=3,
+                   help="timed repeats per variant (best kept)")
+    p.add_argument("--out", default="BENCH_sim.json",
+                   help="artifact path")
+    p.add_argument("--compare", default=None, metavar="BASELINE",
+                   help="fail (exit 1) if simulated metrics regress "
+                        "vs this committed baseline artifact")
+    p.add_argument("--tolerance", type=float, default=0.05,
+                   help="allowed fractional slack for --compare "
+                        "(default 0.05 = 5%%)")
+    p.add_argument("--verbose-compare", action="store_true",
+                   help="print every --compare metric row, not "
+                        "just the verdict and regressions")
+
+
+def _fleet_flags(p: argparse.ArgumentParser) -> None:
+    # fleet devices are deliberately tiny so hundreds fit in one
+    # campaign; --multiplier is scaled by each device's traffic share
+    _attach(p, *SCALE, "--workload", "--variants", "--qd", "--jobs",
+            "--progress", "--resume", "--json",
+            blocks=8, wordlines=4, multiplier=0.6, qd=16)
+    p.add_argument("--devices", type=positive_int, default=16,
+                   help="devices in the fleet")
+    p.add_argument("--tenants", type=positive_int, default=2000,
+                   help="tenants across the fleet")
+    p.add_argument("--storm", default="none",
+                   choices=("none", "deletion", "churn"),
+                   help="scripted fleet-wide storm kind")
+    p.add_argument("--storms", type=int, default=1,
+                   help="storm events per campaign")
+    p.add_argument("--storm-fraction", type=float, default=0.25,
+                   help="fraction of tenants each storm hits")
+    p.add_argument("--zipf", type=float, default=1.1,
+                   help="Zipf exponent of tenant traffic weights")
+    p.add_argument("--spread", type=int, default=1,
+                   help="candidate devices per tenant placement")
+    p.add_argument("--shard", type=positive_int, default=8,
+                   help="devices per grid shard")
+    p.add_argument("--stop-after-shards", type=int, default=None,
+                   metavar="K",
+                   help="run only the first K pending shards and "
+                        "exit (deterministic interruption, for "
+                        "tests and CI smoke)")
+    p.add_argument("--audit", action="store_true",
+                   help="issue a signed sanitization certificate "
+                        "per device and fold fleet exposure/"
+                        "coverage gauges into the report")
+    p.add_argument("--trace-out", default=None, metavar="DIR",
+                   help="export per-device JSONL streams plus one "
+                        "merged Chrome trace into DIR")
+
+
+def _check_flags(p: argparse.ArgumentParser) -> None:
+    _attach(p, *SCALE, "--variants", "--interval", interval=1)
+    p.add_argument("--workloads", nargs="*", default=["Mobile"],
+                   help="workload traces to replay (default: Mobile)")
+
+
+def _profile_flags(p: argparse.ArgumentParser) -> None:
+    p.description = ("Profile any repro command, e.g. "
+                     "`repro profile -- bench --repeats 1`.")
+    p.add_argument("--sort", default="cumulative",
+                   help="pstats sort key (cumulative, tottime, "
+                        "ncalls, ...)")
+    p.add_argument("--limit", type=int, default=25,
+                   help="rows of the pstats report to print")
+    p.add_argument("cmd", nargs=argparse.REMAINDER,
+                   help="the repro command line to profile "
+                        "(prefix with -- to pass options)")
+
+
+#: subcommand -> (one-line help, flag declarations); every other
+#: command is a figure/table regenerator taking the default scale
+SUBCOMMANDS = {
+    "audit": ("sanitization audit: trace or live run -> certificate",
+              _audit_flags),
+    "lint": ("static domain lint (rules SIM01-SIM16)", _lint_flags),
+    "torture": ("fault-injection robustness sweep + scorecard",
+                _torture_flags),
+    "age": ("device-aging lifetime campaign (wear to first block death)",
+            _age_flags),
+    "simulate": ("closed-loop tail-latency study (discrete-event engine)",
+                 _simulate_flags),
+    "trace": ("traced simulation -> Perfetto/Chrome trace file",
+              _trace_flags),
+    "bench": ("engine throughput benchmark -> BENCH_sim.json", _bench_flags),
+    "fleet": ("fleet-scale multi-device multi-tenant campaign",
+              _fleet_flags),
+    "check": ("run workloads under the runtime invariant sanitizer",
+              _check_flags),
+    "profile": ("run another repro command under cProfile", _profile_flags),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate tables/figures of the Evanesco reproduction.",
     )
-    scale = argparse.ArgumentParser(add_help=False)
-    scale.add_argument("--blocks", type=int, default=20,
-                       help="blocks per chip (device scale)")
-    scale.add_argument("--wordlines", type=int, default=16,
-                       help="wordlines per block (device scale)")
-    scale.add_argument("--seed", type=int, default=1)
-    scale.add_argument("--multiplier", type=float, default=1.0,
-                       help="steady-state writes as a multiple of capacity")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
     for name in sorted(COMMANDS):
-        if name == "audit":
-            p = sub.add_parser(
-                name, parents=[scale],
-                help="sanitization audit: trace or live run -> certificate",
-            )
-            p.add_argument("trace", nargs="?", default=None,
-                           help="archived JSONL trace to audit (omit to "
-                                "run and audit a live workload instead)")
-            p.add_argument("--workload", default="MailServer",
-                           help="live-run mode: workload trace to simulate")
-            p.add_argument("--variant", default="secSSD",
-                           help="live-run mode: FTL variant to audit")
-            p.add_argument("--cert", default=None, metavar="CERT",
-                           help="verify the trace against this previously "
-                                "issued certificate instead of issuing one")
-            p.add_argument("--cert-out", default=None, metavar="PATH",
-                           help="write the signed sanitization certificate")
-            p.add_argument("--pages-per-block", type=int, default=None,
-                           help="device geometry for headerless traces")
-        elif name == "lint":
-            p = sub.add_parser(
-                name, help="static domain lint (rules SIM01-SIM16)"
-            )
-            p.add_argument("paths", nargs="*", default=None,
-                           help="files/dirs to lint (default: the package)")
-            p.add_argument("--no-hints", action="store_true",
-                           help="omit fix hints from the report")
-            p.add_argument("--format", choices=("text", "json", "sarif"),
-                           default="text",
-                           help="report format (default: text)")
-            p.add_argument("--out", default=None, metavar="FILE",
-                           help="write the report to FILE instead of stdout")
-            p.add_argument("--baseline", default=None, metavar="FILE",
-                           help="baseline file of accepted findings "
-                                "(default: ./.lint-baseline.json if present)")
-            p.add_argument("--no-baseline", action="store_true",
-                           help="ignore any baseline file")
-            p.add_argument("--write-baseline", action="store_true",
-                           help="regenerate the baseline from the current "
-                                "findings and exit")
-            p.add_argument("--rules", action="store_true",
-                           help="list the rule catalogue and exit")
-        elif name == "torture":
-            p = sub.add_parser(
-                name,
-                help="fault-injection robustness sweep + scorecard",
-            )
-            # own scale options (not the shared parent: different
-            # defaults, and set_defaults on shared actions would leak
-            # into every other subcommand): a small device so the
-            # request stream actually reaches GC/lazy-erase activity
-            p.add_argument("--blocks", type=int, default=12,
-                           help="blocks per chip (device scale)")
-            p.add_argument("--wordlines", type=int, default=4,
-                           help="wordlines per block (device scale)")
-            p.add_argument("--seed", type=int, default=1)
-            p.add_argument("--variants", nargs="*", default=None,
-                           help="FTL variants to torture (default: all)")
-            # 700 requests overwrite the default 12x4 device's capacity,
-            # so the rate sweep reaches GC and lazy-erase activity
-            p.add_argument("--ops", type=int, default=700,
-                           help="host requests per torture case")
-            p.add_argument("--pe-limit", type=int, default=None,
-                           help="block P/E endurance; worn-out blocks are "
-                                "scrub-retired as grown-bad (default: "
-                                "unlimited)")
-            p.add_argument("--rates", nargs="*", type=float,
-                           default=[1e-3, 1e-2],
-                           help="per-op fault probabilities for the sweep")
-            p.add_argument("--window", type=int, default=200,
-                           help="power-loss boundaries to sweep per variant")
-            p.add_argument("--window-start", type=int, default=0,
-                           help="first op index of the power-loss window")
-            p.add_argument("--jobs", type=int, default=1,
-                           help="worker processes for the case grid "
-                                "(scorecard is identical for any count)")
-            p.add_argument("--checkpoint-modes", nargs="*", default=None,
-                           metavar="MODE",
-                           help="checkpoint-corruption cases to include "
-                                "(powercut bitflip truncate; default all; "
-                                "pass no MODE to disable)")
-            p.add_argument("--resume", default=None, metavar="DIR",
-                           help="persist completed cases to DIR and "
-                                "resume a killed sweep from there")
-            p.add_argument("--json", action="store_true",
-                           help="emit the machine-readable scorecard")
-            p.add_argument("--trace-out", default=None, metavar="PATH",
-                           help="record one traced faulted replay per "
-                                "variant as a Chrome trace")
-            p.add_argument("--cert-out", default=None, metavar="PATH",
-                           help="audit one faulted replay per variant and "
-                                "write signed sanitization certificates")
-            p.add_argument("--progress", action="store_true",
-                           help="stream shard-completion/ETA lines to "
-                                "stderr (artifacts unchanged)")
-        elif name == "age":
-            p = sub.add_parser(
-                name,
-                help="device-aging lifetime campaign (wear to first "
-                     "block death)",
-            )
-            # own scale options (not the shared parent: different
-            # defaults): a device big enough that wear spread develops
-            # before the horizon ends, at the calibrated P/E budget
-            p.add_argument("--blocks", type=int, default=16,
-                           help="blocks per chip (device scale)")
-            p.add_argument("--wordlines", type=int, default=8,
-                           help="wordlines per block (device scale)")
-            p.add_argument("--seed", type=int, default=1)
-            p.add_argument("--multiplier", type=float, default=1.0,
-                           help="steady-state writes as a multiple of "
-                                "capacity")
-            p.add_argument("--workload", default="MailServer",
-                           help="workload trace to replay until wear-out")
-            p.add_argument("--variants", nargs="*", default=None,
-                           help="FTL variants (default: the Figure-14 "
-                                "four)")
-            p.add_argument("--pe-limit", type=int, default=25,
-                           help="block P/E endurance; erases beyond it "
-                                "raise WearOutError and retire the block")
-            p.add_argument("--wear-leveling", type=int, default=4,
-                           metavar="DELTA",
-                           help="static wear-leveling threshold "
-                                "(max-min erase spread that triggers a "
-                                "cold-block migration; omit to disable)")
-            p.add_argument("--wear-alloc", action="store_true",
-                           help="wear-aware dynamic allocation: open the "
-                                "least-worn reusable block, not the "
-                                "FIFO head")
-            p.add_argument("--wear-coupling", action="store_true",
-                           help="derive read reliability from live block "
-                                "wear (off by default: keeps same-seed "
-                                "artifacts of other commands identical)")
-            p.add_argument("--dir", default="age-ck", metavar="DIR",
-                           help="campaign root (per-variant checkpoint "
-                                "stores + grid result cache); killable "
-                                "and resumable by re-running the same "
-                                "command (default: ./age-ck)")
-            p.add_argument("--checkpoint-every", type=int, default=50,
-                           metavar="N",
-                           help="requests per checkpoint window; also the "
-                                "first-wearout stop granularity, so keep "
-                                "it small enough that retirement cannot "
-                                "spiral into pool exhaustion mid-window")
-            p.add_argument("--jobs", type=int, default=1,
-                           help="worker processes for the variant grid "
-                                "(the report is identical for any count)")
-            p.add_argument("--stop-after", type=int, default=None,
-                           metavar="K",
-                           help="pause each variant after K new "
-                                "checkpoints (deterministic interruption, "
-                                "for tests and CI smoke)")
-            p.add_argument("--checked", action="store_true",
-                           help="attach the runtime invariant sanitizer")
-            p.add_argument("--json", default=None, metavar="PATH",
-                           help="write the lifetime report plus wear "
-                                "gauges as JSON")
-            p.add_argument("--progress", action="store_true",
-                           help="stream shard-completion/ETA lines to "
-                                "stderr (artifacts unchanged)")
-        elif name == "simulate":
-            p = sub.add_parser(
-                name, parents=[scale],
-                help="closed-loop tail-latency study (discrete-event engine)",
-            )
-            p.add_argument("--workload", default="MailServer",
-                           help="workload trace to simulate")
-            p.add_argument("--variants", nargs="*", default=None,
-                           help="FTL variants (default: the Figure-14 four)")
-            p.add_argument("--policy", default="auto",
-                           help="scheduling policy, or 'auto' for each "
-                                "variant's honest best")
-            p.add_argument("--qd", type=int, default=32,
-                           help="closed-loop queue depth")
-            p.add_argument("--rate", type=float, default=None,
-                           help="open Poisson arrivals at this IOPS "
-                                "instead of a closed loop")
-            p.add_argument("--bursty", action="store_true",
-                           help="with --rate: bursty ON/OFF arrivals")
-            p.add_argument("--checked", action="store_true",
-                           help="attach the runtime invariant sanitizer")
-            p.add_argument("--interval", type=int, default=50,
-                           help="host batches between full sanitizer checks")
-            p.add_argument("--pe-limit", type=int, default=None,
-                           help="block P/E endurance; worn-out blocks are "
-                                "scrub-retired as grown-bad (default: "
-                                "unlimited)")
-            p.add_argument("--json", default=None, metavar="PATH",
-                           help="also write full reports as JSON")
-            p.add_argument("--trace-out", default=None, metavar="PATH",
-                           help="record each variant's event trace into "
-                                "one Chrome-trace-event file")
-            p.add_argument("--cert-out", default=None, metavar="PATH",
-                           help="audit each variant's run (device probe "
-                                "included) and write signed sanitization "
-                                "certificates")
-            p.add_argument("--checkpoint-every", type=int, default=None,
-                           metavar="N",
-                           help="write a crash-consistent device "
-                                "checkpoint every N requests")
-            p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                           help="campaign directory (one subdirectory "
-                                "per variant)")
-            p.add_argument("--resume", action="store_true",
-                           help="resume an interrupted campaign from "
-                                "--checkpoint-dir (byte-identical to an "
-                                "uninterrupted run)")
-            p.add_argument("--stop-after", type=int, default=None,
-                           metavar="K",
-                           help="exit after writing K checkpoints "
-                                "(deterministic interruption, for tests "
-                                "and CI smoke)")
-        elif name == "trace":
-            p = sub.add_parser(
-                name, parents=[scale],
-                help="traced simulation -> Perfetto/Chrome trace file",
-            )
-            p.add_argument("--workload", default="MailServer",
-                           help="workload trace to simulate")
-            p.add_argument("--variants", nargs="*", default=None,
-                           help="FTL variants to trace (default: secSSD)")
-            p.add_argument("--policy", default="auto",
-                           help="scheduling policy, or 'auto' for each "
-                                "variant's honest best")
-            p.add_argument("--qd", type=int, default=32,
-                           help="closed-loop queue depth")
-            p.add_argument("--out", default="trace.json",
-                           help="Chrome-trace-event output path")
-            p.add_argument("--jsonl", default=None, metavar="PATH",
-                           help="also write the raw event stream as "
-                                "JSON lines (one file per variant)")
-            p.add_argument("--capacity", type=int, default=65536,
-                           help="trace ring-buffer capacity in events "
-                                "(oldest dropped beyond it)")
-            p.add_argument("--sample", nargs="*", default=None,
-                           metavar="CAT=N",
-                           help="keep every Nth event of a category, "
-                                "e.g. ftl.page=8 sim.service=4")
-        elif name == "bench":
-            p = sub.add_parser(
-                name, parents=[scale],
-                help="engine throughput benchmark -> BENCH_sim.json",
-            )
-            p.add_argument("--workload", default="Mobile",
-                           help="workload trace to benchmark")
-            p.add_argument("--variants", nargs="*", default=None,
-                           help="FTL variants (default: baseline secSSD)")
-            p.add_argument("--policy", default="fifo",
-                           help="scheduling policy for the timed runs")
-            p.add_argument("--qd", type=int, default=32,
-                           help="closed-loop queue depth")
-            p.add_argument("--repeats", type=int, default=3,
-                           help="timed repeats per variant (best kept)")
-            p.add_argument("--pe-limit", type=int, default=None,
-                           help="block P/E endurance; worn-out blocks are "
-                                "scrub-retired as grown-bad (default: "
-                                "unlimited)")
-            p.add_argument("--jobs", type=int, default=1,
-                           help="worker processes for the variant x repeat "
-                                "grid (simulated metrics are identical for "
-                                "any count)")
-            p.add_argument("--out", default="BENCH_sim.json",
-                           help="artifact path")
-            p.add_argument("--compare", default=None, metavar="BASELINE",
-                           help="fail (exit 1) if simulated metrics regress "
-                                "vs this committed baseline artifact")
-            p.add_argument("--tolerance", type=float, default=0.05,
-                           help="allowed fractional slack for --compare "
-                                "(default 0.05 = 5%%)")
-            p.add_argument("--verbose-compare", action="store_true",
-                           help="print every --compare metric row, not "
-                                "just the verdict and regressions")
-            p.add_argument("--resume", default=None, metavar="DIR",
-                           help="persist completed grid shards to DIR and "
-                                "resume a killed benchmark from there")
-            p.add_argument("--progress", action="store_true",
-                           help="stream shard-completion/ETA lines to "
-                                "stderr (artifacts unchanged)")
-        elif name == "fleet":
-            # own scale options (not the shared parent): fleet devices
-            # are deliberately tiny so hundreds fit in one campaign
-            p = sub.add_parser(
-                name,
-                help="fleet-scale multi-device multi-tenant campaign",
-            )
-            p.add_argument("--devices", type=int, default=16,
-                           help="devices in the fleet")
-            p.add_argument("--tenants", type=int, default=2000,
-                           help="tenants across the fleet")
-            p.add_argument("--variants", nargs="*", default=None,
-                           help="FTL variants (default: the Figure-14 four)")
-            p.add_argument("--workload", default="MailServer",
-                           help="base workload profile tenants inherit")
-            p.add_argument("--storm", default="none",
-                           choices=("none", "deletion", "churn"),
-                           help="scripted fleet-wide storm kind")
-            p.add_argument("--storms", type=int, default=1,
-                           help="storm events per campaign")
-            p.add_argument("--storm-fraction", type=float, default=0.25,
-                           help="fraction of tenants each storm hits")
-            p.add_argument("--zipf", type=float, default=1.1,
-                           help="Zipf exponent of tenant traffic weights")
-            p.add_argument("--spread", type=int, default=1,
-                           help="candidate devices per tenant placement")
-            p.add_argument("--blocks", type=int, default=8,
-                           help="blocks per chip (per-device scale)")
-            p.add_argument("--wordlines", type=int, default=4,
-                           help="wordlines per block (per-device scale)")
-            p.add_argument("--multiplier", type=float, default=0.6,
-                           help="per-device steady writes as a multiple "
-                                "of capacity (scaled by traffic share)")
-            p.add_argument("--qd", type=int, default=16,
-                           help="closed-loop queue depth per device")
-            p.add_argument("--shard", type=int, default=8,
-                           help="devices per grid shard")
-            p.add_argument("--seed", type=int, default=1,
-                           help="master campaign seed")
-            p.add_argument("--jobs", type=int, default=1,
-                           help="worker processes for the shard grid "
-                                "(the report is identical for any count)")
-            p.add_argument("--resume", default=None, metavar="DIR",
-                           help="persist completed shards to DIR and "
-                                "resume a killed campaign from there")
-            p.add_argument("--stop-after-shards", type=int, default=None,
-                           metavar="K",
-                           help="run only the first K pending shards and "
-                                "exit (deterministic interruption, for "
-                                "tests and CI smoke)")
-            p.add_argument("--json", default=None, metavar="PATH",
-                           help="write the merged fleet report as JSON "
-                                "(byte-identical for any --jobs/resume)")
-            p.add_argument("--audit", action="store_true",
-                           help="issue a signed sanitization certificate "
-                                "per device and fold fleet exposure/"
-                                "coverage gauges into the report")
-            p.add_argument("--trace-out", default=None, metavar="DIR",
-                           help="export per-device JSONL streams plus one "
-                                "merged Chrome trace into DIR")
-            p.add_argument("--progress", action="store_true",
-                           help="stream shard-completion/ETA lines to "
-                                "stderr (artifacts unchanged)")
-        elif name == "check":
-            p = sub.add_parser(
-                name, parents=[scale],
-                help="run workloads under the runtime invariant sanitizer",
-            )
-            p.add_argument("--variants", nargs="*", default=None,
-                           help="FTL variants to check (default: all)")
-            p.add_argument("--workloads", nargs="*", default=["Mobile"],
-                           help="workload traces to replay (default: Mobile)")
-            p.add_argument("--interval", type=int, default=1,
-                           help="host batches between full O(device) checks")
-        elif name == "profile":
-            p = sub.add_parser(
-                name,
-                help="run another repro command under cProfile",
-                description="Profile any repro command, e.g. "
-                            "`repro profile -- bench --repeats 1`.",
-            )
-            p.add_argument("--sort", default="cumulative",
-                           help="pstats sort key (cumulative, tottime, "
-                                "ncalls, ...)")
-            p.add_argument("--limit", type=int, default=25,
-                           help="rows of the pstats report to print")
-            p.add_argument("cmd", nargs=argparse.REMAINDER,
-                           help="the repro command line to profile "
-                                "(prefix with -- to pass options)")
-        else:
-            sub.add_parser(name, parents=[scale],
-                           help=f"reproduce {name}")
+        help_text, declare = SUBCOMMANDS.get(
+            name, (f"reproduce {name}", lambda p: _attach(p, *SCALE))
+        )
+        declare(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    result = COMMANDS[args.command](args)
+    try:
+        result = COMMANDS[args.command](args)
+    except CommandExit as exc:
+        print(exc.message)
+        return exc.code
     return int(result or 0)
 
 

@@ -5,9 +5,9 @@ import json
 from repro.analysis.torture import (
     TortureCase,
     run_power_loss_case,
-    run_rate_case,
     run_torture,
     torture_requests,
+    traced_rate_case,
 )
 from repro.checkers.residue import stale_secured_leaks as stale_secured_exposures
 from repro.faults import FaultKind, FaultPlan
@@ -71,7 +71,7 @@ class TestStaleSecuredExposures:
 class TestCaseRunners:
     def test_rate_case_passes_and_reports_faults(self, tiny_config):
         plan = FaultPlan.single(FaultKind.PROGRAM_FAIL, 0.05, seed=3)
-        case = run_rate_case(
+        case, _ = traced_rate_case(
             tiny_config, "secSSD", plan, "program", "rate=0.05", 120, seed=3
         )
         assert case.passed

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.torture import run_rate_case
+from repro.analysis.torture import traced_rate_case
 from repro.faults import FaultKind, FaultPlan
 from repro.sim.runner import simulate_workload
 from repro.ssd.config import scaled_config
@@ -136,7 +136,7 @@ class TestOpenLoopClock:
 class TestFaultEvents:
     def test_injected_faults_emit_instants(self, config):
         telemetry = Telemetry()
-        case = run_rate_case(
+        case, _ = traced_rate_case(
             config,
             "secSSD",
             FaultPlan.single(FaultKind.PROGRAM_FAIL, 1e-2, seed=1),

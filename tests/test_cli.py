@@ -1,11 +1,61 @@
 """Command-line interface."""
 
+import argparse
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main
 
+# Every subcommand's flags and defaults, captured from the parser before
+# cli.py was folded into shared flag groups.  Regenerate only for an
+# intended CLI change:
+#   python -c "import json, tests.test_cli as t; print(json.dumps(
+#       t.parser_snapshot(), indent=1, sort_keys=True))" > tests/cli_parser_snapshot.json
+PARSER_SNAPSHOT = Path(__file__).with_name("cli_parser_snapshot.json")
+
+
+def parser_snapshot() -> dict:
+    """Option strings, dest, nargs/const/choices/metavar and the parsed
+    defaults of every subcommand, as JSON-comparable data.
+
+    ``type`` is left out on purpose: the count flags take a positive-int
+    type that rejects 0 at parse time (see ``test_bad_argv_exits_two``).
+    """
+    parser = build_parser()
+    (subparsers,) = (
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    snapshot = {}
+    for name, sub in sorted(subparsers.choices.items()):
+        actions = sorted(
+            (
+                {
+                    "option_strings": list(a.option_strings),
+                    "dest": a.dest,
+                    "action": type(a).__name__,
+                    "nargs": a.nargs,
+                    "const": a.const,
+                    "choices": None if a.choices is None else list(a.choices),
+                    "metavar": a.metavar,
+                    "required": a.required,
+                }
+                for a in sub._actions
+                if not isinstance(a, argparse._HelpAction)
+            ),
+            key=lambda entry: (entry["option_strings"], entry["dest"]),
+        )
+        defaults = vars(parser.parse_args([name]))
+        snapshot[name] = {"actions": actions, "defaults": defaults}
+    return json.loads(json.dumps(snapshot))
+
 
 class TestParser:
+    def test_matches_snapshot(self):
+        assert parser_snapshot() == json.loads(PARSER_SNAPSHOT.read_text())
+
     def test_all_commands_registered(self):
         parser = build_parser()
         for command in COMMANDS:
@@ -44,6 +94,37 @@ class TestParser:
         assert args.variants == ["secSSD"]
         assert args.workloads == ["Mobile"]
         assert (args.interval, args.blocks) == (7, 8)
+
+
+# malformed arguments: one usage line and exit 2, never a traceback
+BAD_ARGV = [
+    ["bench", "--compare", "/missing.json"],
+    ["bench", "--compare", "{tmp}/notjson.json"],
+    ["simulate", "--qd", "0"],
+    ["fleet", "--devices", "0"],
+    ["fleet", "--tenants", "0"],
+    ["fleet", "--shard", "0"],
+    ["bench", "--jobs", "0"],
+    ["bench", "--repeats", "0"],
+    ["torture", "--jobs", "0"],
+    ["simulate", "--pe-limit", "0"],
+    ["age", "--checkpoint-every", "0"],
+    ["simulate", "--blocks", "6"],
+    ["simulate", "--checkpoint-every", "0", "--resume"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
+def test_bad_argv_exits_two(argv, tmp_path, capsys):
+    (tmp_path / "notjson.json").write_text("{not json")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.out + captured.err
 
 
 class TestExecution:
@@ -141,6 +222,21 @@ class TestExecution:
     def test_torture_unknown_variant_rejected(self, capsys):
         assert main(["torture", "--variants", "nopeSSD"]) == 2
         assert "unknown variant" in capsys.readouterr().out
+
+
+class TestAgeCommand:
+    def test_campaign_mismatch_is_usage_error(self, tmp_path, capsys):
+        age = ["age", "--wordlines", "4", "--pe-limit", "8",
+               "--multiplier", "2.0", "--variants", "secSSD",
+               "--dir", str(tmp_path / "ck")]
+        assert main(age + ["--checkpoint-every", "10", "--stop-after", "1"]) == 0
+        capsys.readouterr()
+        # the grid worker's CampaignMismatchError is unwrapped and
+        # reported like simulate's: one line, exit 2
+        assert main(age + ["--checkpoint-every", "20"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("age: campaign parameters do not match")
+        assert out.count("\n") == 1
 
 
 class TestSimulateCommand:
@@ -246,6 +342,11 @@ class TestFleetCommand:
     def test_fleet_unknown_variant_rejected(self, capsys):
         assert main(["fleet", "--variants", "ghostSSD"]) == 2
         assert "unknown variant" in capsys.readouterr().out
+
+    def test_fleet_bad_config_is_usage_error(self, capsys):
+        assert main(["fleet", "--workload", "NoSuchWorkload"]) == 2
+        out = capsys.readouterr().out
+        assert out == "fleet: unknown base workload 'NoSuchWorkload'\n"
 
     def test_fleet_unknown_storm_rejected(self):
         import pytest
