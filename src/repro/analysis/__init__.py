@@ -12,13 +12,6 @@ from repro.analysis.experiments import (
     run_versioning_study,
     run_workload_on_variant,
 )
-from repro.analysis.bench_engine import (
-    compare_bench_detailed,
-    format_bench,
-    format_compare,
-    run_bench,
-    write_bench_json,
-)
 from repro.analysis.latency import (
     TAIL_LATENCY_VARIANTS,
     format_tail_latency,
@@ -79,9 +72,6 @@ __all__ = [
     "erase_reduction",
     "VariantOutcome",
     "VersioningStudyResult",
-    "compare_bench_detailed",
-    "format_bench",
-    "format_compare",
     "format_figure14",
     "format_secure_fraction",
     "format_table1",
@@ -90,7 +80,6 @@ __all__ = [
     "parse_sample_spec",
     "policy_for_variant",
     "render_table",
-    "run_bench",
     "run_checkpoint_case",
     "run_figure14",
     "run_power_loss_case",
@@ -104,6 +93,5 @@ __all__ = [
     "summarize_overheads",
     "torture_requests",
     "traced_rate_case",
-    "write_bench_json",
     "write_trace_files",
 ]

@@ -1,6 +1,6 @@
 """Parallel experiment orchestrator -- the only multiprocessing site.
 
-Experiment sweeps (``repro bench``, ``repro torture``) are grids of
+Experiment sweeps (``repro torture``, ``fleet``, ``age``) are grids of
 fully independent cells: each cell builds its own device from a frozen
 :class:`~repro.ssd.config.SSDConfig` and its own seed, runs, and
 returns a picklable result.  This module fans such grids over worker
@@ -17,8 +17,8 @@ The determinism contract (DESIGN.md section 3g):
   the task coordinates, never Python's salted ``hash``);
 * workers receive pickled copies of frozen inputs, so no task can
   observe another task's mutations;
-* wall-clock readings stay out of merged comparisons; tests that need
-  byte-identical artifacts inject a :class:`DeterministicTimer`.
+* results carry no wall-clock readings, so nothing machine-dependent
+  reaches a merged artifact.
 
 Rule SIM09 enforces the "only here" part: ``multiprocessing`` /
 ``concurrent.futures`` imports anywhere else in the package are lint
@@ -97,7 +97,7 @@ def derive_seed(
     the serial/parallel byte-identity contract).
 
     ``domain`` is a separation tag for independent seed families:
-    two subsystems sharing one master seed (say the bench grid and a
+    two subsystems sharing one master seed (say a torture grid and a
     fleet shard plan) pass distinct domains so their derived streams
     can never collide, even for identical coordinate tuples.  Omitting
     it preserves the historical derivation byte-for-byte, so existing
@@ -110,28 +110,6 @@ def derive_seed(
         text = f"{domain}\x00{text}"
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-class DeterministicTimer:
-    """A fake ``perf_counter``: advances a fixed step per call.
-
-    Injected in place of the wall clock wherever a timed artifact must
-    be byte-identical across runs and across serial/parallel execution
-    (every timed interval measures exactly ``step_s``).  Picklable, and
-    each worker's copy starts from this instance's current state, so
-    per-task readings do not depend on how tasks were distributed.
-    """
-
-    def __init__(self, step_s: float = 0.001) -> None:
-        if step_s <= 0.0:
-            raise ValueError("step_s must be positive")
-        self.step_s = step_s
-        self._now = 0.0
-
-    def __call__(self) -> float:
-        now = self._now
-        self._now += self.step_s
-        return now
 
 
 class GridResultCache:

@@ -1,6 +1,6 @@
 """Live campaign progress on stderr -- ``--progress``.
 
-Long fleet/torture/bench campaigns otherwise run silent until the
+Long fleet/torture/age campaigns otherwise run silent until the
 merged report appears.  A :class:`ProgressReporter` attached to the
 grid runner streams one line per shard completion to *stderr* (stdout
 stays reserved for artifacts: progress on or off must leave every

@@ -8,8 +8,9 @@ per-variant event streams into one Chrome-trace-event file (one trace
 the same simulated time axis).
 
 File I/O and path handling live here, outside :mod:`repro.telemetry`
-itself, mirroring how :mod:`repro.analysis.bench_engine` keeps
-wall-clock timing out of :mod:`repro.sim`.
+itself, just as wall-clock timing stays out of :mod:`repro.sim`
+(the host-time benchmark in ``benchmarks/perf/`` times runs from
+outside the package).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Intraprocedural taint analysis for determinism lint (SIM10).
 
 The simulator's output contracts are *byte-identity* contracts
-(serial ≡ parallel runs, golden telemetry files, the bench regression
-gate), so any value derived from wall-clock time, process identity, or
+(serial ≡ parallel runs, golden telemetry files, the simulated-output
+goldens), so any value derived from wall-clock time, process identity, or
 unordered-collection iteration that reaches a result artifact silently
 voids them.  This walker tracks, per function, which local names carry:
 

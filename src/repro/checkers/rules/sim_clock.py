@@ -24,8 +24,8 @@ bit-for-bit):
   with every other component).
 
 Wall-clock measurement of the engine belongs *outside* the package --
-see ``repro.analysis.bench_engine``, which times runs from the caller's
-side.
+the host-time benchmark in ``benchmarks/perf/`` times runs from the
+caller's side.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class SimWallClockRule(LintRule):
     hint = (
         "advance time via the event heap (SimClock) and draw randomness "
         "from a seeded random.Random held by the arrival process; "
-        "wall-clock benchmarking belongs in repro.analysis.bench_engine"
+        "wall-clock benchmarking belongs in benchmarks/perf/"
     )
 
     def applies_to(self, ctx: FileContext) -> bool:

@@ -1,6 +1,6 @@
 """SIM10: nondeterministic values must not reach result artifacts.
 
-Everything downstream of a run -- the bench regression gate, the
+Everything downstream of a run -- the simulated-output goldens, the
 serial-vs-parallel byte-identity check, the golden telemetry files --
 assumes a run's artifacts are a pure function of (workload, config,
 seed).  A wall-clock read, ``os.urandom`` byte, ``id()``, or unordered
@@ -18,7 +18,7 @@ at sinks:
   ``<...>.bus.complete(...)`` (and direct ``bus.*`` calls);
 * ``json.dump(...)`` / ``json.dumps(...)`` (merged artifacts).
 
-Intentional wall-clock measurement (the bench harness measures real
+Intentional wall-clock measurement (a timing harness that records real
 time on purpose) is suppressed at the sink line with a justified
 ``# lint: disable=SIM10 -- ...`` comment.
 """

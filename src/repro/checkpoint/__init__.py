@@ -1,7 +1,7 @@
 """Versioned, crash-consistent device-state checkpointing.
 
-The simulator's campaigns (``repro simulate``, ``repro torture``,
-``repro bench``) historically ran to completion or not at all; ROADMAP
+The simulator's campaigns (``repro simulate``, ``repro torture``)
+historically ran to completion or not at all; ROADMAP
 item 3 names the blocker that removes: lifetime-scale studies need a
 durable, restartable representation of *full* device state.  This
 package provides it in four pieces:

@@ -202,7 +202,7 @@ def report_dumps(payload: Any) -> str:
     """Human-readable report JSON: sorted keys, two-space indent, newline.
 
     The one sanctioned writer for pretty report artifacts (``simulate
-    --json``, ``fleet --json``, ``BENCH_sim.json``); deterministic for a
+    --json``, ``fleet --json``, :meth:`SimResult.to_json`); deterministic for a
     given payload, like :func:`canonical_dumps`, but diff-friendly.
     """
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

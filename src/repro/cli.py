@@ -14,18 +14,17 @@ Usage::
 Common options: ``--blocks``, ``--wordlines`` (device scale), ``--seed``,
 ``--multiplier`` (steady-state writes as a multiple of capacity).
 
-Three commands drive the closed-loop discrete-event engine (repro.sim)::
+Two commands drive the closed-loop discrete-event engine (repro.sim)::
 
     python -m repro simulate               # tail-latency study under queueing
-    python -m repro bench                  # engine benchmark -> BENCH_sim.json
     python -m repro trace                  # traced run -> Perfetto/Chrome trace
 
 ``simulate`` and ``torture`` also take ``--trace-out PATH`` to record
 the run's structured event trace as a Chrome-trace-event file, and
 ``--cert-out PATH`` to issue a signed sanitization certificate
 (``repro audit`` verifies archived traces and certificates offline;
-``fleet --audit`` certifies every device in a campaign).  ``bench``,
-``torture``, and ``fleet`` take ``--progress`` to stream live
+``fleet --audit`` certifies every device in a campaign).  ``torture``,
+``fleet`` and ``age`` take ``--progress`` to stream live
 shard-completion/backlog/ETA lines to stderr without touching any
 artifact.
 
@@ -33,8 +32,8 @@ artifact.
 crash-consistent device checkpoint every N requests; an interrupted
 run continues with ``--resume`` and finishes byte-identical to an
 uninterrupted one (corrupt checkpoints are quarantined and the run
-falls back to the previous good generation).  ``bench --resume DIR``
-and ``torture --resume DIR`` cache completed grid shards so a killed
+falls back to the previous good generation).  ``torture --resume DIR``
+and ``fleet --resume DIR`` cache completed grid shards so a killed
 sweep resumes instead of recomputing.
 
 Four maintenance commands ship with the simulator itself::
@@ -42,12 +41,12 @@ Four maintenance commands ship with the simulator itself::
     python -m repro lint                   # static domain lint (SIM01-SIM16)
     python -m repro check                  # runtime invariant sanitizer run
     python -m repro torture                # fault-injection robustness sweep
-    python -m repro profile -- bench ...   # cProfile any repro command
+    python -m repro profile -- simulate    # cProfile any repro command
 
-``bench`` and ``torture`` take ``--jobs N`` to fan their experiment
-grids over worker processes (the merged artifact stays byte-identical
-to a serial run); ``bench --compare BASELINE.json`` gates simulated
-metrics (IOPS, p99) against a committed baseline.
+``torture``, ``fleet`` and ``age`` take ``--jobs N`` to fan their
+experiment grids over worker processes (the merged artifact stays
+byte-identical to a serial run).  Host wall-clock speed is measured by
+``benchmarks/perf/``, not by a subcommand.
 """
 
 from __future__ import annotations
@@ -520,60 +519,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Benchmark the event engine and emit BENCH_sim.json."""
-    from repro.analysis.bench_engine import (
-        compare_bench_detailed,
-        format_bench,
-        format_compare,
-        run_bench,
-        write_bench_json,
-    )
-
-    variants = _variants(args, ("baseline", "secSSD"))
-    config = _config(args)
-    # load the baseline before anything is written: CI gates and
-    # refreshes the same path (--compare BENCH_sim.json --out
-    # BENCH_sim.json), which must not compare the run against itself
-    baseline = None
-    if args.compare:
-        try:
-            with open(args.compare) as fh:
-                baseline = json.load(fh)
-        except OSError as exc:
-            raise CommandExit(2, f"bench: {exc}") from exc
-        except ValueError as exc:
-            raise CommandExit(
-                2, f"bench: {args.compare}: not JSON: {exc}"
-            ) from exc
-    payload = run_bench(
-        config,
-        workload=args.workload,
-        variants=variants,
-        queue_depth=args.qd,
-        policy=args.policy,
-        seed=args.seed,
-        write_multiplier=args.multiplier,
-        repeats=args.repeats,
-        jobs=args.jobs,
-        resume_dir=args.resume,
-        progress=_progress(args),
-    )
-    print(format_bench(payload))
-    _print_shards(payload)
-    target = write_bench_json(payload, args.out)
-    print(f"benchmark artifact written to {target}")
-    if baseline is not None:
-        diff = compare_bench_detailed(
-            payload, baseline, tolerance=args.tolerance
-        )
-        print(f"vs {args.compare}:")
-        print(format_compare(diff, verbose=args.verbose_compare))
-        if diff["regressed"]:
-            return 1
-    return 0
-
-
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Fleet-scale campaign: many devices, many tenants, one report."""
     from repro.fleet import FleetConfig, format_fleet, run_fleet
@@ -654,7 +599,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         command = command[1:]
     if not command:
         print("profile: give a repro command to run, e.g. "
-              "`repro profile -- bench --repeats 1`")
+              "`repro profile -- simulate --blocks 8 --wordlines 4`")
         return 2
     if command[0] == "profile":
         print("profile: cannot profile itself")
@@ -930,7 +875,6 @@ COMMANDS = {
     "overheads": cmd_overheads,
     "scorecard": cmd_scorecard,
     "simulate": cmd_simulate,
-    "bench": cmd_bench,
     "fleet": cmd_fleet,
     "profile": cmd_profile,
     "trace": cmd_trace,
@@ -1143,25 +1087,6 @@ def _trace_flags(p: argparse.ArgumentParser) -> None:
                         "e.g. ftl.page=8 sim.service=4")
 
 
-def _bench_flags(p: argparse.ArgumentParser) -> None:
-    _attach(p, *SCALE, "--workload", "--variants", "--policy", "--qd",
-            "--pe-limit", "--jobs", "--progress", "--resume",
-            workload="Mobile", policy="fifo")
-    p.add_argument("--repeats", type=positive_int, default=3,
-                   help="timed repeats per variant (best kept)")
-    p.add_argument("--out", default="BENCH_sim.json",
-                   help="artifact path")
-    p.add_argument("--compare", default=None, metavar="BASELINE",
-                   help="fail (exit 1) if simulated metrics regress "
-                        "vs this committed baseline artifact")
-    p.add_argument("--tolerance", type=float, default=0.05,
-                   help="allowed fractional slack for --compare "
-                        "(default 0.05 = 5%%)")
-    p.add_argument("--verbose-compare", action="store_true",
-                   help="print every --compare metric row, not "
-                        "just the verdict and regressions")
-
-
 def _fleet_flags(p: argparse.ArgumentParser) -> None:
     # fleet devices are deliberately tiny so hundreds fit in one
     # campaign; --multiplier is scaled by each device's traffic share
@@ -1207,7 +1132,7 @@ def _check_flags(p: argparse.ArgumentParser) -> None:
 
 def _profile_flags(p: argparse.ArgumentParser) -> None:
     p.description = ("Profile any repro command, e.g. "
-                     "`repro profile -- bench --repeats 1`.")
+                     "`repro profile -- simulate --blocks 8 --wordlines 4`.")
     p.add_argument("--sort", default="cumulative",
                    help="pstats sort key (cumulative, tottime, "
                         "ncalls, ...)")
@@ -1232,7 +1157,6 @@ SUBCOMMANDS = {
                  _simulate_flags),
     "trace": ("traced simulation -> Perfetto/Chrome trace file",
               _trace_flags),
-    "bench": ("engine throughput benchmark -> BENCH_sim.json", _bench_flags),
     "fleet": ("fleet-scale multi-device multi-tenant campaign",
               _fleet_flags),
     "check": ("run workloads under the runtime invariant sanitizer",

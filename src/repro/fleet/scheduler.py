@@ -11,8 +11,8 @@ what buys the fleet the established determinism contract for free:
 * tasks enumerated in canonical order (variants outer, shards inner),
   merged in that order, never in completion order;
 * per-shard seeds from :func:`derive_seed` under the ``"fleet"``
-  domain, so fleet seeds can never collide with bench-grid seeds that
-  share the same master seed;
+  domain, so fleet seeds can never collide with other grids' seeds
+  that share the same master seed;
 * shard results persisted through :class:`GridResultCache`, so a
   killed campaign resumes from its last completed shard and the merged
   report is byte-identical to an uninterrupted run.

@@ -9,7 +9,7 @@ priority, erase/program suspension, sanitization-lock deferral), turning
 erSSD vs scrSSD vs secSSD *tail latency* into a first-class result.
 
 Entry points: :func:`~repro.sim.runner.simulate_workload` (and the
-``repro simulate`` / ``repro bench`` CLI subcommands built on it).
+``repro simulate`` / ``repro trace`` CLI subcommands built on it).
 Rule SIM07 keeps every module here free of wall-clock and module-level
 RNG calls, so identical seeds give byte-identical reports.
 """

@@ -32,7 +32,6 @@ Identical seeds produce byte-identical reports.
 from __future__ import annotations
 
 import heapq
-import json
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -240,9 +239,6 @@ class EngineReport:
             "sanitize_backlog_peak_us": self.sanitize_backlog_peak_us,
             "sanitize_backlog_mean_us": self.sanitize_backlog_mean_us,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 class QueueingEngine:

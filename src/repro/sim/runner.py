@@ -17,7 +17,6 @@ and examples share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import json
 
 from repro.faults import FaultPlan
 from repro.host.filesystem import FileSystem
@@ -131,7 +130,10 @@ class SimResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        # imported here: repro.checkpoint imports this module
+        from repro.checkpoint.codec import report_dumps
+
+        return report_dumps(self.to_dict())
 
 
 def simulate_trace(

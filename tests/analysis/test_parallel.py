@@ -6,19 +6,9 @@ ships them to worker processes by pickled qualified name.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.analysis.bench_engine import (
-    compare_bench,
-    compare_bench_detailed,
-    format_compare,
-    run_bench,
-    write_bench_json,
-)
 from repro.analysis.parallel import (
-    DeterministicTimer,
     GridResultCache,
     GridTask,
     GridTaskError,
@@ -26,7 +16,6 @@ from repro.analysis.parallel import (
     run_grid,
     run_grid_detailed,
 )
-from repro.ssd import scaled_config
 
 
 def _square(task: GridTask) -> int:
@@ -98,8 +87,11 @@ class TestDeriveSeed:
     def test_known_value_pins_the_derivation(self):
         # regression pin: changing the hash construction would silently
         # re-seed every derived grid, so the exact value is part of the API
-        assert derive_seed(1, "x") == derive_seed(1, "x")
-        assert 0 <= derive_seed(1, "x") < 2**63
+        assert derive_seed(1, "x") == 3481316742639530431
+        assert (
+            derive_seed(1, "secSSD", "Mobile", 3, domain="fleet")
+            == 473827123952403024
+        )
 
     def test_domain_none_matches_undomained(self):
         # the default must stay byte-compatible with the pre-domain API:
@@ -120,129 +112,6 @@ class TestDeriveSeed:
         assert derive_seed(1, "c", domain="ab") != derive_seed(
             1, "bc", domain="a"
         )
-
-
-class TestDeterministicTimer:
-    def test_fixed_step(self):
-        timer = DeterministicTimer(step_s=0.5)
-        assert timer() == 0.0
-        assert timer() == 0.5
-        assert timer() == 1.0
-
-    def test_invalid_step_rejected(self):
-        with pytest.raises(ValueError):
-            DeterministicTimer(step_s=0.0)
-
-
-@pytest.fixture(scope="module")
-def bench_config():
-    return scaled_config(blocks_per_chip=8, wordlines_per_block=4)
-
-
-def _bench(config, jobs):
-    return run_bench(
-        config,
-        workload="Mobile",
-        variants=("baseline", "secSSD"),
-        queue_depth=8,
-        seed=1,
-        write_multiplier=0.3,
-        repeats=2,
-        jobs=jobs,
-        timer=DeterministicTimer(),
-    )
-
-
-class TestParallelBench:
-    def test_artifact_byte_identical_serial_vs_parallel(
-        self, bench_config, tmp_path
-    ):
-        serial = write_bench_json(_bench(bench_config, jobs=1), tmp_path / "s.json")
-        parallel = write_bench_json(_bench(bench_config, jobs=4), tmp_path / "p.json")
-        assert serial.read_bytes() == parallel.read_bytes()
-
-    def test_real_clock_simulated_metrics_identical(self, bench_config):
-        # without timer injection only wall-derived numbers may differ
-        wall_keys = {"wall_s", "events_per_sec"}
-        strip = lambda payload: [
-            {k: v for k, v in run.items() if k not in wall_keys}
-            for run in payload["runs"]
-        ]
-        serial = run_bench(
-            bench_config, workload="Mobile", variants=("baseline",),
-            queue_depth=8, write_multiplier=0.3, repeats=2, jobs=1,
-        )
-        parallel = run_bench(
-            bench_config, workload="Mobile", variants=("baseline",),
-            queue_depth=8, write_multiplier=0.3, repeats=2, jobs=2,
-        )
-        assert strip(serial) == strip(parallel)
-
-    def test_rejects_bad_repeats(self, bench_config):
-        with pytest.raises(ValueError):
-            run_bench(bench_config, repeats=0)
-
-
-class TestCompareBench:
-    @pytest.fixture(scope="class")
-    def payload(self, bench_config):
-        return _bench(bench_config, jobs=1)
-
-    def test_identical_payload_passes(self, payload):
-        assert compare_bench(payload, payload) == []
-
-    def test_round_trip_through_json_passes(self, payload, tmp_path):
-        path = write_bench_json(payload, tmp_path / "b.json")
-        baseline = json.loads(path.read_text())
-        assert compare_bench(payload, baseline) == []
-
-    def test_injected_iops_regression_fails(self, payload):
-        regressed = json.loads(json.dumps(payload))
-        run = regressed["runs"][0]
-        run["iops"] = float(run["iops"]) * 0.8  # 20 % drop, 5 % band
-        problems = compare_bench(regressed, payload)
-        assert len(problems) == 1
-        assert "iops" in problems[0]
-        assert f"{run['workload']}/{run['variant']}" in problems[0]
-
-    def test_injected_p99_regression_fails(self, payload):
-        regressed = json.loads(json.dumps(payload))
-        regressed["runs"][1]["p99_all_us"] = (
-            float(regressed["runs"][1]["p99_all_us"]) * 1.5
-        )
-        problems = compare_bench(regressed, payload)
-        assert problems and "p99_all_us" in problems[0]
-
-    def test_within_tolerance_passes(self, payload):
-        wiggled = json.loads(json.dumps(payload))
-        for run in wiggled["runs"]:
-            run["iops"] = float(run["iops"]) * 0.97  # inside the 5 % band
-        assert compare_bench(wiggled, payload) == []
-        assert compare_bench(wiggled, payload, tolerance=0.01) != []
-
-    def test_wall_clock_never_gates(self, payload):
-        slower = json.loads(json.dumps(payload))
-        for run in slower["runs"]:
-            run["wall_s"] = float(run["wall_s"]) * 100.0
-            run["events_per_sec"] = float(run["events_per_sec"]) / 100.0
-        assert compare_bench(slower, payload) == []
-
-    def test_missing_variant_fails(self, payload):
-        partial = json.loads(json.dumps(payload))
-        partial["runs"] = partial["runs"][:1]
-        problems = compare_bench(partial, payload)
-        assert problems and "not benchmarked" in problems[0]
-
-    def test_new_variant_without_baseline_ignored(self, payload):
-        grown = json.loads(json.dumps(payload))
-        extra = json.loads(json.dumps(grown["runs"][0]))
-        extra["variant"] = "cryptSSD"
-        grown["runs"].append(extra)
-        assert compare_bench(grown, payload) == []
-
-    def test_negative_tolerance_rejected(self, payload):
-        with pytest.raises(ValueError):
-            compare_bench(payload, payload, tolerance=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -351,47 +220,3 @@ class TestGridResultCache:
         hit, value = cache.load(task)
         assert hit and value == (1, 2)
 
-
-class TestCompareBenchDetailed:
-    @pytest.fixture(scope="class")
-    def payload(self, bench_config):
-        return _bench(bench_config, jobs=1)
-
-    def test_full_table_even_when_clean(self, payload):
-        diff = compare_bench_detailed(payload, payload)
-        assert diff["regressed"] is False
-        assert len(diff["runs"]) == 2
-        for row in diff["runs"]:
-            metrics = {m["metric"] for m in row["metrics"]}
-            assert metrics == {"iops", "p99_read_us", "p99_all_us"}
-            assert all(not m["regressed"] for m in row["metrics"])
-
-    def test_regression_flags_exact_metric(self, payload):
-        regressed = json.loads(json.dumps(payload))
-        run = regressed["runs"][0]
-        run["iops"] = float(run["iops"]) * 0.8
-        diff = compare_bench_detailed(regressed, payload)
-        assert diff["regressed"] is True
-        flagged = [
-            m for row in diff["runs"] for m in row["metrics"] if m["regressed"]
-        ]
-        assert [m["metric"] for m in flagged] == ["iops"]
-        assert flagged[0]["delta_pct"] == pytest.approx(-20.0)
-        assert flagged[0]["current"] < flagged[0]["limit"]
-
-    def test_missing_variant_is_a_regressed_row(self, payload):
-        partial = json.loads(json.dumps(payload))
-        partial["runs"] = partial["runs"][:1]
-        diff = compare_bench_detailed(partial, payload)
-        assert diff["regressed"] is True
-        missing = [row for row in diff["runs"] if row["missing"]]
-        assert len(missing) == 1 and missing[0]["metrics"] == []
-
-    def test_format_compare_renders_verdict(self, payload):
-        clean = format_compare(compare_bench_detailed(payload, payload))
-        assert "ok" in clean.splitlines()[0]
-        regressed = json.loads(json.dumps(payload))
-        regressed["runs"][0]["iops"] = 0.1
-        text = format_compare(compare_bench_detailed(regressed, payload))
-        assert "REGRESSED" in text.splitlines()[0]
-        assert "iops" in text

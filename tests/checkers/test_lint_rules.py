@@ -551,7 +551,7 @@ class TestSim07WallClock:
     def test_outside_sim_dir_not_scoped(self, tmp_path):
         findings = _lint(
             tmp_path,
-            "repro/analysis/bench_engine.py",
+            "repro/analysis/progress.py",
             """
             import time
 

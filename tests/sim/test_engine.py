@@ -37,7 +37,7 @@ class TestDeterminism:
         first = simulate_workload(tiny_config, **kwargs)
         second = simulate_workload(tiny_config, **kwargs)
         assert first.to_json() == second.to_json()
-        assert first.report.to_json() == second.report.to_json()
+        assert first.report.to_dict() == second.report.to_dict()
 
     def test_different_seed_differs(self, tiny_config):
         runs = [
@@ -47,7 +47,7 @@ class TestDeterminism:
             )
             for seed in (1, 2)
         ]
-        assert runs[0].report.to_json() != runs[1].report.to_json()
+        assert runs[0].report.to_dict() != runs[1].report.to_dict()
 
 
 class TestEdgeCases:
