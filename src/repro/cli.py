@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
@@ -893,6 +894,22 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_rate(text: str) -> float:
+    """argparse ``type`` of an arrival rate: finite and above zero."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def probability(text: str) -> float:
+    """argparse ``type`` of a per-op fault probability, in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 #: every flag more than one subcommand takes, declared once; a command
 #: attaches the ones it needs with :func:`_attach`, overriding defaults.
 #: Same spelling, different meaning stays per command: ``--resume``
@@ -1007,7 +1024,7 @@ def _torture_flags(p: argparse.ArgumentParser) -> None:
             blocks=12, wordlines=4)
     p.add_argument("--ops", type=int, default=700,
                    help="host requests per torture case")
-    p.add_argument("--rates", nargs="*", type=float,
+    p.add_argument("--rates", nargs="*", type=probability,
                    default=[1e-3, 1e-2],
                    help="per-op fault probabilities for the sweep")
     p.add_argument("--window", type=int, default=200,
@@ -1057,7 +1074,7 @@ def _simulate_flags(p: argparse.ArgumentParser) -> None:
             "--checked", "--interval", "--pe-limit", "--json",
             "--trace-out", "--cert-out", "--checkpoint-every",
             "--stop-after")
-    p.add_argument("--rate", type=float, default=None,
+    p.add_argument("--rate", type=positive_rate, default=None,
                    help="open Poisson arrivals at this IOPS "
                         "instead of a closed loop")
     p.add_argument("--bursty", action="store_true",

@@ -16,6 +16,19 @@ How a request flows:
    latency is completion minus arrival.  Closed-loop arrivals release
    the next request at that instant.
 
+Two dispatch paths share this model (DESIGN.md 3e).  Under an in-order
+policy (``fifo``) each stage starts at ``max(server free-at, now,
+previous stage's end)``, all known at dispatch, so an untraced engine
+takes the **calendar** path: it reserves every stage's service window
+at once and schedules one completion event per request.  Every other
+engine takes the **segment** path: a :class:`Segment` per stage, queued
+per resource, with one DONE event per stage.  That covers the
+event-driven policies (``read_priority``, ``suspend``, ``defer``) and
+traced ``fifo`` runs, whose DONE events emit the ``sim.service`` spans
+in order.  Both paths give the same report.  ``events`` counts
+arrivals plus service segments on either path.  The only difference
+is the order of latency samples recorded at one simulated instant.
+
 The engine therefore answers what the open-loop occupancy model cannot:
 how long a host request *waits* behind GC relocation storms, erase
 trains, and sanitization pulses -- while the FTL state, statistics, and
@@ -31,6 +44,7 @@ Identical seeds produce byte-identical reports.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
@@ -38,7 +52,7 @@ from dataclasses import dataclass, field
 from repro.ftl.observer import notify_optional
 from repro.sim.events import EventHeap, SimClock
 from repro.sim.metrics import DepthSeries, LatencyRecorder, WorkSeries
-from repro.sim.ops import OpKind, RecordingTiming
+from repro.sim.ops import FlashOp, OpKind, RecordingTiming
 from repro.sim.policies import DeferLocksPolicy, SchedulingPolicy
 from repro.ssd.device import SSD
 from repro.ssd.request import IoRequest, RequestOp
@@ -46,6 +60,15 @@ from repro.telemetry import Telemetry  # lint: disable=SIM14 -- cross-cutting ob
 
 _EV_ARRIVAL = "arrival"
 _EV_DONE = "done"
+_EV_COMPLETE = "complete"
+
+# fields of a calendar-mode stage record, a plain list (one is built per
+# reserved stage): service start and end; the window position of the
+# last open-loop arrival dispatched before the stage started (None until
+# known); the stage's two possible start triggers -- the stage before it
+# on its server and the op's previous stage -- while both can still
+# matter (open loop only)
+_START, _END, _EPOCH, _SERVER_PRED, _STAGE_PRED = range(5)
 
 
 @dataclass(slots=True)
@@ -141,6 +164,9 @@ class Server:
         "busy_us",
         "pending_locks",
         "oldest_pending_us",
+        "free_at",
+        "last",
+        "waiting",
     )
 
     def __init__(self, key: str, chip_id: int | None, fifo: bool = False) -> None:
@@ -160,6 +186,14 @@ class Server:
         self.busy_us = 0.0
         self.pending_locks: list[Segment] = []
         self.oldest_pending_us = 0.0
+        #: calendar mode: when the last stage reserved on this server
+        #: finishes service; that stage's record (open loop); and the
+        #: reserved stages that have not started yet, in start order --
+        #: their start times in a closed loop, their records in an open
+        #: loop.
+        self.free_at = 0.0
+        self.last: list | None = None
+        self.waiting: deque = deque()
 
     @property
     def idle(self) -> bool:
@@ -173,6 +207,8 @@ class EngineReport:
     completed: int
     sim_elapsed_us: float
     open_loop_elapsed_us: float
+    #: arrivals plus simulated service segments, whichever dispatch path
+    #: ran (the segment path pushes one DONE event per segment).
     events: int
     latency: dict[str, dict[str, float]]
     utilization: dict[str, float]
@@ -322,6 +358,18 @@ class QueueingEngine:
         if self._tel is not None:
             self._tel.bus.clock = lambda: self.clock.now_us
 
+        #: calendar mode (DESIGN.md 3e): an in-order policy fixes every
+        #: stage's service window at dispatch, so untraced runs schedule
+        #: one completion event per request instead of one per stage.
+        #: Traced runs keep the segment path, whose DONE events emit the
+        #: ``sim.service`` spans in their order.
+        self._calendar = policy.in_order and self._tel is None
+        #: calendar mode: the instants of this window's open-loop arrivals
+        self._instants: list[float] = []
+        #: calendar mode: min-heap of (end, duration) of sanitize-tagged
+        #: cell stages not yet taken off the backlog series.
+        self._backlog_ends: list[tuple[float, float]] = []
+
     # ------------------------------------------------------------------
     # run loop
     # ------------------------------------------------------------------
@@ -352,8 +400,9 @@ class QueueingEngine:
         entries = self.heap.entries()
         pop = heapq.heappop
         clock = self.clock
-        dispatch = self._dispatch
+        dispatch = self._dispatch_calendar if self._calendar else self._dispatch
         on_done = self._on_done
+        complete = self._complete
         while True:
             while entries:
                 time_us, _seq, kind, payload = pop(entries)
@@ -362,9 +411,21 @@ class QueueingEngine:
                 clock.now_us = time_us
                 if kind == _EV_ARRIVAL:
                     dispatch(payload)
-                else:  # _EV_DONE
+                elif kind == _EV_DONE:
                     server, token = payload
                     on_done(server, token)
+                else:  # _EV_COMPLETE (calendar mode)
+                    complete(payload)
+            if self._calendar:
+                # every reserved stage has started and ended by the last
+                # completion: empty the queues and the backlog
+                for server in self.servers:
+                    self.queued_segments -= len(server.waiting)
+                    server.waiting.clear()
+                    server.last = None
+                self._instants.clear()
+                self._flush_backlog(clock.now_us)
+                break
             stragglers = [s for s in self.servers if s.pending_locks]
             if not stragglers:
                 break
@@ -400,7 +461,12 @@ class QueueingEngine:
     # ------------------------------------------------------------------
     # arrivals and dispatch
     # ------------------------------------------------------------------
-    def _dispatch(self, index: int) -> None:
+    def _admit(self, index: int) -> tuple[_InFlight, list[FlashOp]]:
+        """Start request ``index`` at the current instant.
+
+        Schedules the next open-loop arrival, runs the request through
+        the FTL while capturing its flash ops, and counts it in flight.
+        """
         now = self.clock.now_us
         if not self.arrivals.closed_loop and self._next_index < self._limit:
             self._arrival_time_us += self.arrivals.interarrival_us()
@@ -417,7 +483,11 @@ class QueueingEngine:
         inflight = _InFlight(index=index, op=request.op, arrival_us=now)
         self.in_flight += 1
         self.depth.record(now, self.in_flight)
+        return inflight, ops
 
+    def _dispatch(self, index: int) -> None:
+        inflight, ops = self._admit(index)
+        now = self.clock.now_us
         deferring = isinstance(self.policy, DeferLocksPolicy)
         in_order = self.policy.in_order
         # the ops loop runs once per captured flash op; hoist the
@@ -497,6 +567,214 @@ class QueueingEngine:
             # unmapped reads / pure-trim bookkeeping: no flash service
             self._complete(inflight)
 
+    def _dispatch_calendar(self, index: int) -> None:
+        """Calendar mode: reserve every stage's service window now.
+
+        In-order service starts each stage at
+        ``max(server free-at, now, previous stage's end)`` -- the moment
+        the segment path would start it -- so the whole schedule, and the
+        request's completion time, is known here.  One completion event
+        is scheduled at the latest stage end.
+        """
+        inflight, ops = self._admit(index)
+        now = self.clock.now_us
+        timing = self.timing
+
+        # open loop tracks stage records to settle same-instant ties
+        # (see _retire); closed loop queues bare start times
+        track = not self.arrivals.closed_loop
+        epoch = tie = -1
+        if track:
+            instants = self._instants
+            epoch = len(instants)
+            if epoch and instants[-1] < now:
+                tie = epoch  # the first arrival at its instant
+            instants.append(now)
+        queued = self._retire(now, tie, track)
+        peak = self.queued_segments_peak
+        t_read = timing.t_read_us
+        t_prog = timing.t_prog_us
+        t_xfer = timing.t_xfer_us
+        servers = self.servers
+        chan_base = self._chan_base
+        cpc = self._cpc
+        record = self._record
+        backlog_add = 0.0
+        backlog_ends = self._backlog_ends
+        done = now
+        n_segments = 0
+        stage: list | None = None
+        for op in ops:
+            kind = op.kind
+            chip = servers[op.chip_id]
+            second: Server | None = None
+            if kind is OpKind.READ:
+                first, d1 = chip, t_read
+                second, d2 = servers[chan_base + op.chip_id // cpc], t_xfer
+                cell_d = t_read
+            elif kind is OpKind.PROGRAM:
+                first, d1 = servers[chan_base + op.chip_id // cpc], t_xfer
+                second, d2 = chip, t_prog
+                cell_d = t_prog
+            else:
+                first, d1 = chip, timing.cell_duration_us(kind)
+                cell_d = d1
+            # the first stage starts at once on a server free by now, else
+            # it waits for the server's last reserved stage.  A server
+            # freeing exactly now frees after this arrival at a tie.
+            free = first.free_at
+            if free > now:
+                start = free
+                waits = True
+            else:
+                start = now
+                waits = tie >= 0 and free == now and self._late(first.last, tie)
+            end = start + d1
+            queued += 1
+            if queued > peak:
+                peak = queued
+            if track:
+                stage = record(first, start, end, epoch if start == now else None)
+            if waits:
+                first.waiting.append(stage if track else start)
+            else:
+                queued -= 1
+            first.free_at = end
+            first.busy_us += end - start
+            first.token += 1
+            cell_end = end
+            if second is not None:
+                # the second stage is unready until the first ends, after
+                # now: it always waits
+                free = second.free_at
+                start = free if free > end else end
+                end = start + d2
+                queued += 1
+                if queued > peak:
+                    peak = queued
+                second.waiting.append(
+                    record(second, start, end, None, stage) if track else start
+                )
+                second.free_at = end
+                second.busy_us += end - start
+                second.token += 1
+                n_segments += 2
+                if second is chip:
+                    cell_end = end
+            else:
+                n_segments += 1
+            if op.sanitize:
+                backlog_add += cell_d
+                heapq.heappush(backlog_ends, (cell_end, cell_d))
+            if end > done:
+                done = end
+        self.queued_segments = queued
+        self.queued_segments_peak = peak
+
+        if backlog_add > 0.0:
+            self._flush_backlog(now)
+            backlog_us = self._sanitize_backlog_us + backlog_add
+            self._sanitize_backlog_us = backlog_us
+            self.sanitize_backlog.record(now, backlog_us)
+        if n_segments == 0:
+            self._complete(inflight)  # no flash service
+            return
+        # the completion event stands in for the request's n_segments
+        # stage-end events: it advances the heap's sequence and event
+        # count by that many, so ``events`` and the checkpointed heap
+        # counters read as on the segment path
+        self._seq += n_segments
+        heap = self.heap
+        heapq.heappush(heap._heap, (done, heap._seq, _EV_COMPLETE, inflight))
+        heap._seq += n_segments
+        heap.pushed += n_segments
+
+    @staticmethod
+    def _record(
+        server: Server,
+        start: float,
+        end: float,
+        epoch: int | None,
+        previous: list | None = None,
+    ) -> list:
+        """Open loop: the record of a stage reserved on ``server``.
+
+        ``epoch`` is given when the stage starts at its own dispatch.
+        Otherwise it starts when the last of its triggers ends -- the
+        stage before it on the server, and ``previous``, the op's first
+        stage -- so those ending at its start are linked.
+        """
+        stage = [start, end, epoch, None, None]
+        if epoch is None:
+            last = server.last
+            if last is not None and last[_END] == start:
+                stage[_SERVER_PRED] = last
+            if previous is not None and previous[_END] == start:
+                stage[_STAGE_PRED] = previous
+        server.last = stage
+        return stage
+
+    def _retire(self, now: float, tie: int, track: bool) -> int:
+        """Calendar mode: drop the reserved stages that have started by
+        the time this arrival is handled; returns the queued count.
+
+        Every stage starting before ``now`` has.  One starting at ``now``
+        has too, since on the segment path every event at ``now``
+        precedes the arrival -- except at an open-loop ``tie`` (the
+        arrival at window position ``tie`` is the first at its instant).
+        That arrival was scheduled when the previous one's dispatch
+        began, so a stage end at ``now`` reserved after that point is
+        handled after it, and a stage it triggers starts after it too.
+        """
+        queued = self.queued_segments
+        if not track:
+            for server in self.servers:
+                waiting = server.waiting
+                while waiting and waiting[0] <= now:
+                    waiting.popleft()
+                    queued -= 1
+            return queued
+        late = self._late
+        for server in self.servers:
+            waiting = server.waiting
+            while waiting and waiting[0][_START] <= now:
+                stage = waiting[0]
+                if stage[_START] == now and tie >= 0:
+                    delayed = late(stage[_SERVER_PRED], tie) or late(
+                        stage[_STAGE_PRED], tie
+                    )
+                    stage[_EPOCH] = tie - 1 + delayed
+                    stage[_SERVER_PRED] = stage[_STAGE_PRED] = None
+                    if delayed:
+                        break  # starts after this arrival: still queued
+                waiting.popleft()
+                stage[_SERVER_PRED] = stage[_STAGE_PRED] = None
+                queued -= 1
+        return queued
+
+    def _late(self, stage: list | None, tie: int) -> bool:
+        """Whether ``stage``, ending at the tie instant, started after the
+        previous arrival's dispatch began -- so its end is handled after
+        the arrival at window position ``tie``."""
+        if stage is None:
+            return False
+        epoch = stage[_EPOCH]
+        if epoch is None:
+            # no arrival at its start instant: the last one before it
+            epoch = bisect.bisect_left(self._instants, stage[_START]) - 1
+        return epoch == tie - 1
+
+    def _flush_backlog(self, now: float) -> None:
+        """Calendar mode: take sanitize cell stages ended by ``now`` off
+        the backlog series, at their end times, in time order."""
+        ends = self._backlog_ends
+        backlog_us = self._sanitize_backlog_us
+        while ends and ends[0][0] <= now:
+            end, duration = heapq.heappop(ends)
+            backlog_us -= duration
+            self.sanitize_backlog.record(end, backlog_us)
+        self._sanitize_backlog_us = backlog_us
+
     def _enqueue_stages(
         self,
         kind: OpKind,
@@ -518,42 +796,8 @@ class QueueingEngine:
         s2 = Segment(kind, s2_stage, s2_dur, inflight, sanitize=sanitize)
         s2.ready = False
         s1.successor = (s2_server, s2)
-        if self._fifo_queues:
-            # _enqueue for s1, inlined (this runs once per two-stage op):
-            # FIFO queues never preempt, so only the idle-start attempt
-            # survives.  s2 is then pushed with no start attempt at all
-            # -- an unready segment can never start service (an idle
-            # in-order server's head is unready or its queue is empty)
-            # nor preempt (in-order mode is the non-preemptive family).
-            # Counter/peak update order matches _enqueue exactly.
-            seq = self._seq
-            s1.seq = seq
-            s2.seq = seq + 1
-            self._seq = seq + 2
-            server = self.servers[s1_server]
-            server.queue.append(s1)
-            queued = self.queued_segments + 1
-            self.queued_segments = queued
-            if queued > self.queued_segments_peak:
-                self.queued_segments_peak = queued
-            if server.current is None:
-                self._start_next(server)
-            self.servers[s2_server].queue.append(s2)
-            queued = self.queued_segments + 1
-            self.queued_segments = queued
-            if queued > self.queued_segments_peak:
-                self.queued_segments_peak = queued
-            return
         self._enqueue(self.servers[s1_server], s1)
-        s2.seq = self._seq
-        self._seq += 1
-        priority = self._const_priority
-        if priority is None:
-            priority = self.policy.priority(s2)
-        heapq.heappush(self.servers[s2_server].queue, (priority, s2.seq, s2))
-        self.queued_segments += 1
-        if self.queued_segments > self.queued_segments_peak:
-            self.queued_segments_peak = self.queued_segments
+        self._enqueue(self.servers[s2_server], s2)
 
     def _defer_lock(self, server: Server, segment: Segment) -> None:
         if not server.pending_locks:

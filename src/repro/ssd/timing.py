@@ -32,8 +32,9 @@ cross-checks against it, so it is normative):
 * ``elapsed_us`` is the completion time of the last scheduled operation,
   i.e. the open-loop makespan.  Under a saturating closed-loop workload
   the :class:`repro.sim.engine.QueueingEngine` must reproduce this
-  makespan (and therefore IOPS) within a small tolerance -- that is the
-  open-loop vs closed-loop agreement contract of DESIGN.md section 3e.
+  makespan (and therefore IOPS) exactly under the ``fifo`` policy --
+  that is the open-loop vs closed-loop agreement contract of DESIGN.md
+  section 3e.
 * ``t_scrub_us`` is the duration of one *scrub pulse*: a reprogram-style
   overwrite of an already-programmed wordline, used by scrSSD's
   sanitization pass and by grown-bad-block retirement.  One scrub pulse

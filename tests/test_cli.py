@@ -110,6 +110,12 @@ BAD_ARGV = [
     ["age", "--checkpoint-every", "0"],
     ["simulate", "--blocks", "6"],
     ["simulate", "--checkpoint-every", "0", "--resume"],
+    ["simulate", "--rate", "0"],
+    ["simulate", "--rate", "nan"],
+    ["simulate", "--rate", "-3", "--bursty"],
+    ["torture", "--rates", "-0.5"],
+    ["torture", "--rates", "1.5"],
+    ["torture", "--rates", "nan"],
 ]
 
 
