@@ -68,7 +68,10 @@ __all__ = [
 #: v2: the engine section grew the sanitization-backlog series
 #: (``sanitize_backlog`` / ``sanitize_backlog_us``); v1 snapshots lack
 #: the keys and must be quarantined as stale, not crash the restore.
-FORMAT_VERSION = 2
+#: v3: each chip's pAP payload stores only its locked pages, as flat
+#: columns of lock day, programmed-cell count and the smallest flip
+#: thresholds (no per-page ndarrays).
+FORMAT_VERSION = 3
 
 _MANIFEST = "MANIFEST.json"
 _GEN_PREFIX = "gen-"

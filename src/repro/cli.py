@@ -894,8 +894,8 @@ def positive_int(text: str) -> int:
     return value
 
 
-def positive_rate(text: str) -> float:
-    """argparse ``type`` of an arrival rate: finite and above zero."""
+def positive_float(text: str) -> float:
+    """argparse ``type`` of a rate or write multiplier: finite and above zero."""
     value = float(text)
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
@@ -921,7 +921,7 @@ FLAGS: dict[str, dict] = {
     "--wordlines": dict(type=positive_int, default=16,
                         help="wordlines per block (device scale)"),
     "--seed": dict(type=int, default=1),
-    "--multiplier": dict(type=float, default=1.0,
+    "--multiplier": dict(type=positive_float, default=1.0,
                          help="steady-state writes as a multiple of capacity"),
     "--workload": dict(default="MailServer", help="workload trace to replay"),
     "--variants": dict(nargs="*", default=None,
@@ -1074,7 +1074,7 @@ def _simulate_flags(p: argparse.ArgumentParser) -> None:
             "--checked", "--interval", "--pe-limit", "--json",
             "--trace-out", "--cert-out", "--checkpoint-every",
             "--stop-after")
-    p.add_argument("--rate", type=positive_rate, default=None,
+    p.add_argument("--rate", type=positive_float, default=None,
                    help="open Poisson arrivals at this IOPS "
                         "instead of a closed loop")
     p.add_argument("--bursty", action="store_true",

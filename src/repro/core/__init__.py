@@ -9,7 +9,7 @@
   exploration that selects (Vp4, 100 us) and (Vb6, 300 us).
 """
 
-from repro.core.ap_flags import PageApArray, PapFlag
+from repro.core.ap_flags import PageApArray
 from repro.core.design_space import (
     BlockDesignResult,
     PlockDesignResult,
@@ -43,7 +43,6 @@ __all__ = [
     "FlagCellModel",
     "FlagQualification",
     "PageApArray",
-    "PapFlag",
     "PlockDesignResult",
     "PulseSettings",
     "SslLockModel",

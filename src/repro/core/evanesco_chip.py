@@ -81,14 +81,19 @@ class EvanescoChip(FlashChip):
         reads *enabled*.  Callers verify via :meth:`page_locked`; the
         pulse is re-appliable, so retrying re-programs missed cells.
         """
-        failed = self._begin_op("plock")
-        block_index, page_offset = self.geometry.split_ppn(ppn)
+        failed = False if self.fault_hook is None else self._begin_op("plock")
+        # split_ppn and Block.record_wl_disturb, inlined: once per pLock
+        geometry = self.geometry
+        if not 0 <= ppn < geometry.pages_per_chip:
+            geometry.check_ppn(ppn)
+        block_index, page_offset = divmod(ppn, geometry.pages_per_block)
         if not failed:
-            self._pap[block_index].lock(page_offset, day=self._day(now))
-        wl = self.geometry.wordline_of(page_offset)
-        self.blocks[block_index].record_wl_disturb(wl)
-        self.stats.plocks += 1
-        self.stats.busy_time_us += self.t_plock_us
+            self._pap[block_index].lock(page_offset, now / US_PER_DAY)
+        wordline = page_offset // geometry.pages_per_wordline
+        self.blocks[block_index].wl_disturb_pulses[wordline] += 1
+        stats = self.stats
+        stats.plocks += 1
+        stats.busy_time_us += self.t_plock_us
         return self.t_plock_us
 
     def block_lock(self, block_index: int, now: float = 0.0) -> float:
@@ -110,8 +115,9 @@ class EvanescoChip(FlashChip):
     def page_locked(self, ppn: int, now: float = 0.0) -> bool:
         """Whether the chip would suppress a read of ``ppn`` right now."""
         block_index, page_offset = self.geometry.split_ppn(ppn)
-        day = self._day(now)
-        if self._bap[block_index].is_disabled(day):
+        day = now / US_PER_DAY
+        bap = self._bap[block_index]
+        if bap.lock_day is not None and bap.is_disabled(day):
             return True
         return self._pap[block_index].is_disabled(page_offset, day)
 

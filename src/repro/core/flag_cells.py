@@ -116,12 +116,18 @@ class FlagCellModel:
     # ------------------------------------------------------------------
     def retention_flip_prob(self, pulse: PulseSettings, days: float) -> float:
         """Per-cell probability a programmed flag cell reads enabled again."""
+        return self.flip_prob_from_margin(self.retention_margin(pulse), days)
+
+    def retention_margin(self, pulse: PulseSettings) -> float:
+        """The pulse's term of the retention model (``ret_margin * E``)."""
+        return self.ret_margin * self.program_energy(pulse)
+
+    def flip_prob_from_margin(self, margin: float, days: float) -> float:
+        """:meth:`retention_flip_prob` given the pulse's precomputed
+        :meth:`retention_margin`."""
         if days <= 0.0:
             return 0.0
-        e = self.program_energy(pulse)
-        z = (
-            self.ret_coef * log1p(days) - self.ret_base - self.ret_margin * e
-        ) / self.ret_scale
+        z = (self.ret_coef * log1p(days) - self.ret_base - margin) / self.ret_scale
         return _phi(z)
 
     def expected_retention_errors(

@@ -123,8 +123,9 @@ class RecordingTiming(TimingModel):
 
     # ------------------------------------------------------------------
     # The overrides call the base method explicitly rather than through
-    # super() + _emit: read/program run once per data page moved, and
-    # the explicit call keeps the capture append inline.
+    # super() + _emit: read/program run once per data page moved and
+    # plock once per stale secured page, and the explicit call keeps the
+    # capture append inline.
     def read(self, chip_id: int) -> float:
         end = TimingModel.read(self, chip_id)
         ops = self._ops
@@ -147,8 +148,10 @@ class RecordingTiming(TimingModel):
         return end
 
     def plock(self, chip_id: int) -> float:
-        end = super().plock(chip_id)
-        self._emit(OpKind.PLOCK, chip_id)
+        end = TimingModel.plock(self, chip_id)
+        ops = self._ops
+        if ops is not None:  # PLOCK is in SANITIZE_KINDS: always tagged
+            ops.append(FlashOp(OpKind.PLOCK, chip_id, True))
         return end
 
     def block_lock(self, chip_id: int) -> float:

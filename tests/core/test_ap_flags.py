@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.ap_flags import PageApArray, PapFlag
+from repro.core.ap_flags import PageApArray, majority_disabled
 from repro.core.flag_cells import FlagCellModel, PulseSettings
 from repro.flash.errors import AddressError
 
@@ -70,37 +70,34 @@ class TestRedundancy:
         array = PageApArray(pages_per_block=64, pulse=WEAK, seed=42)
         partial = 0
         for offset in range(64):
-            flag = array.lock(offset)
-            if 0 < flag.programmed_cells < flag.k:
+            array.lock(offset)
+            if 0 < array.programmed_cells(offset) < array.k:
                 partial += 1
         assert partial > 10  # 47 % per-cell success -> mostly partial flags
 
     def test_relock_monotonically_programs_more_cells(self):
         array = PageApArray(pages_per_block=4, pulse=WEAK, seed=3)
-        flag = array.lock(0)
-        first = flag.programmed_cells
+        array.lock(0)
+        first = array.programmed_cells(0)
         for _ in range(20):
-            flag = array.lock(0)
-        assert flag.programmed_cells >= first
-        assert flag.programmed_cells <= flag.k
+            array.lock(0)
+        assert array.programmed_cells(0) >= first
+        assert array.programmed_cells(0) <= array.k
 
 
 class TestMajorityCircuit:
     def test_majority_threshold(self):
         model = FlagCellModel()
-        flag = PapFlag(k=9, programmed_cells=5, lock_day=0.0)
-        import numpy as np
-
-        flag.flip_thresholds = np.ones(5)  # thresholds of 1.0 never flip
-        assert flag.majority_disabled(model, STRONG, day=0.0)
-        flag.programmed_cells = 4
-        flag.flip_thresholds = np.ones(4)
-        assert not flag.majority_disabled(model, STRONG, day=0.0)
+        q = model.retention_flip_prob(STRONG, 0.0)
+        need = 9 // 2 + 1
+        # thresholds of 1.0 never flip
+        assert majority_disabled(5, [1.0] * 5, need, q)
+        assert not majority_disabled(4, [1.0] * 4, need, q)
 
     def test_unlocked_flag_reads_enabled(self):
-        flag = PapFlag(k=9)
-        assert not flag.majority_disabled(FlagCellModel(), STRONG, day=0.0)
-        assert flag.cells_reading_programmed(FlagCellModel(), STRONG, 0.0) == 0
+        array = PageApArray(pages_per_block=4, pulse=STRONG)
+        assert not array.is_disabled(0)
+        assert array.programmed_cells(0) == 0
 
 
 class TestRetentionBehaviour:

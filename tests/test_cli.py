@@ -116,6 +116,11 @@ BAD_ARGV = [
     ["torture", "--rates", "-0.5"],
     ["torture", "--rates", "1.5"],
     ["torture", "--rates", "nan"],
+    ["simulate", "--multiplier", "nan"],
+    ["simulate", "--multiplier", "inf"],
+    ["simulate", "--multiplier", "-1"],
+    ["trace", "--multiplier", "-2"],
+    ["audit", "--multiplier", "-1"],
 ]
 
 
