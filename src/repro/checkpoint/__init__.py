@@ -12,9 +12,11 @@ package provides it in four pieces:
   arrays) byte-exactly, with a canonical serialization for checksums;
 * :mod:`repro.checkpoint.store` -- generation directories written via
   write-temp/fsync/atomic-rename with per-section SHA-256 checksums and
-  a manifest; corrupt generations (truncated, torn, bit-flipped, stale
-  version) are detected, quarantined, and recovery falls back to the
-  previous good generation with a structured report;
+  a manifest, which also lists the chain of append-only segment files
+  an incrementally written section (the telemetry trace) needs; corrupt
+  generations (truncated, torn, bit-flipped, stale version) are
+  detected, quarantined, and recovery falls back to the previous good
+  generation with a structured report;
 * :mod:`repro.checkpoint.device` -- snapshot/restore of one SSD +
   engine pair, plus the restore-time invariant audit that replays the
   runtime sanitizer's checks (L2P bijection, block counters,

@@ -36,6 +36,7 @@ from typing import Any
 from repro.checkers.sanitizer import default_checked, default_interval
 from repro.checkpoint.codec import CodecError, canonical_dumps, encode
 from repro.checkpoint.device import (
+    EVENTS,
     CheckpointAuditError,
     restore_device,
     snapshot_device,
@@ -93,11 +94,16 @@ def _fingerprint(
     checked: bool,
     check_interval: int,
     faults: FaultPlan | None,
-    telemetry: bool,
+    telemetry: Telemetry | None,
     checkpoint_every: int,
     stop_when: str | None,
 ) -> dict[str, Any]:
-    """Every parameter that determines the request/result byte stream."""
+    """Every parameter that determines the request/result byte stream.
+
+    The telemetry session counts by its shape: the ring capacity and
+    sample strides decide which events are retained, and so the
+    segment chain a generation lists.
+    """
     return {
         "format_version": FORMAT_VERSION,
         "config": asdict(config),
@@ -111,7 +117,14 @@ def _fingerprint(
         "checked": checked,
         "check_interval": check_interval,
         "faults": None if faults is None else faults.to_state(),
-        "telemetry": telemetry,
+        "telemetry": (
+            None
+            if telemetry is None
+            else {
+                "capacity": telemetry.bus.capacity,
+                "sample": dict(sorted(telemetry.bus.sample.items())),
+            }
+        ),
         "checkpoint_every": checkpoint_every,
         "stop_when": stop_when,
     }
@@ -224,7 +237,7 @@ def run_chunked_simulation(
         resolved_checked,
         resolved_interval,
         faults,
-        telemetry is not None,
+        telemetry,
         checkpoint_every,
         stop_when,
     )
@@ -272,6 +285,9 @@ def run_chunked_simulation(
             recovery.extend(load.corrupt)
             requests, steady_start, ssd, engine = build()
             try:
+                start = load.meta.get("stop", 0)
+                if type(start) is not int or not 0 <= start <= len(requests):
+                    raise ValueError(f"meta stop {start!r} is not a request index")
                 with _gc_paused():
                     restore_device(ssd, engine, load.sections, audit=True)
             except CheckpointAuditError as exc:
@@ -281,14 +297,13 @@ def run_chunked_simulation(
                     )
                 )
                 continue
-            except (CodecError, ValueError, KeyError, TypeError) as exc:
+            except (CodecError, ValueError, LookupError, TypeError) as exc:
                 recovery.append(
                     store.quarantine_generation(
                         load.generation, "restore-failed", str(exc)
                     )
                 )
                 continue
-            start = int(load.meta.get("stop", 0))
             break
     else:
         requests, steady_start, ssd, engine = build()
@@ -305,7 +320,7 @@ def run_chunked_simulation(
         engine.run_window(stop)
         with _gc_paused():
             store.write_generation(
-                snapshot_device(ssd, engine),
+                snapshot_device(ssd, engine, since=store.cursor(EVENTS)),
                 meta={"stop": stop, "requests": n},
             )
         written += 1

@@ -13,7 +13,9 @@ names the subsystem, not a byte offset:
 ``timing``     busy clocks and work accumulators (t_* validated)
 ``checker``    the runtime sanitizer's shadow state (checked runs)
 ``worklog``    per-request device-work samples
-``telemetry``  metrics registry + trace-event ring
+``telemetry``  metrics registry + trace-bus retention accounting
+``events``     the trace events appended since the last generation
+               (a :class:`~repro.checkpoint.store.Segment`)
 ``engine``     sim clock, arrival cursor, latency/depth recorders
 =============  =====================================================
 
@@ -39,17 +41,23 @@ from typing import TYPE_CHECKING, Any
 
 from repro.checkers.residue import lock_violation
 from repro.checkers.sanitizer import FtlSanitizer, InvariantViolation
+from repro.checkpoint.store import Segment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import QueueingEngine
     from repro.ssd.device import SSD
 
 __all__ = [
+    "EVENTS",
     "CheckpointAuditError",
     "restore_audit",
     "restore_device",
     "snapshot_device",
 ]
+
+
+#: section holding the telemetry trace's segment chain.
+EVENTS = "events"
 
 
 class CheckpointAuditError(Exception):
@@ -72,10 +80,16 @@ class CheckpointAuditError(Exception):
 
 
 def snapshot_device(
-    ssd: SSD, engine: QueueingEngine | None = None
+    ssd: SSD, engine: QueueingEngine | None = None, since: int = 0
 ) -> dict[str, Any]:
-    """Collect one full device snapshot as ``{section: state}``."""
+    """Collect one full device snapshot as ``{section: state}``.
+
+    The :data:`EVENTS` section holds only the retained trace events
+    pushed at or after push index ``since``: the previous generation's
+    :meth:`~repro.checkpoint.store.CheckpointStore.cursor`.
+    """
     ftl = ssd.ftl
+    telemetry = ssd.telemetry
     sections: dict[str, Any] = {
         "ftl": ftl.state_dict(),
         "chips": [chip.state_dict() for chip in ftl.chips],
@@ -87,10 +101,17 @@ def snapshot_device(
         "timing": ftl.timing.state_dict(),
         "checker": None if ftl.checker is None else ftl.checker.state_dict(),
         "worklog": ssd.work_log.state_dict(),
-        "telemetry": (
-            None if ssd.telemetry is None else ssd.telemetry.state_dict()
-        ),
+        "telemetry": None if telemetry is None else telemetry.state_dict(),
     }
+    if telemetry is not None:
+        bus = telemetry.bus
+        payload = bus.segment(since)
+        sections[EVENTS] = Segment(
+            first=payload["first"],
+            count=len(payload["kind"]),
+            live_from=bus.dropped,
+            payload=payload,
+        )
     if engine is not None:
         sections["engine"] = engine.state_dict()
     return sections
@@ -142,7 +163,12 @@ def restore_device(
     ssd.work_log.load_state_dict(sections["worklog"])
     telemetry = sections.get("telemetry")
     if telemetry is not None and ssd.telemetry is not None:
-        ssd.telemetry.load_state_dict(telemetry)
+        # a store load yields the chain's payloads, an in-memory
+        # snapshot its one Segment
+        events = sections.get(EVENTS, [])
+        if isinstance(events, Segment):
+            events = [events.payload]
+        ssd.telemetry.load_state_dict(telemetry, events)
     if engine is not None:
         engine.load_state_dict(sections["engine"])
     if audit:

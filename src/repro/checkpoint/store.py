@@ -5,17 +5,29 @@ One checkpoint *generation* is a directory::
     <root>/
       campaign.json            # campaign manifest (params fingerprint)
       gen-000001/
-        MANIFEST.json          # format version + per-section checksums
+        MANIFEST.json          # format version, section checksums, chains
         ftl.json               # one file per state section
         chips.json
         ...
+        events.segment.json    # the events appended since gen 0
       gen-000002/
+        events.segment.json    # only the events appended since gen 1
       quarantine/
         gen-000002.bad-checksum/   # corrupt generations moved, not deleted
 
+A section whose state is an append-only stream (the telemetry trace) is
+written as a :class:`Segment` -- only what was appended since the
+previous generation -- and the manifest lists the *chain* of segment
+files, oldest first, that together hold what the stream still retains.
+A segment file is immutable and lives in the generation that wrote it,
+so a later generation's chain reaches back into earlier directories; a
+segment that is missing or corrupt fails every generation whose chain
+lists it.
+
 The write protocol is the classic journaling dance:
 
-1. write every section into ``gen-NNNNNN.tmp/`` (write, flush, fsync);
+1. write every section and segment into ``gen-NNNNNN.tmp/`` (write,
+   flush, fsync);
 2. write ``MANIFEST.json`` *last* -- a directory without a manifest is
    by definition torn;
 3. fsync the tmp directory, then atomically ``os.rename`` it into
@@ -33,9 +45,9 @@ validates.  Only when *no* generation survives does it raise
 render a diagnosis instead of a traceback.
 
 ``_crash_after`` is the torture hook: naming a protocol point (e.g.
-``"section:ftl"`` or ``"rename"``) makes the next write raise
-:class:`StoreCrashInjected` at exactly that point, leaving the same
-on-disk state a power cut there would.
+``"section:ftl"``, ``"segment:events"`` or ``"rename"``) makes the
+next write raise :class:`StoreCrashInjected` at exactly that point,
+leaving the same on-disk state a power cut there would.
 """
 
 from __future__ import annotations
@@ -61,6 +73,7 @@ __all__ = [
     "CheckpointStore",
     "CorruptionReport",
     "LoadReport",
+    "Segment",
     "StoreCrashInjected",
 ]
 
@@ -71,11 +84,14 @@ __all__ = [
 #: v3: each chip's pAP payload stores only its locked pages, as flat
 #: columns of lock day, programmed-cell count and the smallest flip
 #: thresholds (no per-page ndarrays).
-FORMAT_VERSION = 3
+#: v4: the telemetry events are append-only segments listed in the
+#: manifest's ``chains``, and each block stores its pages as columns.
+FORMAT_VERSION = 4
 
 _MANIFEST = "MANIFEST.json"
 _GEN_PREFIX = "gen-"
 _CAMPAIGN = "campaign.json"
+_SEGMENT = ".segment.json"
 
 
 class StoreCrashInjected(RuntimeError):
@@ -98,6 +114,24 @@ class CorruptionReport:
             "detail": self.detail,
             "quarantined_to": self.quarantined_to,
         }
+
+
+@dataclass(frozen=True)
+class Segment:
+    """The new slice of an append-only stream, as a section's value.
+
+    ``payload`` holds the stream items with indices ``first`` to
+    ``first + count - 1``; ``live_from`` is the oldest index the stream
+    still holds.  A generation lists the payload at the end of the
+    section's chain and drops every older segment that ends at or
+    before ``live_from``.  Loading returns the chain's payloads, oldest
+    first, as that section's value.
+    """
+
+    first: int
+    count: int
+    live_from: int
+    payload: Any
 
 
 @dataclass
@@ -160,9 +194,13 @@ class CheckpointStore:
         #: torture hook -- a protocol point name at which the next
         #: :meth:`write_generation` raises :class:`StoreCrashInjected`:
         #: ``"section:<name>"`` (after that section file is written),
+        #: ``"segment:<name>"`` (after that section's segment file),
         #: ``"manifest"`` (after the manifest, before the rename), or
         #: ``"rename"`` (after the rename, before the parent fsync).
         self._crash_after: str | None = None
+        #: segment chains, by section name, of the generation this
+        #: store last wrote or loaded: what the next generation extends.
+        self._chains: dict[str, list[dict[str, Any]]] = {}
 
     # -- campaign manifest ---------------------------------------------
     def write_campaign_manifest(self, manifest: dict[str, Any]) -> None:
@@ -208,6 +246,46 @@ class CheckpointStore:
             self._crash_after = None
             raise StoreCrashInjected(f"injected power loss after {point!r}")
 
+    def cursor(self, name: str) -> int:
+        """Stream index where section ``name``'s next segment starts.
+
+        The end of that chain in the generation this store last wrote
+        or loaded; 0 before either.
+        """
+        chain = self._chains.get(name)
+        if not chain:
+            return 0
+        return chain[-1]["first"] + chain[-1]["count"]
+
+    def _write_segment(
+        self, tmp: Path, generation: int, name: str, segment: Segment
+    ) -> list[dict[str, Any]]:
+        """Write ``segment``'s payload; return the section's new chain."""
+        chain = [
+            entry
+            for entry in self._chains.get(name, [])
+            if entry["first"] + entry["count"] > segment.live_from
+        ]
+        if chain and segment.first != self.cursor(name):
+            raise ValueError(
+                f"segment {name!r} starts at {segment.first}, "
+                f"its chain ends at {self.cursor(name)}"
+            )
+        if segment.count:
+            data = canonical_dumps(encode(segment.payload)).encode("utf-8")
+            _write_synced(tmp / f"{name}{_SEGMENT}", data)
+            chain.append(
+                {
+                    "generation": generation,
+                    "file": f"{self._gen_name(generation)}/{name}{_SEGMENT}",
+                    "checksum": section_checksum(data),
+                    "size": len(data),
+                    "first": segment.first,
+                    "count": segment.count,
+                }
+            )
+        return chain
+
     def write_generation(
         self, sections: dict[str, Any], meta: dict[str, Any] | None = None
     ) -> int:
@@ -215,8 +293,10 @@ class CheckpointStore:
 
         Sections are raw state values; this encodes, checksums, and
         writes each to its own file, then the manifest, then performs
-        the atomic rename.  A crash (real or injected via
-        ``_crash_after``) at any point never damages prior generations.
+        the atomic rename.  A :class:`Segment` value is written as a
+        segment file and appended to that section's chain.  A crash
+        (real or injected via ``_crash_after``) at any point never
+        damages prior generations.
         """
         generation = (self.generations() or [0])[-1] + 1
         final = self._gen_path(generation)
@@ -225,10 +305,16 @@ class CheckpointStore:
             shutil.rmtree(tmp)
         tmp.mkdir()
         checksums: dict[str, dict[str, Any]] = {}
+        chains: dict[str, list[dict[str, Any]]] = {}
         for name in sorted(sections):
+            value = sections[name]
+            if isinstance(value, Segment):
+                chains[name] = self._write_segment(tmp, generation, name, value)
+                self._maybe_crash(f"segment:{name}")
+                continue
             # one UTF-8 encode per section: the same bytes are
             # checksummed, measured and written.
-            data = canonical_dumps(encode(sections[name])).encode("utf-8")
+            data = canonical_dumps(encode(value)).encode("utf-8")
             _write_synced(tmp / f"{name}.json", data)
             checksums[name] = {
                 "checksum": section_checksum(data),
@@ -239,12 +325,14 @@ class CheckpointStore:
             "format_version": FORMAT_VERSION,
             "generation": generation,
             "sections": checksums,
+            "chains": chains,
             "meta": dict(meta or {}),
         }
         _write_synced(tmp / _MANIFEST, canonical_dumps(manifest).encode("utf-8"))
         _fsync_path(tmp)
         self._maybe_crash("manifest")
         os.rename(tmp, final)
+        self._chains = chains
         self._maybe_crash("rename")
         _fsync_path(self.root)
         return generation
@@ -274,16 +362,20 @@ class CheckpointStore:
             quarantined_to=target.name,
         )
 
-    def _validate_generation(self, generation: int) -> tuple[dict, dict]:
-        """Raise ValueError on any corruption; return (sections, meta)."""
+    def _validate_generation(
+        self, generation: int
+    ) -> tuple[dict[str, Any], dict[str, Any], dict[str, list]]:
+        """Raise ValueError on any corruption; return (sections, meta,
+        chains)."""
         path = self._gen_path(generation)
-        manifest_path = path / _MANIFEST
         try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            manifest = json.loads((path / _MANIFEST).read_bytes())
         except FileNotFoundError:
             raise ValueError("missing-manifest: MANIFEST.json absent")
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ValueError(f"bad-manifest: {exc}")
+        if not isinstance(manifest, dict):
+            raise ValueError("bad-manifest: not a JSON object")
         version = manifest.get("format_version")
         if version != FORMAT_VERSION:
             raise ValueError(
@@ -291,29 +383,84 @@ class CheckpointStore:
                 f" expected {FORMAT_VERSION}"
             )
         listed = manifest.get("sections")
-        if not isinstance(listed, dict):
-            raise ValueError("bad-manifest: sections table missing")
+        chains = manifest.get("chains")
+        meta = manifest.get("meta", {})
+        tables = (("sections", listed), ("chains", chains), ("meta", meta))
+        for key, table in tables:
+            if not isinstance(table, dict):
+                raise ValueError(f"bad-manifest: {key} is not an object")
         sections: dict[str, Any] = {}
         for name in sorted(listed):
             entry = listed[name]
-            section_path = path / f"{name}.json"
-            try:
-                text = section_path.read_text(encoding="utf-8")
-            except FileNotFoundError:
-                raise ValueError(f"missing-section: {name}.json absent")
-            except OSError as exc:  # pragma: no cover - I/O error
-                raise ValueError(f"unreadable-section: {name}: {exc}")
-            if section_checksum(text) != entry.get("checksum"):
-                raise ValueError(
-                    f"bad-checksum: section {name!r} does not match manifest"
+            if not isinstance(entry, dict) or not isinstance(
+                entry.get("checksum"), str
+            ):
+                raise ValueError(f"bad-manifest: section {name!r} entry")
+            sections[name] = self._read_checked(
+                path / f"{name}.json", entry["checksum"], "section", name
+            )
+        for name in sorted(chains):
+            sections[name] = self._read_chain(generation, name, chains[name])
+        return sections, meta, chains
+
+    def _read_chain(self, generation: int, name: str, chain: Any) -> list:
+        """Decoded payloads of one section's segment chain, oldest first.
+
+        Every entry is type-checked, and the chain checked contiguous,
+        before any segment file is read.
+        """
+        if not isinstance(chain, list):
+            raise ValueError(f"bad-manifest: chain {name!r} is not a list")
+        end = None
+        for entry in chain:
+            if (
+                not isinstance(entry, dict)
+                or any(
+                    type(entry.get(key)) is not int
+                    for key in ("generation", "size", "first", "count")
                 )
-            try:
-                sections[name] = decode(json.loads(text))
-            except (json.JSONDecodeError, CodecError) as exc:
-                # checksum matched, so the *write* was intact but the
-                # content is undecodable -- a format bug, still quarantine.
-                raise ValueError(f"undecodable-section: {name}: {exc}")
-        return sections, manifest.get("meta", {})
+                or not isinstance(entry.get("checksum"), str)
+                or not 0 < entry["generation"] <= generation
+                or entry["first"] < 0
+                or entry["count"] < 1
+                or entry.get("file")
+                != f"{self._gen_name(entry['generation'])}/{name}{_SEGMENT}"
+            ):
+                raise ValueError(f"bad-manifest: chain {name!r} entry {entry!r}")
+            if end is not None and entry["first"] != end:
+                raise ValueError(
+                    f"bad-manifest: chain {name!r} is not contiguous"
+                    f" at {entry['file']}"
+                )
+            end = entry["first"] + entry["count"]
+        return [
+            self._read_checked(
+                self.root / entry["file"], entry["checksum"], "segment",
+                entry["file"],
+            )
+            for entry in chain
+        ]
+
+    @staticmethod
+    def _read_checked(path: Path, checksum: str, kind: str, name: str) -> Any:
+        """Read, checksum and decode one section or segment file."""
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            shown = path.relative_to(path.parent.parent)
+            raise ValueError(f"missing-{kind}: {shown} absent")
+        except OSError as exc:  # pragma: no cover - I/O error
+            raise ValueError(f"unreadable-{kind}: {name}: {exc}")
+        if section_checksum(data) != checksum:
+            raise ValueError(
+                f"bad-checksum: {kind} {name!r} does not match manifest"
+            )
+        try:
+            return decode(json.loads(data))
+        except (ValueError, CodecError) as exc:
+            # checksum matched, so the *write* was intact but the
+            # content is undecodable -- a format bug, still quarantine.
+            raise ValueError(f"undecodable-{kind}: {name}: {exc}")
 
     def sweep_torn_writes(self) -> list[CorruptionReport]:
         """Quarantine stray ``*.tmp`` generation dirs (torn writes)."""
@@ -344,13 +491,14 @@ class CheckpointStore:
         corrupt = self.sweep_torn_writes()
         for generation in reversed(self.generations()):
             try:
-                sections, meta = self._validate_generation(generation)
+                sections, meta, chains = self._validate_generation(generation)
             except ValueError as exc:
                 reason, _, detail = str(exc).partition(": ")
                 corrupt.append(
                     self.quarantine_generation(generation, reason, detail)
                 )
                 continue
+            self._chains = chains
             return LoadReport(
                 generation=generation,
                 sections=sections,

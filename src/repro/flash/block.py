@@ -42,6 +42,11 @@ class BlockState(Enum):
     RETIRED = "retired"    # grown-bad: permanently out of service
 
 
+#: checkpoint code of each page state: its index here.
+PAGE_STATES: tuple[PageState, ...] = (PageState.ERASED, PageState.PROGRAMMED)
+_PAGE_CODES = {state: code for code, state in enumerate(PAGE_STATES)}
+
+
 @dataclass
 class Block:
     """One physical block of ``geometry.pages_per_block`` pages."""
@@ -187,9 +192,17 @@ class Block:
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict[str, Any]:
-        """Checkpoint payload (see :mod:`repro.checkpoint`)."""
+        """Checkpoint payload (see :mod:`repro.checkpoint`).
+
+        Pages are stored as columns, one list per :class:`Page` field,
+        with each page state as its :data:`PAGE_STATES` index.
+        """
+        pages = self.pages
         return {
-            "pages": [page.state_dict() for page in self.pages],
+            "page_state": [_PAGE_CODES[page.state] for page in pages],
+            "data": [page.data for page in pages],
+            "spare": [dict(page.spare) for page in pages],
+            "program_time": [page.program_time for page in pages],
             "erase_count": self.erase_count,
             "next_page": self.next_page,
             "last_erase_time": self.last_erase_time,
@@ -198,8 +211,19 @@ class Block:
         }
 
     def load_state_dict(self, state: dict[str, Any]) -> None:
-        for page, payload in zip(self.pages, state["pages"]):
-            page.load_state_dict(payload)
+        columns = zip(
+            self.pages,
+            state["page_state"],
+            state["data"],
+            state["spare"],
+            state["program_time"],
+            strict=True,
+        )
+        for page, code, data, spare, program_time in columns:
+            page.state = PAGE_STATES[code]
+            page.data = data
+            page.spare = dict(spare)
+            page.program_time = program_time
         self.erase_count = state["erase_count"]
         self.next_page = state["next_page"]
         self.last_erase_time = state["last_erase_time"]

@@ -62,19 +62,3 @@ class Page:
         self.data = None
         self.spare = {}
         self.program_time = None
-
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict[str, Any]:
-        """Checkpoint payload (see :mod:`repro.checkpoint`)."""
-        return {
-            "state": self.state,
-            "data": self.data,
-            "spare": dict(self.spare),
-            "program_time": self.program_time,
-        }
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        self.state = state["state"]
-        self.data = state["data"]
-        self.spare = dict(state["spare"])
-        self.program_time = state["program_time"]

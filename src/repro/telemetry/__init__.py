@@ -30,7 +30,7 @@ of that in one step.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 from repro.telemetry.events import TraceBus, TraceEvent
 from repro.telemetry.histogram import (
@@ -65,15 +65,20 @@ class Telemetry:
         return out
 
     def state_dict(self) -> dict[str, object]:
-        """Checkpoint payload (see :mod:`repro.checkpoint`)."""
+        """Checkpoint payload (see :mod:`repro.checkpoint`): the metrics
+        and the bus accounting; the events go as ``bus.segment()``s."""
         return {
             "metrics": self.metrics.state_dict(),
             "bus": self.bus.state_dict(),
         }
 
-    def load_state_dict(self, state: dict[str, object]) -> None:
+    def load_state_dict(
+        self,
+        state: dict[str, object],
+        segments: Sequence[dict[str, object]] = (),
+    ) -> None:
         self.metrics.load_state_dict(state["metrics"])
-        self.bus.load_state_dict(state["bus"])
+        self.bus.load_state_dict(state["bus"], segments)
 
 
 class _DisabledTelemetry:

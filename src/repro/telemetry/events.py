@@ -27,7 +27,8 @@ report exactly how much was observed vs retained.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
+from itertools import islice
 
 
 class TraceEvent:
@@ -180,31 +181,117 @@ class TraceBus:
         }
 
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict[str, object]:
-        """Checkpoint payload: accounting *and* the retained ring.
+    @property
+    def pushed(self) -> int:
+        """Events ever pushed into the ring, evicted ones included.
 
-        The retained events must round-trip -- a resumed run's final
-        trace export and ``stats()["retained"]`` have to match an
-        uninterrupted run's byte for byte.
+        The push index of a retained event is its position in that
+        stream: the ring holds indices ``dropped .. pushed - 1``.
+        """
+        return self.dropped + len(self._events)
+
+    def state_dict(self) -> dict[str, object]:
+        """Checkpoint payload: the retention accounting, no events.
+
+        The retained events travel separately, as append-only
+        :meth:`segment` slices (see :mod:`repro.checkpoint.store`).
         """
         return {
             "dropped": self.dropped,
             "sampled_out": self.sampled_out,
             "category_counts": dict(self.category_counts),
-            "events": [
-                [e.name, e.cat, e.ph, e.ts_us, e.dur_us, e.tid, dict(e.args)]
-                for e in self._events
-            ],
+            "pushed": self.pushed,
         }
 
-    def load_state_dict(self, state: dict[str, object]) -> None:
-        self.dropped = state["dropped"]
+    def segment(self, since: int = 0) -> dict[str, object]:
+        """The retained events with push index >= ``since``, as columns.
+
+        ``first`` is the push index of the first event.  An event's
+        name, category, phase, thread and sorted ``args`` keys are its
+        *kind*: ``kinds`` lists each distinct one as ``[name, cat, ph,
+        tid, keys]`` and ``kind`` holds one index into it per event.
+        ``ts_us`` and ``dur_us`` are per-event columns, and every
+        event's ``args`` values, in key order, go end to end in
+        ``values``.
+        """
+        pushed = self.pushed
+        if not 0 <= since <= pushed:
+            raise ValueError(f"segment cursor {since} outside 0..{pushed}")
+        first = max(since, self.dropped)
+        events = list(islice(self._events, first - self.dropped, None))
+        # keyed by the args' own key order, so the common case -- every
+        # emitter builds its args the same way each time -- sorts once
+        seen: dict[tuple, tuple[int, tuple[str, ...]]] = {}
+        kinds: dict[tuple, int] = {}
+        kind: list[int] = []
+        values: list[object] = []
+        for event in events:
+            args = event.args
+            key = (event.name, event.cat, event.ph, event.tid, *args)
+            known = seen.get(key)
+            if known is None:
+                keys = tuple(sorted(args))
+                spec = (event.name, event.cat, event.ph, event.tid, keys)
+                known = seen[key] = (kinds.setdefault(spec, len(kinds)), keys)
+            kind.append(known[0])
+            values.extend([args[k] for k in known[1]])
+        return {
+            "first": first,
+            "kinds": [[*spec[:4], list(spec[4])] for spec in kinds],
+            "kind": kind,
+            "ts_us": [e.ts_us for e in events],
+            "dur_us": [e.dur_us for e in events],
+            "values": values,
+        }
+
+    def load_state_dict(
+        self,
+        state: dict[str, object],
+        segments: Sequence[dict[str, object]] = (),
+    ) -> None:
+        """Restore the accounting and rebuild the ring from ``segments``.
+
+        The segments must be contiguous and end at the snapshot's push
+        count; replaying them into a ``deque(maxlen=capacity)`` evicts
+        exactly what the live ring had evicted.
+        """
+        ring: deque[TraceEvent] = deque(maxlen=self.capacity)
+        end = segments[0]["first"] if segments else 0
+        for seg in segments:
+            if seg["first"] != end:
+                raise ValueError(
+                    f"trace segment starts at {seg['first']}, expected {end}"
+                )
+            kinds = [
+                (name, cat, ph, tid, tuple(keys))
+                for name, cat, ph, tid, keys in seg["kinds"]
+            ]
+            columns = (seg["kind"], seg["ts_us"], seg["dur_us"])
+            if len({len(column) for column in columns}) != 1:
+                raise ValueError("trace segment columns differ in length")
+            values = seg["values"]
+            pos = 0
+            for index, ts_us, dur_us in zip(*columns):
+                name, cat, ph, tid, keys = kinds[index]
+                stop = pos + len(keys)
+                ring.append(
+                    TraceEvent(
+                        name, cat, ph, ts_us, dur_us=dur_us, tid=tid,
+                        args=dict(zip(keys, values[pos:stop])),
+                    )
+                )
+                pos = stop
+            if pos != len(values):
+                raise ValueError("trace segment values do not match its kinds")
+            end += len(columns[0])
+        dropped = state["dropped"]
+        if end != state["pushed"] or len(ring) != end - dropped:
+            raise ValueError(
+                f"trace segments end at push {end} holding {len(ring)} "
+                f"events; the bus pushed {state['pushed']} and dropped "
+                f"{dropped}"
+            )
+        self.dropped = dropped
         self.sampled_out = state["sampled_out"]
         self.category_counts = dict(state["category_counts"])
-        self._events = deque(
-            (
-                TraceEvent(name, cat, ph, ts_us, dur_us=dur_us, tid=tid, args=args)
-                for name, cat, ph, ts_us, dur_us, tid, args in state["events"]
-            ),
-            maxlen=self.capacity,
-        )
+        self._events = ring

@@ -280,6 +280,20 @@ class TestCampaignManifest:
                 resume=True, **kwargs,
             )
 
+    def test_telemetry_shape_diverges(self, ck_config, tmp_path):
+        # the ring capacity and sample strides decide what a segment
+        # chain holds, so a resume under another shape must refuse
+        run_chunked_simulation(
+            ck_config, "MailServer", "secSSD", tmp_path, EVERY,
+            telemetry=Telemetry(capacity=100000), stop_after=1, **KW,
+        )
+        with pytest.raises(CampaignMismatchError, match="telemetry"):
+            run_chunked_simulation(
+                ck_config, "MailServer", "secSSD", tmp_path, EVERY,
+                telemetry=Telemetry(capacity=500, sample={"sim.service": 7}),
+                resume=True, **KW,
+            )
+
     def test_different_variant_diverges(self, ck_config, tmp_path):
         run_chunked_simulation(
             ck_config, "MailServer", "secSSD", tmp_path, EVERY,

@@ -5,9 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.torture import torture_requests
+from repro.checkpoint.campaign import run_chunked_simulation
 from repro.checkpoint.codec import canonical_dumps, encode
 from repro.checkpoint.device import restore_device, snapshot_device
 from repro.faults import FaultKind, FaultPlan
+from repro.ftl import FTL_VARIANTS
+from repro.security.attacker import RawChipAttacker
 from repro.sim.arrivals import ClosedLoopArrivals
 from repro.sim.engine import QueueingEngine
 from repro.sim.ops import RecordingTiming
@@ -132,3 +135,35 @@ class TestEngineState:
         state = dict(state, servers=state["servers"][:-1])
         with pytest.raises(ValueError):
             engine.load_state_dict(state)
+
+
+def page_fields(ssd):
+    return [
+        (page.state, page.data, page.spare, page.program_time)
+        for chip in ssd.ftl.chips
+        for block in chip.blocks
+        for page in block.pages
+    ]
+
+
+class TestColumnarPages:
+    """Block pages travel as columns (state code, data, spare, program
+    time); a campaign's device must survive the trip page for page."""
+
+    @pytest.mark.parametrize("variant", sorted(FTL_VARIANTS))
+    def test_campaign_device_round_trips(self, ck_config, tmp_path, variant):
+        source = run_chunked_simulation(
+            ck_config, "MailServer", variant, tmp_path, 10**9,
+            seed=2, write_multiplier=0.3,
+        ).device
+        target = SSD(ck_config, variant, seed=2)
+        target.instrument_timing(RecordingTiming.from_config(ck_config))
+        restore_device(target, None, snapshot_device(source))
+        assert state_bytes(target) == state_bytes(source)
+        assert page_fields(target) == page_fields(source)
+        assert [chip.raw_dump() for chip in target.ftl.chips] == [
+            chip.raw_dump() for chip in source.ftl.chips
+        ]
+        image = RawChipAttacker(source).image_device()
+        assert len(image) > 0
+        assert RawChipAttacker(target).image_device() == image

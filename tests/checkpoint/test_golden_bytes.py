@@ -2,7 +2,8 @@
 
 A tiny faulted, telemetered secSSD campaign is checkpointed and a sha256
 is taken over every file of its directory (relative path + content).
-The pinned digest is of format version 3 (flat pAP columns); any
+The pinned digest is of format version 4 (telemetry events as
+append-only segments, block pages as columns); any
 codec, store or state_dict change that alters a single
 checkpoint byte fails here, and must either be fixed or ship with a
 ``FORMAT_VERSION`` bump and a new digest.
@@ -11,6 +12,7 @@ checkpoint byte fails here, and must either be fixed or ship with a
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -20,10 +22,11 @@ from repro.faults import FaultKind, FaultPlan
 from repro.ssd.config import scaled_config
 from repro.telemetry import Telemetry
 
-GOLDEN = "aa08275aaf58fe1cb1b520a0460cee312eb6e83143381744415f6a52b75b8f1a"
+GOLDEN = "703f7fe46d2d51531bae9fc871c0d70d67e856a7e16e444b1f79eef848187610"
 
 #: codec tags the pinned campaign must exercise (page-status tables
-#: carry the enums, RNG states the tuples).  No device state holds an
+#: carry the enums, RNG states the tuples), counted over the newest
+#: generation's files, its events segment included.  No device state holds an
 #: ndarray since the pAP payload became flat columns; the codec's
 #: ndarray head is covered by
 #: ``test_codec.py::TestRoundTrips::test_ndarray_exact``.
@@ -65,6 +68,12 @@ def test_campaign_covers_the_rich_types(campaign):
     assert [tag for tag in TAGS if f'"__t":"{tag}"' not in text] == []
     assert '"cls":"FaultKind"' in (newest / "faults.json").read_text()
     assert (newest / "telemetry.json").stat().st_size > 0
+    # the ring never evicts here, so gen 3's chain is every generation's
+    # segment, each stored once in the generation that wrote it
+    manifest = json.loads((newest / "MANIFEST.json").read_text())
+    assert [entry["file"] for entry in manifest["chains"]["events"]] == [
+        f"gen-00000{g}/events.segment.json" for g in (1, 2, 3)
+    ]
 
 
 def test_checkpoint_bytes_match_golden(campaign):

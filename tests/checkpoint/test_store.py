@@ -17,6 +17,7 @@ from repro.checkpoint.store import (
     FORMAT_VERSION,
     CheckpointError,
     CheckpointStore,
+    Segment,
     StoreCrashInjected,
 )
 
@@ -159,3 +160,125 @@ class TestCorruptionMatrix:
         quarantined = list((store.root / "quarantine").iterdir())
         assert len(quarantined) == 1
         assert (quarantined[0] / "ftl.json").read_bytes() == b"garbage"
+
+
+def stream_segment(items, since, live_from=0):
+    """The new tail of an append-only stream, as a section value."""
+    return Segment(
+        first=since,
+        count=len(items) - since,
+        live_from=live_from,
+        payload=items[since:],
+    )
+
+
+class TestSegmentChains:
+    def test_each_generation_writes_only_its_tail(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        stream = ["a", "b", "c"]
+        store.write_generation({"log": stream_segment(stream, 0)})
+        assert store.cursor("log") == 3
+        stream += ["d", "e"]
+        store.write_generation({"log": stream_segment(stream, 3)})
+        manifest = json.loads(
+            (gen_dir(store, 2) / "MANIFEST.json").read_text()
+        )
+        assert [
+            (e["file"], e["first"], e["count"])
+            for e in manifest["chains"]["log"]
+        ] == [
+            ("gen-000001/log.segment.json", 0, 3),
+            ("gen-000002/log.segment.json", 3, 2),
+        ]
+        assert json.loads(
+            (gen_dir(store, 2) / "log.segment.json").read_text()
+        ) == ["d", "e"]
+        load = CheckpointStore(tmp_path).latest_good()
+        assert load.sections["log"] == [["a", "b", "c"], ["d", "e"]]
+
+    def test_chain_drops_segments_older_than_the_live_range(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        stream = list(range(4))
+        store.write_generation({"log": stream_segment(stream, 0)})
+        stream += [4, 5]
+        store.write_generation({"log": stream_segment(stream, 4)})
+        stream += [6]
+        store.write_generation({"log": stream_segment(stream, 6, live_from=4)})
+        load = CheckpointStore(tmp_path).latest_good()
+        assert load.sections["log"] == [[4, 5], [6]]
+
+    def test_cursor_follows_the_loaded_generation(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        store.write_generation({"log": stream_segment([1, 2], 0)})
+        store.write_generation({"log": stream_segment([1, 2, 3], 2)})
+        (gen_dir(store, 2) / "MANIFEST.json").unlink()
+        resumed = CheckpointStore(tmp_path)
+        assert resumed.latest_good().generation == 1
+        assert resumed.cursor("log") == 2
+
+    def test_corrupt_segment_fails_every_generation_listing_it(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        stream = [1]
+        store.write_generation({"log": stream_segment(stream, 0)})
+        for n in (2, 3, 4):
+            stream.append(n)
+            store.write_generation({"log": stream_segment(stream, n - 1)})
+        target = gen_dir(store, 2) / "log.segment.json"
+        raw = bytearray(target.read_bytes())
+        raw[1] ^= 0x01
+        target.write_bytes(bytes(raw))
+        load = store.latest_good()
+        assert load.generation == 1
+        assert [(r.generation, r.reason) for r in load.corrupt] == [
+            (4, "bad-checksum"), (3, "bad-checksum"), (2, "bad-checksum"),
+        ]
+
+
+GOOD_ENTRY = {
+    "checksum": "0" * 64, "count": 1, "file": "gen-000001/log.segment.json",
+    "first": 0, "generation": 1, "size": 4,
+}
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda m: [],
+            lambda m: "manifest",
+            lambda m: {**m, "sections": {"ftl": "x"}},
+            lambda m: {**m, "sections": {"ftl": {"checksum": 7}}},
+            lambda m: {**m, "sections": []},
+            lambda m: {**m, "meta": ["stop", 20]},
+            lambda m: {**m, "chains": None},
+            lambda m: {**m, "chains": {"log": {"first": 0}}},
+            lambda m: {**m, "chains": {"log": ["entry"]}},
+            lambda m: {**m, "chains": {"log": [{**GOOD_ENTRY, "count": "1"}]}},
+            lambda m: {**m, "chains": {"log": [{**GOOD_ENTRY, "first": True}]}},
+            lambda m: {**m, "chains": {"log": [{**GOOD_ENTRY, "count": 0}]}},
+            lambda m: {
+                **m, "chains": {"log": [{**GOOD_ENTRY, "file": "../x.json"}]}
+            },
+            lambda m: {**m, "chains": {"log": [{**GOOD_ENTRY, "generation": 9}]}},
+            lambda m: {
+                **m,
+                "chains": {"log": [GOOD_ENTRY, {**GOOD_ENTRY, "first": 5}]},
+            },
+        ],
+        ids=[
+            "list", "string", "section-string", "section-checksum-int",
+            "sections-list", "meta-list", "chains-null", "chain-object",
+            "entry-string", "entry-count-str", "entry-first-bool",
+            "entry-empty",
+            "entry-file-escapes", "entry-from-the-future", "chain-gap",
+        ],
+    )
+    def test_quarantined_as_bad_manifest(self, tmp_path, mutate):
+        store = two_generations(tmp_path)
+        mpath = gen_dir(store, 2) / "MANIFEST.json"
+        mpath.write_text(json.dumps(mutate(json.loads(mpath.read_text()))))
+        load = store.latest_good()
+        assert load.generation == 1
+        assert [(r.generation, r.reason) for r in load.corrupt] == [
+            (2, "bad-manifest")
+        ]

@@ -281,6 +281,26 @@ class TestSimulateCommand:
         assert set(payload) == {"baseline", "secSSD"}
         assert payload["secSSD"]["policy"]["name"] == "defer"
 
+    def test_resume_under_another_telemetry_ring_is_usage_error(
+        self, tmp_path, capsys
+    ):
+        # --trace-out records into a 65,536-event ring, --cert-out into
+        # the audit ring: a campaign started with one cannot resume
+        # under the other
+        sim = ["simulate", "--variants", "secSSD", "--blocks", "8",
+               "--wordlines", "4", "--multiplier", "0.5", "--qd", "8",
+               "--checkpoint-every", "200",
+               "--checkpoint-dir", str(tmp_path / "ck")]
+        trace = ["--trace-out", str(tmp_path / "t.json")]
+        assert main(sim + trace + ["--stop-after", "1"]) == 0
+        capsys.readouterr()
+        cert = ["--cert-out", str(tmp_path / "c.json"), "--resume"]
+        assert main(sim + cert) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("simulate: campaign parameters do not match")
+        assert "telemetry" in out
+        assert out.count("\n") == 1
+
     def test_unknown_variant_rejected(self, capsys):
         assert main(["simulate", "--variants", "ghostSSD"]) == 2
         assert "unknown variant" in capsys.readouterr().out
