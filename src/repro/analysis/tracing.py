@@ -15,7 +15,6 @@ outside the package).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -166,18 +165,8 @@ def parse_sample_spec(spec: list[str] | None) -> dict[str, int] | None:
         cat, sep, stride = item.partition("=")
         if not sep or not cat:
             raise ValueError(f"bad sample spec {item!r} (want category=N)")
-        out[cat] = int(stride)
+        every = int(stride)
+        if every < 1:
+            raise ValueError(f"bad sample spec {item!r} (stride must be >= 1)")
+        out[cat] = every
     return out
-
-
-def trace_payload_summary(path: str | Path) -> dict[str, object]:
-    """Cheap post-write stats of a Chrome trace file (for smoke checks)."""
-    payload = json.loads(Path(path).read_text())
-    events = payload["traceEvents"]
-    return {
-        "n_events": len(events),
-        "n_processes": len(
-            {e["pid"] for e in events if e.get("ph") != "M"}
-        ),
-        "phases": sorted({e["ph"] for e in events}),
-    }

@@ -207,6 +207,8 @@ def run_chunked_simulation(
     """
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
+    if stop_after is not None and stop_after < 1:
+        raise ValueError("stop_after must be >= 1")
     if stop_when is not None and stop_when not in STOP_CONDITIONS:
         raise ValueError(
             f"unknown stop_when {stop_when!r}; "

@@ -406,9 +406,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print("simulate: --checkpoint-dir is required with "
               "--checkpoint-every/--resume")
         return 2
-    if checkpointing and not args.checkpoint_every:
-        print("simulate: --checkpoint-every is required with --resume "
-              "(it is part of the campaign's determinism contract)")
+    if not args.checkpoint_every and (
+        args.resume or args.stop_after or args.checkpoint_dir
+    ):
+        print("simulate: --checkpoint-every is required with --resume, "
+              "--stop-after or --checkpoint-dir (it is part of the "
+              "campaign's determinism contract)")
         return 2
     trace_sessions = {}
     results = {}
@@ -945,13 +948,13 @@ FLAGS: dict[str, dict] = {
                           "a killed run from there"),
     "--checked": dict(action="store_true",
                       help="attach the runtime invariant sanitizer"),
-    "--interval": dict(type=int, default=50,
+    "--interval": dict(type=positive_int, default=50,
                        help="host batches between full O(device) sanitizer "
                             "checks"),
     "--checkpoint-every": dict(type=positive_int, default=None, metavar="N",
                                help="requests per crash-consistent "
                                     "checkpoint window"),
-    "--stop-after": dict(type=int, default=None, metavar="K",
+    "--stop-after": dict(type=positive_int, default=None, metavar="K",
                          help="pause after K new checkpoints (deterministic "
                               "interruption, for tests and CI smoke)"),
     "--json": dict(default=None, metavar="PATH",
@@ -1095,7 +1098,7 @@ def _trace_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jsonl", default=None, metavar="PATH",
                    help="also write the raw event stream as "
                         "JSON lines (one file per variant)")
-    p.add_argument("--capacity", type=int, default=65536,
+    p.add_argument("--capacity", type=positive_int, default=65536,
                    help="trace ring-buffer capacity in events "
                         "(oldest dropped beyond it)")
     p.add_argument("--sample", nargs="*", default=None,
@@ -1127,7 +1130,7 @@ def _fleet_flags(p: argparse.ArgumentParser) -> None:
                    help="candidate devices per tenant placement")
     p.add_argument("--shard", type=positive_int, default=8,
                    help="devices per grid shard")
-    p.add_argument("--stop-after-shards", type=int, default=None,
+    p.add_argument("--stop-after-shards", type=positive_int, default=None,
                    metavar="K",
                    help="run only the first K pending shards and "
                         "exit (deterministic interruption, for "

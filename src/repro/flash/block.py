@@ -93,10 +93,6 @@ class Block:
     def is_full(self) -> bool:
         return self.next_page >= self.geometry.pages_per_block
 
-    @property
-    def programmed_pages(self) -> int:
-        return self.next_page
-
     def page(self, page_offset: int) -> Page:
         return self.pages[page_offset]
 

@@ -50,10 +50,6 @@ class RecoveryReport:
     #: acknowledged for) and reclaimed by GC like any dead page.
     unreadable_pages_skipped: int = 0
 
-    @property
-    def mapped_lpas(self) -> int:
-        return self.live_pages_recovered
-
 
 class PowerLossRecovery:
     """Rebuilds one FTL's volatile tables by scanning its chips."""

@@ -47,10 +47,6 @@ class FileSystem:
     def used_pages(self) -> int:
         return self._capacity - len(self._free)
 
-    @property
-    def free_pages(self) -> int:
-        return len(self._free)
-
     def files(self) -> list[FileInfo]:
         return [f for f in self._files.values() if not f.deleted]
 
@@ -62,9 +58,6 @@ class FileSystem:
 
     def exists(self, name: str) -> bool:
         return name in self._by_name
-
-    def file_by_id(self, fid: int) -> FileInfo:
-        return self._files[fid]
 
     # ------------------------------------------------------------------
     def create(self, name: str, flags: OpenFlags = OpenFlags.NONE) -> FileInfo:

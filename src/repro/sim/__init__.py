@@ -21,7 +21,7 @@ from repro.sim.arrivals import (
     PoissonArrivals,
 )
 from repro.sim.engine import EngineReport, QueueingEngine, Segment, Server
-from repro.sim.events import Event, EventHeap, SimClock
+from repro.sim.events import SimClock
 from repro.sim.metrics import PERCENTILES, DepthSeries, LatencyRecorder, percentile
 from repro.sim.ops import (
     LOCK_KINDS,
@@ -47,8 +47,6 @@ __all__ = [
     "ClosedLoopArrivals",
     "DeferLocksPolicy",
     "DepthSeries",
-    "Event",
-    "EventHeap",
     "EngineReport",
     "FifoPolicy",
     "FlashOp",

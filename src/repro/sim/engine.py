@@ -18,16 +18,17 @@ How a request flows:
 
 Two dispatch paths share this model (DESIGN.md 3e).  Under an in-order
 policy (``fifo``) each stage starts at ``max(server free-at, now,
-previous stage's end)``, all known at dispatch, so an untraced engine
-takes the **calendar** path: it reserves every stage's service window
-at once and schedules one completion event per request.  Every other
-engine takes the **segment** path: a :class:`Segment` per stage, queued
-per resource, with one DONE event per stage.  That covers the
-event-driven policies (``read_priority``, ``suspend``, ``defer``) and
-traced ``fifo`` runs, whose DONE events emit the ``sim.service`` spans
-in order.  Both paths give the same report.  ``events`` counts
-arrivals plus service segments on either path.  The only difference
-is the order of latency samples recorded at one simulated instant.
+previous stage's end)``, all known at dispatch, so an untraced
+closed-loop engine takes the **calendar** path: it reserves every
+stage's service window at once and schedules one completion event per
+request.  Every other engine takes the **segment** path: a
+:class:`Segment` per stage, queued per resource, with one DONE event per
+stage.  That covers the event-driven policies (``read_priority``,
+``suspend``, ``defer``), traced ``fifo`` runs, whose DONE events emit the
+``sim.service`` spans in order, and open-loop ``fifo`` runs.  Both paths
+give the same report.  ``events`` counts arrivals plus service segments
+on either path.  The only difference is the order of latency samples
+recorded at one simulated instant.
 
 The engine therefore answers what the open-loop occupancy model cannot:
 how long a host request *waits* behind GC relocation storms, erase
@@ -44,13 +45,12 @@ Identical seeds produce byte-identical reports.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
 from repro.ftl.observer import notify_optional
-from repro.sim.events import EventHeap, SimClock
+from repro.sim.events import SimClock
 from repro.sim.metrics import DepthSeries, LatencyRecorder, WorkSeries
 from repro.sim.ops import FlashOp, OpKind, RecordingTiming
 from repro.sim.policies import DeferLocksPolicy, SchedulingPolicy
@@ -61,14 +61,6 @@ from repro.telemetry import Telemetry  # lint: disable=SIM14 -- cross-cutting ob
 _EV_ARRIVAL = "arrival"
 _EV_DONE = "done"
 _EV_COMPLETE = "complete"
-
-# fields of a calendar-mode stage record, a plain list (one is built per
-# reserved stage): service start and end; the window position of the
-# last open-loop arrival dispatched before the stage started (None until
-# known); the stage's two possible start triggers -- the stage before it
-# on its server and the op's previous stage -- while both can still
-# matter (open loop only)
-_START, _END, _EPOCH, _SERVER_PRED, _STAGE_PRED = range(5)
 
 
 @dataclass(slots=True)
@@ -110,7 +102,6 @@ class Segment:
         "stage",
         "duration_us",
         "request",
-        "follow",
         "successor",
         "ready",
         "seq",
@@ -124,7 +115,6 @@ class Segment:
         stage: str,
         duration_us: float,
         request: _InFlight | None,
-        follow: tuple[int, float, str] | None = None,
         sanitize: bool = False,
     ) -> None:
         self.kind = kind
@@ -132,15 +122,12 @@ class Segment:
         self.duration_us = duration_us
         self.request = request
         #: sanitization attribution carried from the captured FlashOp;
-        #: survives a severed request link (deferred lock pulses) and
-        #: follow/successor stage creation.
+        #: survives a severed request link (deferred lock pulses).
         self.sanitize = sanitize
-        #: work-conserving mode: (server index, duration, stage) queued
-        #: when this stage ends.
-        self.follow = follow
-        #: in-order mode: (server index, segment) already queued on its
-        #: server, made ready when this stage ends.
-        self.successor: tuple[int, "Segment"] | None = None
+        #: a two-stage op's second stage and its server.  In-order mode
+        #: queues it at dispatch, unready, and readies it when this stage
+        #: ends; work-conserving mode queues it when this stage ends.
+        self.successor: tuple[Server, Segment] | None = None
         #: in-order mode: an unready head-of-queue segment *stalls* its
         #: server (the open-loop model's reservation semantics).
         self.ready = True
@@ -165,7 +152,6 @@ class Server:
         "pending_locks",
         "oldest_pending_us",
         "free_at",
-        "last",
         "waiting",
     )
 
@@ -187,13 +173,10 @@ class Server:
         self.pending_locks: list[Segment] = []
         self.oldest_pending_us = 0.0
         #: calendar mode: when the last stage reserved on this server
-        #: finishes service; that stage's record (open loop); and the
-        #: reserved stages that have not started yet, in start order --
-        #: their start times in a closed loop, their records in an open
-        #: loop.
+        #: finishes service, and the start times of the reserved stages
+        #: that have not started yet, in start order.
         self.free_at = 0.0
-        self.last: list | None = None
-        self.waiting: deque = deque()
+        self.waiting: deque[float] = deque()
 
     @property
     def idle(self) -> bool:
@@ -307,17 +290,12 @@ class QueueingEngine:
         #: campaigns move it forward window by window (``run_window``).
         self._limit = len(requests)
 
-        # policies that never override priority() (FIFO family) get a
-        # constant: _enqueue then skips one method call per segment
-        self._const_priority: int | None = (
-            0
-            if type(policy).priority is SchedulingPolicy.priority
-            else None
-        )
-        # constant priority + no preemption means heap order is exactly
-        # submission order: server queues become deques (see Server)
+        # a policy that never overrides priority() (FIFO family) and
+        # never preempts keeps heap order exactly submission order: server
+        # queues become deques (see Server)
         self._fifo_queues: bool = (
-            self._const_priority is not None and not policy.preemptive
+            type(policy).priority is SchedulingPolicy.priority
+            and not policy.preemptive
         )
         n_chips = timing.n_chips
         fifo = self._fifo_queues
@@ -331,7 +309,13 @@ class QueueingEngine:
         self._cpc = timing.chips_per_channel
 
         self.clock = SimClock()
-        self.heap = EventHeap()
+        #: the event list: a min-heap of (time_us, seq, kind, payload)
+        #: tuples; ``seq`` breaks time ties in scheduling order.  Only
+        #: ``_schedule`` pushes, so the sequence and the pushed count
+        #: (the report's ``events``) stay authoritative.
+        self._events: list[tuple[float, int, str, object]] = []
+        self._event_seq = 0
+        self._events_pushed = 0
         self.latency = LatencyRecorder()
         self.depth = DepthSeries()
         #: outstanding sanitization-class flash work (lock pulses,
@@ -359,13 +343,14 @@ class QueueingEngine:
             self._tel.bus.clock = lambda: self.clock.now_us
 
         #: calendar mode (DESIGN.md 3e): an in-order policy fixes every
-        #: stage's service window at dispatch, so untraced runs schedule
-        #: one completion event per request instead of one per stage.
-        #: Traced runs keep the segment path, whose DONE events emit the
-        #: ``sim.service`` spans in their order.
-        self._calendar = policy.in_order and self._tel is None
-        #: calendar mode: the instants of this window's open-loop arrivals
-        self._instants: list[float] = []
+        #: stage's service window at dispatch, so untraced closed-loop
+        #: runs schedule one completion event per request instead of one
+        #: per stage.  Traced runs keep the segment path, whose DONE
+        #: events emit the ``sim.service`` spans in their order; so do
+        #: open-loop runs, whose arrivals can tie with stage ends.
+        self._calendar = (
+            policy.in_order and self._tel is None and arrivals.closed_loop
+        )
         #: calendar mode: min-heap of (end, duration) of sanitize-tagged
         #: cell stages not yet taken off the backlog series.
         self._backlog_ends: list[tuple[float, float]] = []
@@ -394,10 +379,8 @@ class QueueingEngine:
         self._limit = stop
         self._seed_arrivals()
         # the loop body executes once per event (hundreds of thousands
-        # per run): bind the hot callables/objects to locals and drain
-        # the raw heap list directly, dodging a method dispatch and an
-        # attribute walk per event
-        entries = self.heap.entries()
+        # per run): bind the hot callables/objects to locals
+        entries = self._events
         pop = heapq.heappop
         clock = self.clock
         dispatch = self._dispatch_calendar if self._calendar else self._dispatch
@@ -422,8 +405,6 @@ class QueueingEngine:
                 for server in self.servers:
                     self.queued_segments -= len(server.waiting)
                     server.waiting.clear()
-                    server.last = None
-                self._instants.clear()
                 self._flush_backlog(clock.now_us)
                 break
             stragglers = [s for s in self.servers if s.pending_locks]
@@ -434,6 +415,17 @@ class QueueingEngine:
             for server in stragglers:
                 self._drain_locks(server)
 
+    def _schedule(
+        self, time_us: float, kind: str, payload: object, count: int = 1
+    ) -> None:
+        """Push an event; it counts as ``count`` events in the insertion
+        sequence and in ``events`` (see _dispatch_calendar)."""
+        if time_us < 0.0:
+            raise ValueError("event time must be non-negative")
+        heapq.heappush(self._events, (time_us, self._event_seq, kind, payload))
+        self._event_seq += count
+        self._events_pushed += count
+
     def _seed_arrivals(self) -> None:
         limit = self._limit
         if self._next_index >= limit:
@@ -442,18 +434,18 @@ class QueueingEngine:
         if self.arrivals.closed_loop:
             first = min(self.arrivals.queue_depth, limit - self._next_index)
             for _ in range(first):
-                self.heap.schedule(now, _EV_ARRIVAL, self._next_index)
+                self._schedule(now, _EV_ARRIVAL, self._next_index)
                 self._next_index += 1
         elif self._next_index == 0:
             # the stream's very first arrival is pinned at t=0 and
             # consumes no RNG draw (the historical open-loop contract)
-            self.heap.schedule(0.0, _EV_ARRIVAL, 0)
+            self._schedule(0.0, _EV_ARRIVAL, 0)
             self._next_index = 1
         else:
             # a resumed open-loop window: draw the next gap exactly as
             # _dispatch would have
             self._arrival_time_us += self.arrivals.interarrival_us()
-            self.heap.schedule(
+            self._schedule(
                 max(self._arrival_time_us, now), _EV_ARRIVAL, self._next_index
             )
             self._next_index += 1
@@ -470,7 +462,7 @@ class QueueingEngine:
         now = self.clock.now_us
         if not self.arrivals.closed_loop and self._next_index < self._limit:
             self._arrival_time_us += self.arrivals.interarrival_us()
-            self.heap.schedule(
+            self._schedule(
                 max(self._arrival_time_us, now), _EV_ARRIVAL, self._next_index
             )
             self._next_index += 1
@@ -501,63 +493,50 @@ class QueueingEngine:
         cpc = self._cpc
         backlog_add = 0.0
         for op in ops:
-            chip = op.chip_id
-            chan = chan_base + chip // cpc
+            kind = op.kind
+            chip = servers[op.chip_id]
             sanitize = op.sanitize
-            if op.kind is OpKind.READ:
+            if kind is OpKind.READ or kind is OpKind.PROGRAM:
+                # a read senses on its chip, then transfers on its
+                # channel; a program transfers, then occupies the chip
+                cell_us = t_read if kind is OpKind.READ else t_prog
                 if sanitize:
-                    backlog_add += t_read
+                    backlog_add += cell_us
                 inflight.remaining += 2
+                cell = (chip, Segment(kind, "cell", cell_us, inflight, sanitize))
+                xfer = (
+                    servers[chan_base + op.chip_id // cpc],
+                    Segment(kind, "xfer", t_xfer, inflight, sanitize),
+                )
+                (server, first), second = (
+                    (cell, xfer) if kind is OpKind.READ else (xfer, cell)
+                )
+                first.successor = second
+                self._enqueue(server, first)
                 if in_order:
-                    self._enqueue_stages(
-                        op.kind, inflight,
-                        (chip, t_read, "cell"),
-                        (chan, t_xfer, "xfer"),
-                        sanitize=sanitize,
-                    )
-                else:
-                    seg = Segment(
-                        op.kind, "cell", t_read, inflight,
-                        follow=(chan, t_xfer, "xfer"),
-                        sanitize=sanitize,
-                    )
-                    self._enqueue(servers[chip], seg)
-            elif op.kind is OpKind.PROGRAM:
-                if sanitize:
-                    backlog_add += t_prog
-                inflight.remaining += 2
-                if in_order:
-                    self._enqueue_stages(
-                        op.kind, inflight,
-                        (chan, t_xfer, "xfer"),
-                        (chip, t_prog, "cell"),
-                        sanitize=sanitize,
-                    )
-                else:
-                    seg = Segment(
-                        op.kind, "xfer", t_xfer, inflight,
-                        follow=(chip, t_prog, "cell"),
-                        sanitize=sanitize,
-                    )
-                    self._enqueue(servers[chan], seg)
+                    # the second stage sits unready in its server's queue;
+                    # under the FIFO discipline an unready head stalls the
+                    # server, reproducing the open-loop model's
+                    # in-submission-order resource reservation (and its
+                    # head-of-line blocking) exactly
+                    second[1].ready = False
+                    self._enqueue(*second)
             else:
                 # the FlashOp carries the attribution (lock/scrub pulses
                 # always; reads/programs/erases when the FTL captured
                 # them inside a sanitize_region).  Tagged work joins the
                 # backlog the instant the FTL issues it, whether queued
                 # for service now or parked by lock deferral.
-                duration = timing.cell_duration_us(op.kind)
+                duration = timing.cell_duration_us(kind)
                 if sanitize:
                     backlog_add += duration
-                seg = Segment(
-                    op.kind, "cell", duration, inflight, sanitize=sanitize
-                )
+                seg = Segment(kind, "cell", duration, inflight, sanitize)
                 if deferring and self.policy.defers(seg):
                     seg.request = None  # off the request critical path
-                    self._defer_lock(servers[chip], seg)
+                    self._defer_lock(chip, seg)
                 else:
                     inflight.remaining += 1
-                    self._enqueue(servers[chip], seg)
+                    self._enqueue(chip, seg)
 
         if backlog_add > 0.0:
             backlog_us = self._sanitize_backlog_us + backlog_add
@@ -579,18 +558,7 @@ class QueueingEngine:
         inflight, ops = self._admit(index)
         now = self.clock.now_us
         timing = self.timing
-
-        # open loop tracks stage records to settle same-instant ties
-        # (see _retire); closed loop queues bare start times
-        track = not self.arrivals.closed_loop
-        epoch = tie = -1
-        if track:
-            instants = self._instants
-            epoch = len(instants)
-            if epoch and instants[-1] < now:
-                tie = epoch  # the first arrival at its instant
-            instants.append(now)
-        queued = self._retire(now, tie, track)
+        queued = self._retire(now)
         peak = self.queued_segments_peak
         t_read = timing.t_read_us
         t_prog = timing.t_prog_us
@@ -598,12 +566,10 @@ class QueueingEngine:
         servers = self.servers
         chan_base = self._chan_base
         cpc = self._cpc
-        record = self._record
         backlog_add = 0.0
         backlog_ends = self._backlog_ends
         done = now
         n_segments = 0
-        stage: list | None = None
         for op in ops:
             kind = op.kind
             chip = servers[op.chip_id]
@@ -620,25 +586,19 @@ class QueueingEngine:
                 first, d1 = chip, timing.cell_duration_us(kind)
                 cell_d = d1
             # the first stage starts at once on a server free by now, else
-            # it waits for the server's last reserved stage.  A server
-            # freeing exactly now frees after this arrival at a tie.
-            free = first.free_at
-            if free > now:
-                start = free
-                waits = True
-            else:
-                start = now
-                waits = tie >= 0 and free == now and self._late(first.last, tie)
-            end = start + d1
+            # it waits for the server's last reserved stage.  Either way
+            # it passes through the queue, as on the segment path.
             queued += 1
             if queued > peak:
                 peak = queued
-            if track:
-                stage = record(first, start, end, epoch if start == now else None)
-            if waits:
-                first.waiting.append(stage if track else start)
+            free = first.free_at
+            if free > now:
+                start = free
+                first.waiting.append(start)
             else:
+                start = now
                 queued -= 1
+            end = start + d1
             first.free_at = end
             first.busy_us += end - start
             first.token += 1
@@ -652,9 +612,7 @@ class QueueingEngine:
                 queued += 1
                 if queued > peak:
                     peak = queued
-                second.waiting.append(
-                    record(second, start, end, None, stage) if track else start
-                )
+                second.waiting.append(start)
                 second.free_at = end
                 second.busy_us += end - start
                 second.token += 1
@@ -680,89 +638,26 @@ class QueueingEngine:
             self._complete(inflight)  # no flash service
             return
         # the completion event stands in for the request's n_segments
-        # stage-end events: it advances the heap's sequence and event
-        # count by that many, so ``events`` and the checkpointed heap
-        # counters read as on the segment path
+        # stage-end events: it counts as that many in the event sequence
+        # and ``events``, so both read as on the segment path
         self._seq += n_segments
-        heap = self.heap
-        heapq.heappush(heap._heap, (done, heap._seq, _EV_COMPLETE, inflight))
-        heap._seq += n_segments
-        heap.pushed += n_segments
+        self._schedule(done, _EV_COMPLETE, inflight, count=n_segments)
 
-    @staticmethod
-    def _record(
-        server: Server,
-        start: float,
-        end: float,
-        epoch: int | None,
-        previous: list | None = None,
-    ) -> list:
-        """Open loop: the record of a stage reserved on ``server``.
-
-        ``epoch`` is given when the stage starts at its own dispatch.
-        Otherwise it starts when the last of its triggers ends -- the
-        stage before it on the server, and ``previous``, the op's first
-        stage -- so those ending at its start are linked.
-        """
-        stage = [start, end, epoch, None, None]
-        if epoch is None:
-            last = server.last
-            if last is not None and last[_END] == start:
-                stage[_SERVER_PRED] = last
-            if previous is not None and previous[_END] == start:
-                stage[_STAGE_PRED] = previous
-        server.last = stage
-        return stage
-
-    def _retire(self, now: float, tie: int, track: bool) -> int:
+    def _retire(self, now: float) -> int:
         """Calendar mode: drop the reserved stages that have started by
         the time this arrival is handled; returns the queued count.
 
-        Every stage starting before ``now`` has.  One starting at ``now``
-        has too, since on the segment path every event at ``now``
-        precedes the arrival -- except at an open-loop ``tie`` (the
-        arrival at window position ``tie`` is the first at its instant).
-        That arrival was scheduled when the previous one's dispatch
-        began, so a stage end at ``now`` reserved after that point is
-        handled after it, and a stage it triggers starts after it too.
+        Every stage starting at or before ``now`` has, since on the
+        segment path every event at ``now`` precedes a closed-loop
+        arrival: the completion that releases it is handled at ``now``.
         """
         queued = self.queued_segments
-        if not track:
-            for server in self.servers:
-                waiting = server.waiting
-                while waiting and waiting[0] <= now:
-                    waiting.popleft()
-                    queued -= 1
-            return queued
-        late = self._late
         for server in self.servers:
             waiting = server.waiting
-            while waiting and waiting[0][_START] <= now:
-                stage = waiting[0]
-                if stage[_START] == now and tie >= 0:
-                    delayed = late(stage[_SERVER_PRED], tie) or late(
-                        stage[_STAGE_PRED], tie
-                    )
-                    stage[_EPOCH] = tie - 1 + delayed
-                    stage[_SERVER_PRED] = stage[_STAGE_PRED] = None
-                    if delayed:
-                        break  # starts after this arrival: still queued
+            while waiting and waiting[0] <= now:
                 waiting.popleft()
-                stage[_SERVER_PRED] = stage[_STAGE_PRED] = None
                 queued -= 1
         return queued
-
-    def _late(self, stage: list | None, tie: int) -> bool:
-        """Whether ``stage``, ending at the tie instant, started after the
-        previous arrival's dispatch began -- so its end is handled after
-        the arrival at window position ``tie``."""
-        if stage is None:
-            return False
-        epoch = stage[_EPOCH]
-        if epoch is None:
-            # no arrival at its start instant: the last one before it
-            epoch = bisect.bisect_left(self._instants, stage[_START]) - 1
-        return epoch == tie - 1
 
     def _flush_backlog(self, now: float) -> None:
         """Calendar mode: take sanitize cell stages ended by ``now`` off
@@ -774,30 +669,6 @@ class QueueingEngine:
             backlog_us -= duration
             self.sanitize_backlog.record(end, backlog_us)
         self._sanitize_backlog_us = backlog_us
-
-    def _enqueue_stages(
-        self,
-        kind: OpKind,
-        inflight: _InFlight,
-        first: tuple[int, float, str],
-        second: tuple[int, float, str],
-        sanitize: bool = False,
-    ) -> None:
-        """In-order mode: reserve both stages of a two-stage op now.
-
-        The second stage sits unready in its server's queue; under the
-        FIFO discipline an unready head stalls the server, reproducing
-        the open-loop model's in-submission-order resource reservation
-        (and its head-of-line blocking) exactly.
-        """
-        s1_server, s1_dur, s1_stage = first
-        s2_server, s2_dur, s2_stage = second
-        s1 = Segment(kind, s1_stage, s1_dur, inflight, sanitize=sanitize)
-        s2 = Segment(kind, s2_stage, s2_dur, inflight, sanitize=sanitize)
-        s2.ready = False
-        s1.successor = (s2_server, s2)
-        self._enqueue(self.servers[s1_server], s1)
-        self._enqueue(self.servers[s2_server], s2)
 
     def _defer_lock(self, server: Server, segment: Segment) -> None:
         if not server.pending_locks:
@@ -844,11 +715,7 @@ class QueueingEngine:
             server.queue.append(segment)
         else:
             if priority is None:
-                # FIFO-family policies never override priority(): skip the
-                # per-segment call (see __init__'s _const_priority probe)
-                priority = self._const_priority
-                if priority is None:
-                    priority = self.policy.priority(segment)
+                priority = self.policy.priority(segment)
             heapq.heappush(server.queue, (priority, segment.seq, segment))
         self.queued_segments += 1
         if self.queued_segments > self.queued_segments_peak:
@@ -900,12 +767,7 @@ class QueueingEngine:
         server.current_end_us = end
         token = server.token + 1
         server.token = token
-        # EventHeap.schedule, inlined: one DONE event per started
-        # segment (the negative-time guard is unnecessary, end >= now)
-        heap = self.heap
-        heapq.heappush(heap._heap, (end, heap._seq, _EV_DONE, (server, token)))
-        heap._seq += 1
-        heap.pushed += 1
+        self._schedule(end, _EV_DONE, (server, token))
 
     def _on_done(self, server: Server, token: int) -> None:
         if token != server.token:
@@ -953,21 +815,14 @@ class QueueingEngine:
             )
             self._sanitize_backlog_us = backlog_us
             self.sanitize_backlog.record(now, backlog_us)
-        if segment.follow is not None:
-            target, duration, stage = segment.follow
-            self._enqueue(
-                self.servers[target],
-                Segment(
-                    segment.kind, stage, duration, segment.request,
-                    sanitize=segment.sanitize,
-                ),
-            )
         if segment.successor is not None:
-            target, next_segment = segment.successor
-            next_segment.ready = True
-            successor_server = self.servers[target]
-            if successor_server.current is None:
-                self._start_next(successor_server)
+            target, successor = segment.successor
+            if self.policy.in_order:
+                successor.ready = True  # queued at dispatch
+                if target.current is None:
+                    self._start_next(target)
+            else:
+                self._enqueue(target, successor)
         if segment.request is not None:
             segment.request.remaining -= 1
             if segment.request.remaining == 0:
@@ -995,7 +850,7 @@ class QueueingEngine:
         if inflight.index >= self.steady_start:
             self.latency.add(inflight.op, now - inflight.arrival_us)
         if self.arrivals.closed_loop and self._next_index < self._limit:
-            self.heap.schedule(now, _EV_ARRIVAL, self._next_index)
+            self._schedule(now, _EV_ARRIVAL, self._next_index)
             self._next_index += 1
 
     # ------------------------------------------------------------------
@@ -1003,7 +858,7 @@ class QueueingEngine:
     # ------------------------------------------------------------------
     def assert_quiescent(self) -> None:
         """Raise unless the engine is at a checkpointable boundary."""
-        if self.heap.entries():
+        if self._events:
             raise RuntimeError("engine not quiescent: events pending")
         if self.in_flight:
             raise RuntimeError(
@@ -1026,8 +881,8 @@ class QueueingEngine:
         self.assert_quiescent()
         return {
             "clock_us": self.clock.now_us,
-            "heap_seq": self.heap._seq,
-            "heap_pushed": self.heap.pushed,
+            "heap_seq": self._event_seq,
+            "heap_pushed": self._events_pushed,
             "seq": self._seq,
             "next_index": self._next_index,
             "arrival_time_us": self._arrival_time_us,
@@ -1054,8 +909,8 @@ class QueueingEngine:
         if len(state["servers"]) != len(self.servers):
             raise ValueError("engine checkpoint does not match topology")
         self.clock.now_us = state["clock_us"]
-        self.heap._seq = state["heap_seq"]
-        self.heap.pushed = state["heap_pushed"]
+        self._event_seq = state["heap_seq"]
+        self._events_pushed = state["heap_pushed"]
         self._seq = state["seq"]
         self._next_index = state["next_index"]
         self._arrival_time_us = state["arrival_time_us"]
@@ -1091,7 +946,7 @@ class QueueingEngine:
             completed=self.completed,
             sim_elapsed_us=elapsed,
             open_loop_elapsed_us=self.timing.elapsed_us,
-            events=self.heap.pushed,
+            events=self._events_pushed,
             latency=self.latency.summary(),
             utilization=utilization,
             queue_depth=self.depth.downsample(),

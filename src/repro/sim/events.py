@@ -1,8 +1,9 @@
-"""Deterministic event heap and simulated clock.
+"""Deterministic simulated clock.
 
 The queueing engine is a textbook discrete-event simulator: a priority
 queue of future events ordered by simulated time, popped one at a time,
-each handler possibly scheduling further events.  Everything here is
+each handler possibly scheduling further events.  The engine owns that
+event list (see ``QueueingEngine._schedule``).  Everything about it is
 deliberately boring -- determinism is the whole point:
 
 * ties on the timestamp break on a monotonically increasing insertion
@@ -17,26 +18,6 @@ deliberately boring -- determinism is the whole point:
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One scheduled occurrence.
-
-    ``kind`` is an engine-defined string (``"arrival"``, ``"done"``);
-    ``payload`` is whatever the handler needs.  Events compare by
-    ``(time_us, seq)`` only -- payloads never participate in ordering.
-    The engine's run loop works on raw heap tuples (see
-    :class:`EventHeap`); this object is the inspection-friendly view.
-    """
-
-    time_us: float
-    seq: int
-    kind: str
-    payload: object = None
-
 
 class SimClock:
     """Monotonic simulated time in microseconds."""
@@ -50,67 +31,3 @@ class SimClock:
                 f"clock cannot move backwards: {time_us} < {self.now_us}"
             )
         self.now_us = time_us
-
-
-@dataclass
-class EventHeap:
-    """Min-heap of events with stable FIFO tie-breaking.
-
-    Entries are stored as plain ``(time_us, seq, kind, payload)`` tuples;
-    the engine's run loop uses :meth:`schedule`/:meth:`pop_entry`, which
-    never materialize an :class:`Event` -- with hundreds of thousands of
-    events per run, the frozen-dataclass construction on every push was
-    one of the hottest allocations in the simulator.  :meth:`push` and
-    :meth:`pop` remain as the object-returning convenience API.
-    """
-
-    _heap: list[tuple[float, int, str, object]] = field(default_factory=list)
-    _seq: int = 0
-    #: total events ever pushed (the engine's events-processed metric).
-    pushed: int = 0
-
-    def schedule(self, time_us: float, kind: str, payload: object = None) -> None:
-        """Hot-path push: validates and enqueues, returns nothing."""
-        if time_us < 0.0:
-            raise ValueError("event time must be non-negative")
-        heapq.heappush(self._heap, (time_us, self._seq, kind, payload))
-        self._seq += 1
-        self.pushed += 1
-
-    def push(self, time_us: float, kind: str, payload: object = None) -> Event:
-        if time_us < 0.0:
-            raise ValueError("event time must be non-negative")
-        event = Event(time_us=time_us, seq=self._seq, kind=kind, payload=payload)
-        self._seq += 1
-        self.pushed += 1
-        heapq.heappush(self._heap, (event.time_us, event.seq, kind, payload))
-        return event
-
-    def pop_entry(self) -> tuple[float, int, str, object]:
-        """Hot-path pop: the raw ``(time_us, seq, kind, payload)`` tuple."""
-        if not self._heap:
-            raise IndexError("pop from empty event heap")
-        return heapq.heappop(self._heap)
-
-    def entries(self) -> list[tuple[float, int, str, object]]:
-        """The backing heap list, for the engine's run loop to drain
-        directly with ``heapq.heappop`` (skipping the per-event method
-        dispatch).  Callers must only pop via ``heapq``; pushes still go
-        through :meth:`schedule`/:meth:`push` so validation and the
-        ``pushed`` counter stay authoritative."""
-        return self._heap
-
-    def pop(self) -> Event:
-        if not self._heap:
-            raise IndexError("pop from empty event heap")
-        return Event(*heapq.heappop(self._heap))
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    @property
-    def next_time_us(self) -> float | None:
-        return self._heap[0][0] if self._heap else None

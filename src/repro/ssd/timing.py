@@ -115,11 +115,6 @@ class TimingModel:
             raise ValueError(f"chip {chip_id} out of range [0, {self.n_chips})")
 
     # ------------------------------------------------------------------
-    @property
-    def in_sanitize(self) -> bool:
-        """True while the FTL is inside a sanitization scope."""
-        return self._sanitize_depth > 0
-
     @contextmanager
     def sanitize_region(self):
         """Mark a region of FTL work as sanitization-driven.

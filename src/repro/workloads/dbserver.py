@@ -115,14 +115,6 @@ class DBServerWorkload(WorkloadGenerator):
             yield from self._reads()
 
     # ------------------------------------------------------------------
-    def _fill_file(self, name: str, pages: int) -> Iterator[TraceOp]:
-        remaining = pages
-        while remaining > 0:
-            chunk = min(remaining, self._write_size())
-            self._track_grow(name, chunk)
-            yield append(name, chunk)
-            remaining -= chunk
-
     def _pick_table(self) -> str:
         hot_count = max(1, self.n_hot_tables)
         if self.rng.random() < self.hot_update_fraction:

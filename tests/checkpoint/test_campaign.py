@@ -94,6 +94,15 @@ class TestInterruption:
         assert (tmp_path / "gen-000001" / "MANIFEST.json").exists()
         assert (tmp_path / "campaign.json").exists()
 
+    @pytest.mark.parametrize("stop_after", [0, -1])
+    def test_stop_after_below_one_rejected(self, ck_config, tmp_path, stop_after):
+        with pytest.raises(ValueError, match="stop_after must be >= 1"):
+            run_chunked_simulation(
+                ck_config, "MailServer", "secSSD", tmp_path / "ck", EVERY,
+                stop_after=stop_after, **KW,
+            )
+        assert not (tmp_path / "ck").exists()
+
     def test_mid_write_power_cut_then_resume(self, ck_config, tmp_path):
         from repro.checkpoint.store import StoreCrashInjected
 

@@ -1,11 +1,13 @@
 """Differential oracle: the calendar dispatch against the segment path.
 
-Under an in-order policy (``fifo``) an untraced engine computes every
-stage's service window at dispatch and schedules one completion event
-per request; a traced engine keeps the per-stage Segment + DONE event
-machinery.  Attaching a telemetry session is therefore how a test gets
-the segment path, with no test-only switch.  Both must simulate the
-same device: same completion instants, series, counters and report.
+Under an in-order policy (``fifo``) an untraced closed-loop engine
+computes every stage's service window at dispatch and schedules one
+completion event per request; a traced engine keeps the per-stage
+Segment + DONE event machinery.  Attaching a telemetry session is
+therefore how a test gets the segment path, with no test-only switch.
+Both must simulate the same device: same completion instants, series,
+counters and report.  Open-loop engines take the segment path traced or
+not, so their scenarios check that the two segment runs agree.
 
 The streams are scripted, not rendered by an FTL, so every op kind,
 sanitize tag, zero-op request and topology is reachable; integer-us
@@ -125,7 +127,7 @@ def _run(scenario, traced):
         device, requests, arrivals, FifoPolicy(),
         steady_start=scenario["steady_start"],
     )
-    assert engine._calendar is not traced
+    assert engine._calendar is (not traced and mode == "closed")
     completions = {}
     complete = engine._complete
 

@@ -121,6 +121,20 @@ BAD_ARGV = [
     ["simulate", "--multiplier", "-1"],
     ["trace", "--multiplier", "-2"],
     ["audit", "--multiplier", "-1"],
+    ["simulate", "--checkpoint-every", "500", "--checkpoint-dir", "ck",
+     "--stop-after", "0"],
+    ["age", "--stop-after", "0"],
+    ["fleet", "--stop-after-shards", "0"],
+    ["fleet", "--stop-after-shards", "-1"],
+    ["simulate", "--stop-after", "1"],  # no --checkpoint-every: not ignored
+    ["simulate", "--checkpoint-dir", "ck"],
+    ["trace", "--capacity", "0"],
+    ["trace", "--capacity", "-5"],
+    ["trace", "--sample", "ftl.page=0"],
+    ["trace", "--sample", "ftl.page=-2"],
+    ["simulate", "--interval", "0"],
+    ["simulate", "--interval", "-3"],
+    ["check", "--interval", "0"],
 ]
 
 
