@@ -15,9 +15,10 @@ duck-typed FTL attribute, and the attacker is imported where used.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from typing import TYPE_CHECKING, Any, NamedTuple
 
+from repro.flash.block import Block
 from repro.flash.chip import ERASED_DATA, SCRUBBED_DATA, ZERO_DATA
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -147,7 +148,8 @@ class DeviceResidue:
         if page is None:
             chip_id, ppn = self.ftl.split_gppa(gppa)
             chip = self.ftl.chips[chip_id]
-            if not page_at(self.ftl, gppa).is_erased or (
+            block, offset = block_at(self.ftl, gppa)
+            if offset < block.next_page or (
                 hasattr(chip, "page_locked") and chip.page_locked(ppn)
             ):
                 return Readback(ZERO_DATA, LOCKED, True)
@@ -174,7 +176,7 @@ def stale_secured_leaks(ssd: SSD) -> list[int]:
     device = DeviceResidue(ssd)
     leaks: list[int] = []
     for gppa in sorted(device.image):
-        spare = page_at(ftl, gppa).spare or {}
+        spare = spare_at(ftl, gppa)
         if not spare.get("secure"):
             continue
         lpa, seq = int(spare.get("lpa", -1)), spare.get("seq")
@@ -182,15 +184,22 @@ def stale_secured_leaks(ssd: SSD) -> list[int]:
         live = ftl.l2p.lookup(lpa) if 0 <= lpa < ftl.config.logical_pages else -1
         if live == gppa:
             continue  # the live copy itself
-        if live >= 0 and (page_at(ftl, live).spare or {}).get("seq") == seq:
+        if live >= 0 and spare_at(ftl, live).get("seq") == seq:
             continue  # same version is still live (GC duplicate)
         if device.readback(gppa).residue == READABLE:
             leaks.append(gppa)  # no sanitize method explains this readback
     return leaks
 
 
-def page_at(ftl: PageMappedFtl, gppa: int) -> Any:
-    """The flash page behind one global physical page address."""
+def block_at(ftl: PageMappedFtl, gppa: int) -> tuple[Block, int]:
+    """The flash block behind one global physical page address, and the
+    page's offset in it."""
     chip_id, ppn = ftl.split_gppa(gppa)
     block_index, offset = ftl.geometry.split_ppn(ppn)
-    return ftl.chips[chip_id].blocks[block_index].pages[offset]
+    return ftl.chips[chip_id].blocks[block_index], offset
+
+
+def spare_at(ftl: PageMappedFtl, gppa: int) -> Mapping[str, Any]:
+    """The spare area stored at one global physical page address."""
+    block, offset = block_at(ftl, gppa)
+    return block.spare[offset]

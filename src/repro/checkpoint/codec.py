@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.faults import FaultKind
 from repro.flash.block import BlockState
-from repro.flash.page import PageState
 from repro.ftl.page_status import PageStatus
 from repro.sim.ops import OpKind
 from repro.ssd.request import RequestOp
@@ -53,7 +52,7 @@ TAG = "__t"
 # repro.checkpoint.store if you must).
 _ENUMS: dict[str, type[Enum]] = {
     cls.__name__: cls
-    for cls in (PageState, BlockState, PageStatus, RequestOp, FaultKind, OpKind)
+    for cls in (BlockState, PageStatus, RequestOp, FaultKind, OpKind)
 }
 
 _SCALARS = (str, int, float, bool, type(None))

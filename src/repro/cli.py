@@ -1124,7 +1124,7 @@ def _fleet_flags(p: argparse.ArgumentParser) -> None:
                    help="storm events per campaign")
     p.add_argument("--storm-fraction", type=float, default=0.25,
                    help="fraction of tenants each storm hits")
-    p.add_argument("--zipf", type=float, default=1.1,
+    p.add_argument("--zipf", type=positive_float, default=1.1,
                    help="Zipf exponent of tenant traffic weights")
     p.add_argument("--spread", type=int, default=1,
                    help="candidate devices per tenant placement")

@@ -154,7 +154,7 @@ class EvanescoChip(FlashChip):
             if strict:
                 raise LockedPageError(f"ppn {ppn} is pLocked")
             return ReadResult(ZERO_DATA, {}, self.t_read_us, blocked=True)
-        return self._sense_page(ppn, fail)
+        return self._sense_page(self.blocks[block_index], page_offset, ppn, fail)
 
     def erase_block(self, block_index: int, now: float = 0.0) -> float:
         """Erase resets both pAP and bAP flags (the only unlock path)."""
@@ -172,14 +172,15 @@ class EvanescoChip(FlashChip):
         """
         out: dict[int, object] = {}
         day = self._day(now)
+        pages_per_block = self.geometry.pages_per_block
         for block in self.blocks:
             if self._bap[block.index].is_disabled(day):
                 continue
             pap = self._pap[block.index]
-            for offset, page in enumerate(block.pages):
-                if page.is_erased or pap.is_disabled(offset, day):
-                    continue
-                out[self.geometry.ppn(block.index, offset)] = page.data
+            base = block.index * pages_per_block
+            for offset in range(block.next_page):
+                if not pap.is_disabled(offset, day):
+                    out[base + offset] = block.data[offset]
         return out
 
     def locked_page_count(self) -> int:

@@ -28,7 +28,6 @@ from repro.flash.errors import (
     WearOutError,
 )
 from repro.flash.geometry import CellType, Geometry, PageRole, small_geometry
-from repro.flash.page import Page, PageState
 from repro.flash.vth import StressState, VthModel, default_params, model_for
 
 __all__ = [
@@ -46,9 +45,7 @@ __all__ = [
     "Geometry",
     "LockedBlockError",
     "LockedPageError",
-    "Page",
     "PageRole",
-    "PageState",
     "ProgramOrderError",
     "ReadResult",
     "StressState",

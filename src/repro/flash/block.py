@@ -18,9 +18,10 @@ SSL, and the Evanesco chip consults those on every read.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Any
 
 from repro.flash.errors import (
@@ -29,7 +30,6 @@ from repro.flash.errors import (
     WearOutError,
 )
 from repro.flash.geometry import Geometry
-from repro.flash.page import Page, PageState
 
 
 class BlockState(Enum):
@@ -42,19 +42,34 @@ class BlockState(Enum):
     RETIRED = "retired"    # grown-bad: permanently out of service
 
 
-#: checkpoint code of each page state: its index here.
-PAGE_STATES: tuple[PageState, ...] = (PageState.ERASED, PageState.PROGRAMMED)
-_PAGE_CODES = {state: code for code, state in enumerate(PAGE_STATES)}
+#: checkpoint codes of the per-page state column: erased, programmed.
+PAGE_ERASED, PAGE_PROGRAMMED = 0, 1
+
+#: spare area of every erased or scrubbed page (and of a page programmed
+#: without one): one shared, read-only empty mapping.
+EMPTY_SPARE: Mapping[str, Any] = MappingProxyType({})
 
 
 @dataclass
 class Block:
-    """One physical block of ``geometry.pages_per_block`` pages."""
+    """One physical block of ``geometry.pages_per_block`` pages.
+
+    Pages are three columns indexed by in-block offset: ``data`` (the
+    opaque payload written by the host, None when erased), ``spare``
+    (spare-area metadata -- the FTL stores the logical page address
+    there, exactly like real FTLs do for power-loss recovery; VerTrace
+    stores file annotations) and ``program_time`` (simulation time in
+    us, None when erased).  Pages program strictly in order, so a page
+    is programmed exactly when its offset is below ``next_page``; no
+    per-page state is stored.
+    """
 
     geometry: Geometry
     index: int
     pe_limit: int | None = None
-    pages: list[Page] = field(init=False)
+    data: list[Any] = field(init=False)
+    spare: list[Mapping[str, Any]] = field(init=False)
+    program_time: list[float | None] = field(init=False)
     erase_count: int = field(init=False, default=0)
     next_page: int = field(init=False, default=0)
     #: simulation time (us) of the last erase; basis of the open interval.
@@ -70,8 +85,14 @@ class Block:
 
     def __post_init__(self) -> None:
         self.geometry.check_block(self.index)
-        self.pages = [Page() for _ in range(self.geometry.pages_per_block)]
+        self._reset_pages()
         self.wl_disturb_pulses = [0] * self.geometry.wordlines_per_block
+
+    def _reset_pages(self) -> None:
+        n = self.geometry.pages_per_block
+        self.data = [None] * n
+        self.spare = [EMPTY_SPARE] * n
+        self.program_time = [None] * n
 
     @property
     def state(self) -> BlockState:
@@ -93,9 +114,6 @@ class Block:
     def is_full(self) -> bool:
         return self.next_page >= self.geometry.pages_per_block
 
-    def page(self, page_offset: int) -> Page:
-        return self.pages[page_offset]
-
     def open_interval_us(self, now: float) -> float:
         """Time this block has spent erased-but-unprogrammed."""
         if self.state is not BlockState.FREE:
@@ -107,16 +125,20 @@ class Block:
         self,
         page_offset: int,
         data: Any,
-        spare: dict[str, Any] | None,
+        spare: Mapping[str, Any] | None,
         now: float,
     ) -> None:
         """Program the next page in sequence.
 
+        ``spare`` is stored as given, not copied: callers hand over a
+        fresh mapping (a read returns a copy, so a page move stores the
+        one copy its read made).
+
         Raises
         ------
         ProgramOrderError
-            If the target is not the next sequential page or is already
-            programmed.
+            If the target is not the next sequential page (every page
+            below it is already programmed).
         EraseStateError
             If the block is pending erase.
         """
@@ -132,19 +154,16 @@ class Block:
                 f"block {self.index}: page {page_offset} out of order "
                 f"(next programmable is {self.next_page})"
             )
-        page = self.pages[page_offset]
-        if page.state is not PageState.ERASED:
-            raise ProgramOrderError(
-                f"block {self.index} page {page_offset} already programmed"
-            )
-        page.program(data, spare, now)
-        self.next_page += 1
+        self.data[page_offset] = data
+        self.spare[page_offset] = EMPTY_SPARE if spare is None else spare
+        self.program_time[page_offset] = now
+        self.next_page = page_offset + 1
         # only route actual transitions through the state setter; the
         # common mid-block program leaves the state at OPEN and must not
         # pay the setter + listener dispatch on every page
         if self.next_page >= self.geometry.pages_per_block:
             self.state = BlockState.FULL
-        elif self._state is not BlockState.OPEN:
+        elif state is not BlockState.OPEN:
             self.state = BlockState.OPEN
 
     def erase(self, now: float) -> None:
@@ -161,8 +180,7 @@ class Block:
             raise WearOutError(
                 f"block {self.index} reached its P/E limit of {self.pe_limit}"
             )
-        for page in self.pages:
-            page.erase()
+        self._reset_pages()
         self.erase_count += 1
         self.next_page = 0
         self.state = BlockState.FREE
@@ -187,18 +205,22 @@ class Block:
         self.wl_disturb_pulses[wordline] += 1
 
     # ------------------------------------------------------------------
+    def _page_states(self, next_page: int) -> list[int]:
+        n = self.geometry.pages_per_block
+        return [PAGE_PROGRAMMED] * next_page + [PAGE_ERASED] * (n - next_page)
+
     def state_dict(self) -> dict[str, Any]:
         """Checkpoint payload (see :mod:`repro.checkpoint`).
 
-        Pages are stored as columns, one list per :class:`Page` field,
-        with each page state as its :data:`PAGE_STATES` index.
+        Pages are stored as their columns plus a ``page_state`` column
+        (:data:`PAGE_ERASED` / :data:`PAGE_PROGRAMMED`), which
+        ``next_page`` determines.
         """
-        pages = self.pages
         return {
-            "page_state": [_PAGE_CODES[page.state] for page in pages],
-            "data": [page.data for page in pages],
-            "spare": [dict(page.spare) for page in pages],
-            "program_time": [page.program_time for page in pages],
+            "page_state": self._page_states(self.next_page),
+            "data": list(self.data),
+            "spare": [dict(spare) for spare in self.spare],
+            "program_time": list(self.program_time),
             "erase_count": self.erase_count,
             "next_page": self.next_page,
             "last_erase_time": self.last_erase_time,
@@ -207,21 +229,21 @@ class Block:
         }
 
     def load_state_dict(self, state: dict[str, Any]) -> None:
-        columns = zip(
-            self.pages,
-            state["page_state"],
-            state["data"],
-            state["spare"],
-            state["program_time"],
-            strict=True,
-        )
-        for page, code, data, spare, program_time in columns:
-            page.state = PAGE_STATES[code]
-            page.data = data
-            page.spare = dict(spare)
-            page.program_time = program_time
+        next_page = state["next_page"]
+        if state["page_state"] != self._page_states(next_page):
+            raise ValueError(
+                f"block {self.index}: page states disagree with "
+                f"next_page {next_page} (pages program in order)"
+            )
+        n = self.geometry.pages_per_block
+        columns = (state["data"], state["spare"], state["program_time"])
+        if any(len(column) != n for column in columns):
+            raise ValueError(f"block {self.index}: page columns are not {n} long")
+        self.data = list(state["data"])
+        self.spare = [dict(spare) for spare in state["spare"]]
+        self.program_time = list(state["program_time"])
         self.erase_count = state["erase_count"]
-        self.next_page = state["next_page"]
+        self.next_page = next_page
         self.last_erase_time = state["last_erase_time"]
         self.wl_disturb_pulses = list(state["wl_disturb_pulses"])
         # bypass the setter: the owning chip rebuilds its free set in one

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 from repro.flash import constants
-from repro.flash.block import Block, BlockState
+from repro.flash.block import EMPTY_SPARE, Block, BlockState
 from repro.flash.errors import (
     AddressError,
     EraseFailError,
@@ -141,15 +141,6 @@ class FlashChip:
         self.geometry.check_block(block_index)
         return self.blocks[block_index]
 
-    def _locate(self, ppn: int) -> tuple[Block, int]:
-        # split_ppn, inlined: one _locate per read/program makes the
-        # extra call layer measurable
-        geometry = self.geometry
-        if not 0 <= ppn < geometry.pages_per_chip:
-            geometry.check_ppn(ppn)
-        block_index, page_offset = divmod(ppn, geometry.pages_per_block)
-        return self.blocks[block_index], page_offset
-
     # ------------------------------------------------------------------
     # fault-hook plumbing (repro.faults)
     # ------------------------------------------------------------------
@@ -172,16 +163,21 @@ class FlashChip:
     def read_page(self, ppn: int, now: float = 0.0) -> ReadResult:
         """Standard page read; subclasses overlay access control."""
         fail = False if self.fault_hook is None else self._begin_op("read")
-        return self._sense_page(ppn, fail)
-
-    def _sense_page(self, ppn: int, fail: bool) -> ReadResult:
-        """Shared sensing path (fault decision already taken)."""
-        # _locate and Block.page, inlined: one sense per flash read
+        # split_ppn, inlined: once per flash read
         geometry = self.geometry
         if not 0 <= ppn < geometry.pages_per_chip:
             geometry.check_ppn(ppn)
         block_index, page_offset = divmod(ppn, geometry.pages_per_block)
-        page = self.blocks[block_index].pages[page_offset]
+        return self._sense_page(self.blocks[block_index], page_offset, ppn, fail)
+
+    def _sense_page(
+        self, block: Block, page_offset: int, ppn: int, fail: bool
+    ) -> ReadResult:
+        """Shared sensing path (address split and fault decision taken).
+
+        The spare area comes back as a fresh copy, so a caller may keep
+        or mutate it without touching the stored page.
+        """
         stats = self.stats
         stats.reads += 1
         stats.busy_time_us += self.t_read_us
@@ -191,17 +187,18 @@ class FlashChip:
                 rber=1.0,
                 limit=constants.ECC_LIMIT_RBER,
             )
-        if page.is_erased:
+        if page_offset >= block.next_page:
             return ReadResult(ERASED_DATA, {}, self.t_read_us)
-        if page.spare.get("torn"):
+        spare = block.spare[page_offset]
+        if spare.get("torn"):
             raise UncorrectableError(
                 f"ppn {ppn}: torn page (program was interrupted)",
                 rber=1.0,
                 limit=constants.ECC_LIMIT_RBER,
             )
         if self.wear_gate is not None:
-            self.wear_gate.check_readable(self.blocks[block_index], ppn)
-        return ReadResult(page.data, dict(page.spare), self.t_read_us)
+            self.wear_gate.check_readable(block, ppn)
+        return ReadResult(block.data[page_offset], dict(spare), self.t_read_us)
 
     def program_page(
         self,
@@ -210,22 +207,29 @@ class FlashChip:
         spare: dict[str, Any] | None = None,
         now: float = 0.0,
     ) -> float:
-        """Program one page; returns the operation latency (us)."""
+        """Program one page; returns the operation latency (us).
+
+        ``spare`` is stored as given, not copied (see :meth:`Block.program`).
+        """
         hook = self.fault_hook
         directive = "" if hook is None else hook.on_op("program")
-        block, page_offset = self._locate(ppn)
+        # split_ppn, inlined: once per flash program
+        geometry = self.geometry
+        if not 0 <= ppn < geometry.pages_per_chip:
+            geometry.check_ppn(ppn)
+        block_index, page_offset = divmod(ppn, geometry.pages_per_block)
         if directive:
             # the pulse train stopped mid-flight (status-fail or power
             # cut): the page is consumed with cells between distributions
-            block.program(page_offset, TORN_DATA, {"torn": True}, now)
-            self.stats.programs += 1
-            self.stats.busy_time_us += self.t_prog_us
+            data, spare = TORN_DATA, {"torn": True}
+        self.blocks[block_index].program(page_offset, data, spare, now)
+        stats = self.stats
+        stats.programs += 1
+        stats.busy_time_us += self.t_prog_us
+        if directive:
             if directive == FAULT_POWER_LOSS:
                 raise PowerLossInjected(f"power loss during program of ppn {ppn}")
             raise ProgramFailError(f"ppn {ppn}: program status-fail")
-        block.program(page_offset, data, spare, now)
-        self.stats.programs += 1
-        self.stats.busy_time_us += self.t_prog_us
         return self.t_prog_us
 
     def erase_block(self, block_index: int, now: float = 0.0) -> float:
@@ -254,11 +258,10 @@ class FlashChip:
         if not 0 <= wordline < self.geometry.wordlines_per_block:
             raise AddressError(f"wordline {wordline} out of range")
         base = wordline * self.geometry.pages_per_wordline
-        for offset in range(base, base + self.geometry.pages_per_wordline):
-            page = block.pages[offset]
-            if not page.is_erased:
-                page.data = SCRUBBED_DATA
-                page.spare = {}
+        end = min(base + self.geometry.pages_per_wordline, block.next_page)
+        for offset in range(base, end):
+            block.data[offset] = SCRUBBED_DATA
+            block.spare[offset] = EMPTY_SPARE
         self.stats.busy_time_us += latency_us
         return latency_us
 
@@ -310,9 +313,9 @@ class FlashChip:
         blocking logic lives inside the chip, below every interface.
         """
         out: dict[int, Any] = {}
+        pages_per_block = self.geometry.pages_per_block
         for block in self.blocks:
-            for offset, page in enumerate(block.pages):
-                if not page.is_erased:
-                    ppn = self.geometry.ppn(block.index, offset)
-                    out[ppn] = page.data
+            base = block.index * pages_per_block
+            for offset in range(block.next_page):
+                out[base + offset] = block.data[offset]
         return out

@@ -39,6 +39,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
@@ -101,8 +102,8 @@ class FleetConfig:
             raise ValueError("need at least one variant")
         if self.base_workload not in WORKLOADS:
             raise ValueError(f"unknown base workload {self.base_workload!r}")
-        if self.zipf_s <= 0.0:
-            raise ValueError("zipf_s must be positive")
+        if not 0.0 < self.zipf_s < math.inf:
+            raise ValueError("zipf_s must be finite and positive")
         if self.spread < 1:
             raise ValueError("spread must be >= 1")
         if not 0.0 <= self.secure_fraction <= 1.0:
@@ -116,8 +117,8 @@ class FleetConfig:
             raise ValueError("storm_count must be >= 0")
         if not 0.0 < self.storm_fraction <= 1.0:
             raise ValueError("storm_fraction must be in (0, 1]")
-        if self.write_multiplier <= 0.0:
-            raise ValueError("write_multiplier must be positive")
+        if not 0.0 < self.write_multiplier < math.inf:
+            raise ValueError("write_multiplier must be finite and positive")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         if self.devices_per_shard < 1:

@@ -325,15 +325,19 @@ class PageMappedFtl:
     # ------------------------------------------------------------------
     # fault-tolerant flash access
     # ------------------------------------------------------------------
-    def _read_flash_page(self, chip_id: int, ppn: int) -> ReadResult:
+    def _read_flash_page(
+        self, chip_id: int, ppn: int, attempts: int | None = None
+    ) -> ReadResult:
         """Read with the bounded retry loop real controllers implement.
 
         Transient sense failures re-roll on the next attempt; torn pages
-        fail deterministically and exhaust the budget.  Every attempt is
-        a real flash read (timed and counted); the final failure
-        re-raises for the caller to translate.
+        fail deterministically and exhaust the budget (``attempts``, by
+        default the configured retry limit).  Every attempt is a real
+        flash read (timed and counted); the final failure re-raises for
+        the caller to translate.
         """
-        attempts = self.config.read_retry_limit
+        if attempts is None:
+            attempts = self.config.read_retry_limit
         chip_read = self.chips[chip_id].read_page
         timing_read = self.timing.read
         stats = self.stats
@@ -351,6 +355,28 @@ class PageMappedFtl:
                 stats.flash_reads += 1
                 return result
         raise AssertionError("unreachable")  # pragma: no cover
+
+    def _reread_live_page(
+        self, chip_id: int, ppn: int, error: UncorrectableError
+    ) -> ReadResult:
+        """Finish reading a live page whose first read raised ``error``.
+
+        Accounts that attempt, spends the rest of the retry budget, then
+        falls back to :meth:`_salvage_read`: a live page must not be lost
+        to a transient fault storm.  The counts match one
+        :meth:`_read_flash_page` call followed by that fallback.
+        """
+        self.timing.read(chip_id)
+        self.stats.flash_reads += 1
+        retries = self.config.read_retry_limit - 1
+        try:
+            if retries == 0:
+                raise error  # the budget was one attempt
+            self.stats.read_retries += 1
+            return self._read_flash_page(chip_id, ppn, retries)
+        except UncorrectableError:
+            self.stats.read_failures += 1
+            return self._salvage_read(chip_id, ppn)
 
     def _salvage_read(self, chip_id: int, ppn: int) -> ReadResult:
         """Last-resort read of a live page past the retry budget.
@@ -526,10 +552,8 @@ class PageMappedFtl:
             chip.scrub_wordline(local_block, wordline)
             self.timing.scrub(chip_id)
             self.stats.scrubs += 1
-        base = gb * self.geometry.pages_per_block
-        for gppa in range(base, base + self.geometry.pages_per_block):
-            if self.status.get(gppa) is PageStatus.INVALID:
-                self.observer.on_sanitize(gppa, "scrub")
+        for gppa in self.status.invalid_pages(gb):
+            self.observer.on_sanitize(gppa, "scrub")
         block.mark_retired()
         self.alloc.retire_block(chip_id, local_block)
         self._pending_victims.discard(gb)
@@ -540,12 +564,7 @@ class PageMappedFtl:
     def _invalidate(self, gppa: int, lpa: int, reason: str) -> InvalidationEvent:
         prev = self.status.set_invalid(gppa)
         self.observer.on_invalidate(gppa, lpa, reason)
-        return InvalidationEvent(
-            gppa=gppa,
-            lpa=lpa,
-            was_secured=prev is PageStatus.SECURED,
-            reason=reason,
-        )
+        return InvalidationEvent(gppa, lpa, prev is PageStatus.SECURED, reason)
 
     # ------------------------------------------------------------------
     # garbage collection
@@ -626,43 +645,54 @@ class PageMappedFtl:
         gb = self.global_block(chip_id, victim)
         self.stats.gc_invocations += 1
         with self.tel.tracer.span("gc", cat="ftl.gc", chip=chip_id, block=gb):
-            events = [
-                self._move_page(gppa, reason="gc")
-                for gppa in self.status.live_pages(gb)
-            ]
+            events = self._move_pages(self.status.live_pages(gb), "gc")
             self.stats.gc_copies += len(events)
             self._finish_victim(chip_id, victim, events)
         return True
 
-    def _move_page(self, gppa: int, reason: str) -> InvalidationEvent:
-        """Copy one live page to a fresh page on the same chip and remap.
+    def _move_pages(
+        self, gppas: list[int], reason: str
+    ) -> list[InvalidationEvent]:
+        """Copy live pages, in order, to fresh pages on their own chips
+        and remap each; returns one invalidation event per moved page.
 
-        Used by GC and by the relocation passes of the erase- and
-        scrub-based sanitization baselines.  The caller accounts the copy
-        in the appropriate stats bucket.
+        Used by GC, refresh and wear leveling, and by the relocation
+        passes of the erase-, scrub- and lock-based sanitizers.  The
+        caller accounts the copies in the appropriate stats bucket.
+        Every table and callable is looked up once per batch, and the
+        first read attempt is inlined: a relocation storm moves tens of
+        thousands of pages.
         """
-        chip_id, ppn = divmod(gppa, self._pages_per_chip)  # split_gppa, inlined
-        lpa = self.l2p.reverse(gppa)
-        was_secure = self.status.get(gppa) is PageStatus.SECURED
-        try:
-            result = self._read_flash_page(chip_id, ppn)
-        except UncorrectableError:
-            # a live page must not be lost to a transient fault storm:
-            # fall through to the salvage path (suspended injection)
-            self.stats.read_failures += 1
-            result = self._salvage_read(chip_id, ppn)
+        pages_per_chip = self._pages_per_chip
+        chips, stats, timing_read = self.chips, self.stats, self.timing.read
+        reverse, remap = self.l2p.reverse, self.l2p.map
+        set_invalid, set_written = self.status.set_invalid, self.status.set_written
+        on_invalidate = self.observer.on_invalidate
+        on_program = self.observer.on_program
+        program = self._program_new_page
         stream = GC_STREAM if self.config.separate_gc_stream else HOST_STREAM
-        # result.spare is already a fresh per-read copy (and the chip
-        # copies again on program), so it is passed through uncopied
-        new_gppa = self._program_new_page(
-            chip_id, data=result.data, spare=result.spare, stream=stream
-        )
-        old = self.l2p.map(lpa, new_gppa)
-        assert old == gppa, "page move raced with the L2P table"
-        event = self._invalidate(gppa, lpa, reason)
-        self.status.set_written(new_gppa, was_secure)
-        self.observer.on_program(new_gppa, lpa, result.spare.get("tag"), was_secure)
-        return event
+        events: list[InvalidationEvent] = []
+        for gppa in gppas:
+            chip_id, ppn = divmod(gppa, pages_per_chip)  # split_gppa, inlined
+            lpa = reverse(gppa)
+            try:
+                result = chips[chip_id].read_page(ppn)
+            except UncorrectableError as error:
+                result = self._reread_live_page(chip_id, ppn, error)
+            else:
+                timing_read(chip_id)
+                stats.flash_reads += 1
+            # result.spare is the read's own copy: the new page stores it
+            spare = result.spare
+            new_gppa = program(chip_id, result.data, spare, stream)
+            old = remap(lpa, new_gppa)
+            assert old == gppa, "page move raced with the L2P table"
+            was_secured = set_invalid(gppa) is PageStatus.SECURED
+            on_invalidate(gppa, lpa, reason)
+            set_written(new_gppa, was_secured)
+            on_program(new_gppa, lpa, spare.get("tag"), was_secured)
+            events.append(InvalidationEvent(gppa, lpa, was_secured, reason))
+        return events
 
     # ------------------------------------------------------------------
     # read-disturb refresh (Section 6's "flash management task" family)
@@ -684,10 +714,7 @@ class PageMappedFtl:
         with self.tel.tracer.span(
             "refresh", cat="ftl.refresh", chip=chip_id, block=gb
         ):
-            events = [
-                self._move_page(gppa, reason="refresh")
-                for gppa in self.status.live_pages(gb)
-            ]
+            events = self._move_pages(self.status.live_pages(gb), "refresh")
             self.stats.refresh_copies += len(events)
             self._block_reads[gb] = 0
             self._finish_victim(chip_id, local_block, events)
@@ -770,10 +797,7 @@ class PageMappedFtl:
         with self.tel.tracer.span(
             "wear-level", cat="ftl.wear", chip=chip_id, block=gb
         ):
-            events = [
-                self._move_page(gppa, reason="wear-level")
-                for gppa in self.status.live_pages(gb)
-            ]
+            events = self._move_pages(self.status.live_pages(gb), "wear-level")
             self.stats.wear_level_copies += len(events)
             self._finish_victim(chip_id, best, events)
         self._ensure_space(chip_id)

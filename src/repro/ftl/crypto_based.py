@@ -80,7 +80,7 @@ class CryptoFtl(PageMappedFtl):
                 continue
             chip_id, ppn = self.split_gppa(event.gppa)
             block_index, offset = self.geometry.split_ppn(ppn)
-            payload = self.chips[chip_id].blocks[block_index].page(offset).data
+            payload = self.chips[chip_id].blocks[block_index].data[offset]
             if is_ciphertext(payload):
                 key_id = payload[1]
                 if self.key_store.pop(key_id, None) is not None:

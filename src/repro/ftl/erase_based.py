@@ -14,7 +14,6 @@ The relocation storms dominate everything: the paper measures WAF up to
 from __future__ import annotations
 
 from repro.ftl.base import InvalidationEvent, PageMappedFtl
-from repro.ftl.page_status import PageStatus
 
 
 class EraseBasedFtl(PageMappedFtl):
@@ -64,10 +63,10 @@ class EraseBasedFtl(PageMappedFtl):
                 # the stale copy sits in an open block: close its stream so
                 # the relocations (and future writes) land elsewhere.
                 self.alloc.close_active(chip_id, stream)
-            live = self.status.live_pages(gb)
-            for gppa in live:
-                self._move_page(gppa, reason="sanitize-relocate")
-            self.stats.relocation_copies += len(live)
+            moved = self._move_pages(
+                self.status.live_pages(gb), "sanitize-relocate"
+            )
+            self.stats.relocation_copies += len(moved)
             self._note_secured_invalid_sanitized(gb)
             if self._erase_block_now(chip_id, local_block):
                 self.stats.sanitize_erases += 1
@@ -75,7 +74,5 @@ class EraseBasedFtl(PageMappedFtl):
 
     def _note_secured_invalid_sanitized(self, gb: int) -> None:
         """Report every stale page of the block as sanitized-by-erase."""
-        base = gb * self.geometry.pages_per_block
-        for gppa in range(base, base + self.geometry.pages_per_block):
-            if self.status.get(gppa) is PageStatus.INVALID:
-                self.observer.on_sanitize(gppa, "erase")
+        for gppa in self.status.invalid_pages(gb):
+            self.observer.on_sanitize(gppa, "erase")

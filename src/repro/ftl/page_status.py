@@ -105,14 +105,29 @@ class StatusTable:
     def invalid_count(self, block_id: int) -> int:
         return self._invalid[block_id]
 
-    def live_pages(self, block_id: int) -> list[int]:
-        """Physical pages of the block that are VALID or SECURED."""
+    def _pages(self, block_id: int, offsets: range | None) -> range:
         base = block_id * self._pages_per_block
+        if offsets is None:
+            return range(base, base + self._pages_per_block)
+        return range(base + offsets.start, base + offsets.stop)
+
+    def live_pages(self, block_id: int, offsets: range | None = None) -> list[int]:
+        """Physical pages of the block that are VALID or SECURED, in
+        ascending order; ``offsets``, a contiguous range of in-block
+        page offsets (a wordline, say), restricts them to that range."""
         status = self._status
         return [
             gppa
-            for gppa in range(base, base + self._pages_per_block)
+            for gppa in self._pages(block_id, offsets)
             if status[gppa] is _VALID or status[gppa] is _SECURED
+        ]
+
+    def invalid_pages(self, block_id: int, offsets: range | None = None) -> list[int]:
+        """Physical pages of the block that are INVALID, in ascending
+        order; ``offsets`` as for :meth:`live_pages`."""
+        status = self._status
+        return [
+            gppa for gppa in self._pages(block_id, offsets) if status[gppa] is _INVALID
         ]
 
     def counts(self) -> dict[PageStatus, int]:

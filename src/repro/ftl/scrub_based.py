@@ -22,7 +22,6 @@ explicitly:
 from __future__ import annotations
 
 from repro.ftl.base import InvalidationEvent, PageMappedFtl
-from repro.ftl.page_status import PageStatus
 
 
 class ScrubBasedFtl(PageMappedFtl):
@@ -82,26 +81,23 @@ class ScrubBasedFtl(PageMappedFtl):
     ) -> None:
         chip_id, local_block = self.split_global_block(gb)
         base_offset = wordline * self.geometry.pages_per_wordline
-        base_gppa = gb * self.geometry.pages_per_block + base_offset
+        siblings = range(base_offset, base_offset + self.geometry.pages_per_wordline)
         if relocate:
             # pad FIRST: it pushes the chip's program cursor past this
             # wordline, so sibling relocations cannot land on the very
             # wordline the scrub pulse is about to destroy.
             self._pad_open_wordline(chip_id, local_block, wordline)
-            for sibling in range(self.geometry.pages_per_wordline):
-                gppa = base_gppa + sibling
-                if self.status.get(gppa) in (PageStatus.VALID, PageStatus.SECURED):
-                    self._move_page(gppa, reason="scrub-relocate")
-                    self.stats.relocation_copies += 1
+            moved = self._move_pages(
+                self.status.live_pages(gb, siblings), "scrub-relocate"
+            )
+            self.stats.relocation_copies += len(moved)
         self.chips[chip_id].scrub_wordline(
             local_block, wordline, latency_us=self.t_scrub_us
         )
         self.timing.scrub(chip_id)
         self.stats.scrubs += 1
-        for sibling in range(self.geometry.pages_per_wordline):
-            gppa = base_gppa + sibling
-            if self.status.get(gppa) is PageStatus.INVALID:
-                self.observer.on_sanitize(gppa, "scrub")
+        for gppa in self.status.invalid_pages(gb, siblings):
+            self.observer.on_sanitize(gppa, "scrub")
 
     def _pad_open_wordline(
         self, chip_id: int, local_block: int, wordline: int

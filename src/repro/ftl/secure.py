@@ -192,10 +192,9 @@ class SecureFtl(PageMappedFtl):
             if stream is not None:
                 self.alloc.close_active(chip_id, stream)
             self._pad_block_full(chip_id, local_block)
-            moved = [
-                self._move_page(gppa, reason="fallback-relocate")
-                for gppa in self.status.live_pages(gb)
-            ]
+            moved = self._move_pages(
+                self.status.live_pages(gb), "fallback-relocate"
+            )
             self.stats.relocation_copies += len(moved)
             covered = failed + [e for e in moved if e.was_secured]
             if self._block_lock_verified(chip_id, local_block, covered):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.checkers.residue import DeviceResidue, page_at, plaintext
+from repro.checkers.residue import DeviceResidue, block_at, plaintext
 from repro.security.attacker import RawChipAttacker
 from repro.ssd.device import SSD
 
@@ -108,5 +108,6 @@ def collect_live_versions(
         gppa = ftl.l2p.lookup(lpa)
         if gppa < 0:
             continue
-        out[lpa] = plaintext(ftl, page_at(ftl, gppa).data)
+        block, offset = block_at(ftl, gppa)
+        out[lpa] = plaintext(ftl, block.data[offset])
     return out

@@ -75,8 +75,8 @@ def _live(ssd, lpa):
     gppa = ssd.ftl.mapped_gppa(lpa)
     chip_id, ppn = ssd.ftl.split_gppa(gppa)
     block, offset = ssd.config.geometry.split_ppn(ppn)
-    page = ssd.ftl.chips[chip_id].blocks[block].pages[offset]
-    return gppa, page.data, dict(page.spare)
+    pages = ssd.ftl.chips[chip_id].blocks[block]
+    return gppa, pages.data[offset], dict(pages.spare[offset])
 
 
 def secssd_image(config):

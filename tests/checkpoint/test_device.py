@@ -139,10 +139,15 @@ class TestEngineState:
 
 def page_fields(ssd):
     return [
-        (page.state, page.data, page.spare, page.program_time)
+        list(zip(
+            block.state_dict()["page_state"],
+            block.data,
+            block.spare,
+            block.program_time,
+            strict=True,
+        ))
         for chip in ssd.ftl.chips
         for block in chip.blocks
-        for page in block.pages
     ]
 
 

@@ -24,6 +24,15 @@ class TestReadProgramErase:
         assert result.data == "hello"
         assert result.spare == {"lpa": 3}
 
+    def test_read_spare_is_the_callers_copy(self, chip):
+        chip.program_page(0, "hello", {"lpa": 3})
+        first = chip.read_page(0)
+        first.spare["lpa"] = 99
+        first.spare["extra"] = True
+        assert chip.read_page(0).spare == {"lpa": 3}
+        assert chip.blocks[0].spare[0] == {"lpa": 3}
+        assert chip.state_dict()["blocks"][0]["spare"][0] == {"lpa": 3}
+
     def test_program_returns_latency(self, chip):
         assert chip.program_page(0, "x") == chip.t_prog_us
 

@@ -1,44 +1,46 @@
-"""Page and block state machines: NAND ordering rules."""
+"""Block state machine and its page columns: NAND ordering rules."""
 
 import pytest
 
-from repro.flash.block import Block, BlockState
+from repro.flash.block import PAGE_ERASED, PAGE_PROGRAMMED, Block, BlockState
 from repro.flash.errors import EraseStateError, ProgramOrderError, WearOutError
 from repro.flash.geometry import small_geometry
-from repro.flash.page import Page, PageState
-
-
-class TestPage:
-    def test_starts_erased(self):
-        page = Page()
-        assert page.is_erased
-        assert page.data is None
-
-    def test_program_sets_fields(self):
-        page = Page()
-        page.program("payload", {"lpa": 7}, now=42.0)
-        assert page.state is PageState.PROGRAMMED
-        assert page.data == "payload"
-        assert page.spare == {"lpa": 7}
-        assert page.program_time == 42.0
-
-    def test_erase_resets(self):
-        page = Page()
-        page.program("x", None, 0.0)
-        page.erase()
-        assert page.is_erased
-        assert page.data is None
-        assert page.spare == {}
-
-    def test_program_with_none_spare(self):
-        page = Page()
-        page.program("x", None, 0.0)
-        assert page.spare == {}
 
 
 @pytest.fixture
 def block():
     return Block(small_geometry(blocks=2, wordlines=4), index=0)
+
+
+def page_state(block, offset):
+    """A page's checkpointed state code (derived from ``next_page``)."""
+    return block.state_dict()["page_state"][offset]
+
+
+class TestPage:
+    """One page, as the three columns of its block."""
+
+    def test_starts_erased(self, block):
+        assert page_state(block, 0) == PAGE_ERASED
+        assert block.data[0] is None
+
+    def test_program_sets_fields(self, block):
+        block.program(0, "payload", {"lpa": 7}, now=42.0)
+        assert page_state(block, 0) == PAGE_PROGRAMMED
+        assert block.data[0] == "payload"
+        assert block.spare[0] == {"lpa": 7}
+        assert block.program_time[0] == 42.0
+
+    def test_erase_resets(self, block):
+        block.program(0, "x", None, 0.0)
+        block.erase(0.0)
+        assert page_state(block, 0) == PAGE_ERASED
+        assert block.data[0] is None
+        assert block.spare[0] == {}
+
+    def test_program_with_none_spare(self, block):
+        block.program(0, "x", None, 0.0)
+        assert block.spare[0] == {}
 
 
 class TestBlockProgramOrder:
@@ -77,14 +79,17 @@ class TestBlockErase:
         assert block.state is BlockState.FREE
         assert block.next_page == 0
         assert block.erase_count == 1
-        assert all(p.is_erased for p in block.pages)
+        assert all(
+            page_state(block, offset) == PAGE_ERASED
+            for offset in range(block.geometry.pages_per_block)
+        )
         assert block.last_erase_time == 10.0
 
     def test_erase_allows_reprogramming(self, block):
         block.program(0, "x", None, 0.0)
         block.erase(0.0)
         block.program(0, "y", None, 0.0)
-        assert block.pages[0].data == "y"
+        assert block.data[0] == "y"
 
     def test_wear_out(self):
         block = Block(small_geometry(blocks=1, wordlines=1), index=0, pe_limit=2)

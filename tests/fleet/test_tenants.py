@@ -32,6 +32,11 @@ class TestFleetConfig:
             ("storm_fraction", 1.5),
             ("secure_fraction", -0.1),
             ("variants", ()),
+            ("zipf_s", float("nan")),
+            ("zipf_s", float("inf")),
+            ("write_multiplier", 0.0),
+            ("write_multiplier", float("nan")),
+            ("write_multiplier", float("inf")),
         ],
     )
     def test_bad_values_rejected(self, field, value):

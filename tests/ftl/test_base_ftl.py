@@ -138,6 +138,27 @@ class TestGarbageCollection:
         ]
         assert pending, "GC must queue victims for lazy erase"
 
+    def test_gc_move_keeps_the_spare_area(self, ftl):
+        def spare(lpa):
+            chip_id, ppn = ftl.split_gppa(ftl.mapped_gppa(lpa))
+            return ftl.chips[chip_id].read_page(ppn).spare
+
+        span = ftl.config.logical_pages
+        for lpa in range(span):
+            ftl.submit(write(lpa, tag=f"file-{lpa}"))
+        before = {lpa: (ftl.mapped_gppa(lpa), spare(lpa)) for lpa in range(span)}
+        fill_random(ftl, ftl.config.physical_pages, span=span)
+        # same version (seq), new address: GC copied the page
+        moved = [
+            lpa
+            for lpa, (gppa, old) in before.items()
+            if ftl.mapped_gppa(lpa) != gppa and spare(lpa)["seq"] == old["seq"]
+        ]
+        assert moved and ftl.stats.gc_copies > 0
+        for lpa in moved:
+            assert spare(lpa) == before[lpa][1]
+            assert spare(lpa)["tag"] == f"file-{lpa}"
+
     def test_gc_stats_consistency(self, ftl):
         fill_random(ftl, ftl.config.physical_pages * 2, span=32)
         s = ftl.stats

@@ -25,9 +25,9 @@ class TestImmediateErase:
         block = ftl.chips[chip_id].blocks[block_index]
         assert ftl.stats.sanitize_erases >= 1
         assert all(
-            page.is_erased or page.data is None or page.data[0] != 0
-            for page in block.pages
-            if page.data != (0, None, 0)
+            offset >= block.next_page or data is None or data[0] != 0
+            for offset, data in enumerate(block.data)
+            if data != (0, None, 0)
         )
         assert (0, None, 0) not in ftl.raw_device_dump().values()
 

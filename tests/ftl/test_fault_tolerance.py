@@ -8,6 +8,8 @@ by appending to the live injector's schedule at the *current* op index
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.torture import torture_requests
@@ -18,7 +20,7 @@ from repro.flash.errors import PowerLossInjected
 from repro.ftl import FTL_VARIANTS
 from repro.ftl.recovery import PowerLossRecovery
 from repro.ssd.device import SSD
-from repro.ssd.request import read, write
+from repro.ssd.request import RequestOp, read, write
 
 
 def fail_next(ftl, kind: FaultKind, count: int = 1, skip: int = 0) -> None:
@@ -56,6 +58,29 @@ class TestReadRetry:
         for _ in range(5):
             ftl.submit(read(7))
         assert ftl.stats.read_failures == 5
+
+    @pytest.mark.parametrize("budget", [1, 4])
+    def test_gc_move_past_the_retry_budget_salvages(self, tiny_config, budget):
+        config = dataclasses.replace(tiny_config, read_retry_limit=budget)
+        plan = FaultPlan.single(FaultKind.READ_UNCORRECTABLE, 1.0, seed=3)
+        ftl = FTL_VARIANTS["baseline"](config, faults=plan)
+        span = int(config.logical_pages * 0.9)
+        for request in torture_requests(config.physical_pages * 2, span, seed=2):
+            if request.op is RequestOp.WRITE:
+                ftl.submit(request)
+        copies = ftl.stats.gc_copies
+        assert copies > 0 and ftl.stats.host_reads == 0
+        # every move read the page ``budget`` times, then salvaged it
+        assert ftl.stats.salvage_reads == copies
+        assert ftl.stats.read_failures == copies
+        assert ftl.stats.read_retries == copies * (budget - 1)
+        assert ftl.stats.flash_reads == copies * (budget + 1)
+        for lpa in range(span):
+            gppa = ftl.mapped_gppa(lpa)
+            if gppa >= 0:
+                chip_id, ppn = ftl.split_gppa(gppa)
+                block, offset = ftl.geometry.split_ppn(ppn)
+                assert ftl.chips[chip_id].blocks[block].data[offset][0] == lpa
 
 
 class TestProgramFailRemap:

@@ -96,7 +96,7 @@ class TestPeLimitBoundary:
             block.erase(0.0)
         # the refused erase left data and counters untouched
         assert block.erase_count == 1
-        assert block.pages[0].data == "v0"
+        assert block.data[0] == "v0"
 
     def test_no_limit_means_unbounded(self):
         block = Block(one_block_geometry(), index=0)

@@ -104,6 +104,9 @@ BAD_ARGV = [
     ["fleet", "--tenants", "0"],
     ["fleet", "--shard", "0"],
     ["fleet", "--jobs", "0"],
+    ["fleet", "--zipf", "nan"],
+    ["fleet", "--zipf", "inf"],
+    ["fleet", "--zipf", "0"],
     ["age", "--jobs", "0"],
     ["torture", "--jobs", "0"],
     ["simulate", "--pe-limit", "0"],
