@@ -3,20 +3,19 @@
 Two complementary layers guard the simulator's core invariants as the
 codebase grows:
 
-* :mod:`repro.checkers.lint` -- a rule-driven **static** AST lint engine
-  with domain rules (SIM01..SIM05) that survive refactors: page-status
-  encapsulation, lock/erase accounting pairs, seeded randomness, float
-  equality in reliability math, and observer-hook coverage of sanitize
-  paths.  Run it with ``repro lint``.
 * :mod:`repro.checkers.sanitizer` -- an opt-in **runtime** shadow checker
   (think TSan for the FTL) that re-verifies the page-status state
   machine, L2P bijection, per-block counters, and the paper's security
   invariant -- a stale secured copy must be unreadable -- after every
   host/GC batch.  Enable it with ``checked=True`` on
   :class:`~repro.ssd.device.SSD` or ``repro check``.
+* :mod:`repro.checkers.lint` -- a rule-driven **static** AST lint engine
+  whose domain rules (:mod:`repro.checkers.rules`) ban the constructs
+  no runtime check sees at a new call site: unseeded randomness, wall
+  clocks, upward imports, ad-hoc serialization.  Run it with
+  ``repro lint``; simulator code never imports it.
 """
 
-from repro.checkers.lint import Finding, LintRule, format_findings, lint_paths
 from repro.checkers.sanitizer import (
     FtlSanitizer,
     InvariantViolation,
@@ -25,12 +24,8 @@ from repro.checkers.sanitizer import (
 )
 
 __all__ = [
-    "Finding",
     "FtlSanitizer",
     "InvariantViolation",
-    "LintRule",
     "default_checked",
-    "format_findings",
-    "lint_paths",
     "set_default_checked",
 ]

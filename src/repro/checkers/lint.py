@@ -10,7 +10,7 @@ that generic linters cannot know about -- see
 Suppression uses two comment syntaxes.  Per line::
 
     something_suspicious()  # lint: disable=SIM03
-    other_thing()           # lint: disable=SIM01,SIM02 -- why it is fine
+    other_thing()           # lint: disable=SIM03,SIM04 -- why it is fine
     everything_goes()       # lint: disable=all
 
 and per file (anywhere in the file, conventionally near the top)::
@@ -23,11 +23,7 @@ File-level wins whenever it applies -- per-line comments for other
 rules keep working independently.  Text after ``--`` is a free-form
 justification (encouraged, never parsed).
 
-Rules come in two flavours: plain :class:`LintRule` sees one file at a
-time; :class:`ProjectRule` runs once over a
-:class:`repro.checkers.project.ProjectContext` built from every linted
-file, which is how the cross-module families (import layering,
-observer completeness) see the whole program.
+Every rule sees one file at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-#: suppression comment, e.g. ``# lint: disable=SIM01,SIM05`` (per line)
+#: suppression comment, e.g. ``# lint: disable=SIM03,SIM04`` (per line)
 #: or ``# lint: disable-file=SIM13`` (whole file).  An optional
 #: ``-- justification`` trailer is ignored by the parser.
 SUPPRESS_RE = re.compile(r"#\s*lint:\s*disable(-file)?=([A-Za-z0-9_*,\s]+)")
@@ -118,42 +114,6 @@ class LintRule:
             path=ctx.display_path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
-            message=message or self.description,
-            hint=self.hint,
-        )
-
-
-class ProjectRule(LintRule):
-    """Base class for whole-program rules.
-
-    The engine collects every parsed file into a
-    :class:`repro.checkers.project.ProjectContext` and calls
-    :meth:`check_project` once; findings still go through the normal
-    per-file/per-line suppression machinery afterwards.
-    """
-
-    def applies_to(self, ctx: FileContext) -> bool:  # pragma: no cover
-        return False  # never run in per-file mode
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:  # pragma: no cover
-        return iter(())
-
-    def check_project(self, project) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def project_finding(
-        self,
-        path: str,
-        line: int,
-        message: str | None = None,
-        col: int = 1,
-    ) -> Finding:
-        return Finding(
-            rule_id=self.rule_id,
-            severity=self.severity,
-            path=path,
-            line=line,
-            col=col,
             message=message or self.description,
             hint=self.hint,
         )
@@ -271,70 +231,42 @@ def iter_python_files(paths: Iterable[Path | str]) -> Iterator[Path]:
             raise FileNotFoundError(f"not a python file or directory: {path}")
 
 
-def _parse_error_finding(path: Path | str, display_path: str | None,
-                         exc: SyntaxError) -> Finding:
-    return Finding(
-        rule_id="SIM-PARSE",
-        severity="error",
-        path=display_path or str(path),
-        line=exc.lineno or 1,
-        col=(exc.offset or 0) + 1,
-        message=f"file does not parse: {exc.msg}",
-    )
-
-
-def _apply_rules(
-    contexts: Sequence[FileContext],
-    rules: Sequence[LintRule],
-) -> list[Finding]:
-    """Run per-file and project rules, then filter suppressions."""
-    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    findings: list[Finding] = []
-    for ctx in contexts:
-        for rule in file_rules:
-            if rule.applies_to(ctx):
-                findings.extend(rule.check(ctx))
-    if project_rules and contexts:
-        # imported lazily: project.py depends on this module
-        from repro.checkers.project import ProjectContext
-
-        project = ProjectContext(contexts)
-        for rule in project_rules:
-            findings.extend(rule.check_project(project))
-    line_supp = {c.display_path: _suppressions(c.source) for c in contexts}
-    file_supp = {c.display_path: _file_suppressions(c.source) for c in contexts}
-    kept: list[Finding] = []
-    for finding in findings:
-        in_file = file_supp.get(finding.path, ())
-        if "all" in in_file or finding.rule_id in in_file:
-            continue
-        on_line = line_supp.get(finding.path, {}).get(finding.line, ())
-        if "all" in on_line or finding.rule_id in on_line:
-            continue
-        kept.append(finding)
-    return kept
-
-
 def lint_file(
     path: Path | str,
     rules: Sequence[LintRule] | None = None,
     display_path: str | None = None,
 ) -> list[Finding]:
-    """Run the rule set over one file, honouring suppressions.
-
-    Project rules do run, but against a single-file project: they see
-    no sibling modules, so cross-file facts (imports, base classes
-    defined elsewhere) are only as complete as this one file.
-    """
+    """Run the rule set over one file, honouring suppressions."""
     if rules is None:
         rules = default_rules()
     path = Path(path)
     try:
         ctx = make_context(path, display_path)
     except SyntaxError as exc:
-        return [_parse_error_finding(path, display_path, exc)]
-    return _apply_rules([ctx], rules)
+        return [
+            Finding(
+                rule_id="SIM-PARSE",
+                severity="error",
+                path=display_path or str(path),
+                line=exc.lineno or 1,
+                col=(exc.offset or 0) + 1,
+                message=f"file does not parse: {exc.msg}",
+            )
+        ]
+    line_supp = _suppressions(ctx.source)
+    in_file = _file_suppressions(ctx.source)
+    kept: list[Finding] = []
+    for rule in rules:
+        if not rule.applies_to(ctx):
+            continue
+        for finding in rule.check(ctx):
+            if "all" in in_file or finding.rule_id in in_file:
+                continue
+            on_line = line_supp.get(finding.line, ())
+            if "all" in on_line or finding.rule_id in on_line:
+                continue
+            kept.append(finding)
+    return kept
 
 
 def lint_paths(
@@ -343,14 +275,9 @@ def lint_paths(
     """Run the rule set over files/directories; sorted, stable output."""
     if rules is None:
         rules = default_rules()
-    contexts: list[FileContext] = []
     findings: list[Finding] = []
     for path in iter_python_files(paths):
-        try:
-            contexts.append(make_context(path))
-        except SyntaxError as exc:
-            findings.append(_parse_error_finding(path, None, exc))
-    findings.extend(_apply_rules(contexts, rules))
+        findings.extend(lint_file(path, rules))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return findings
 

@@ -1,17 +1,15 @@
-"""The domain rule catalogue (SIM01..SIM16; SIM11 is retired).
+"""The domain rule catalogue.
 
-Each rule lives in its own module and encodes one simulator invariant:
+Each rule lives in its own module and bans one construct that no
+runtime check can see at a new call site (DESIGN.md 3c records, per
+rule id, the seeded defect and the check that fails on it; SIM01,
+SIM02, SIM05, SIM11 and SIM12 are retired in favour of runtime
+checks, and their ids are not reused):
 
-* ``SIM01`` (:mod:`.encapsulation`) -- the ``StatusTable`` private
-  arrays are only touched inside ``ftl/page_status.py``;
-* ``SIM02`` (:mod:`.accounting`) -- chip lock/erase/scrub call sites in
-  the FTL pair a ``self.timing.*`` and a ``self.stats.*`` update;
 * ``SIM03`` (:mod:`.determinism`) -- no unseeded module-level
   randomness anywhere in the simulator;
 * ``SIM04`` (:mod:`.float_eq`) -- no float-literal ``==``/``!=`` in the
   ``flash/`` reliability math;
-* ``SIM05`` (:mod:`.observers`) -- every sanitize call site notifies
-  the observer via ``on_sanitize``;
 * ``SIM06`` (:mod:`.fault_handling`) -- no flash error is caught and
   swallowed without accounting (raise, stats, or exception use);
 * ``SIM07`` (:mod:`.sim_clock`) -- no wall clock (``time``/``datetime``)
@@ -21,6 +19,14 @@ Each rule lives in its own module and encodes one simulator invariant:
 * ``SIM09`` (:mod:`.parallel_only`) -- no ``multiprocessing`` /
   ``concurrent.futures`` imports outside ``analysis/parallel.py``
   (process fan-out goes through ``run_grid``'s determinism contract);
+* ``SIM10`` (:mod:`.taint`) -- determinism taint: wall clock, entropy,
+  process identity, and set iteration order must not flow into
+  ``RunResult``, telemetry events, or JSON artifacts;
+* ``SIM13`` (:mod:`.units`) -- ``_ns``/``_us``/``_ms``/``_s`` suffix
+  dimensional analysis over arithmetic, comparisons, and bindings;
+* ``SIM14`` (:mod:`.layering`) -- the import-layer stack
+  ``flash < ftl < ssd < sim < telemetry < analysis`` admits no upward
+  (and therefore no cyclic) imports;
 * ``SIM15`` (:mod:`.serialization`) -- no ``pickle``/``marshal``/
   ``shelve`` imports outside ``checkpoint/`` (durable state goes
   through the versioned, checksummed checkpoint codec);
@@ -29,37 +35,17 @@ Each rule lives in its own module and encodes one simulator invariant:
   evidence must stay canonical and re-verifiable; existing report
   emitters are baselined).
 
-The whole-program families (SIM10, SIM12..SIM14) run over the
-:class:`~repro.checkers.project.ProjectContext` built from every linted
-file:
-
-* ``SIM10`` (:mod:`.taint`) -- determinism taint: wall clock, entropy,
-  process identity, and set iteration order must not flow into
-  ``RunResult``, telemetry events, or JSON artifacts;
-* ``SIM12`` (:mod:`.observer_complete`) -- ``PageMappedFtl`` methods
-  that mutate page status or the L2P must emit the matching observer
-  event (directly or through a self-helper);
-* ``SIM13`` (:mod:`.units`) -- ``_ns``/``_us``/``_ms``/``_s`` suffix
-  dimensional analysis over arithmetic, comparisons, and bindings;
-* ``SIM14`` (:mod:`.layering`) -- the import-layer stack
-  ``flash < ftl < ssd < sim < telemetry < analysis`` admits no upward
-  (and therefore no cyclic) imports.
-
 Suppress a rule on one line with ``# lint: disable=SIM0x`` or for a
 whole file with ``# lint: disable-file=SIM0x`` (add a justification
 after ``--``).
 """
 
-from repro.checkers.rules.accounting import LockAccountingRule
 from repro.checkers.rules.artifacts import ArtifactSerializationRule
 from repro.checkers.rules.determinism import UnseededRandomnessRule
-from repro.checkers.rules.encapsulation import StatusTableEncapsulationRule
 from repro.checkers.rules.fault_handling import SwallowedFlashErrorRule
 from repro.checkers.rules.float_eq import FloatEqualityRule
 from repro.checkers.rules.layering import ImportLayeringRule
 from repro.checkers.rules.no_print import NoPrintRule
-from repro.checkers.rules.observer_complete import ObserverCompletenessRule
-from repro.checkers.rules.observers import SanitizeObserverRule
 from repro.checkers.rules.parallel_only import ParallelOnlyRule
 from repro.checkers.rules.serialization import SerializationBoundaryRule
 from repro.checkers.rules.sim_clock import SimWallClockRule
@@ -68,40 +54,29 @@ from repro.checkers.rules.units import TimeUnitConsistencyRule
 
 #: registration order == report order for same-location findings.
 ALL_RULES = (
-    StatusTableEncapsulationRule,
-    LockAccountingRule,
     UnseededRandomnessRule,
     FloatEqualityRule,
-    SanitizeObserverRule,
     SwallowedFlashErrorRule,
     SimWallClockRule,
     NoPrintRule,
     ParallelOnlyRule,
     DeterminismTaintRule,
-    ObserverCompletenessRule,
     TimeUnitConsistencyRule,
     ImportLayeringRule,
     SerializationBoundaryRule,
     ArtifactSerializationRule,
 )
 
-RULES_BY_ID = {cls.rule_id: cls for cls in ALL_RULES}
-
 __all__ = [
     "ALL_RULES",
-    "RULES_BY_ID",
     "ArtifactSerializationRule",
     "DeterminismTaintRule",
     "FloatEqualityRule",
     "ImportLayeringRule",
-    "LockAccountingRule",
     "NoPrintRule",
-    "ObserverCompletenessRule",
     "ParallelOnlyRule",
-    "SanitizeObserverRule",
     "SerializationBoundaryRule",
     "SimWallClockRule",
-    "StatusTableEncapsulationRule",
     "SwallowedFlashErrorRule",
     "TimeUnitConsistencyRule",
     "UnseededRandomnessRule",

@@ -38,7 +38,7 @@ sweep resumes instead of recomputing.
 
 Four maintenance commands ship with the simulator itself::
 
-    python -m repro lint                   # static domain lint (SIM01-SIM16)
+    python -m repro lint                   # static domain lint (11 SIM rules)
     python -m repro check                  # runtime invariant sanitizer run
     python -m repro torture                # fault-injection robustness sweep
     python -m repro profile -- simulate    # cProfile any repro command
@@ -622,7 +622,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """Static domain lint (SIM01-SIM16) over the simulator sources."""
+    """Static domain lint over the simulator sources.
+
+    Eleven per-file rules (SIM03, SIM04, SIM06-SIM10, SIM13-SIM16); the
+    retired ids SIM01, SIM02, SIM05, SIM11 and SIM12 are guarded at
+    runtime instead (DESIGN.md 3c).
+    """
     from repro.checkers.lint import rule_catalogue, run_lint
 
     if args.rules:
@@ -1168,7 +1173,7 @@ def _profile_flags(p: argparse.ArgumentParser) -> None:
 SUBCOMMANDS = {
     "audit": ("sanitization audit: trace or live run -> certificate",
               _audit_flags),
-    "lint": ("static domain lint (rules SIM01-SIM16)", _lint_flags),
+    "lint": ("static domain lint (11 per-file SIM rules)", _lint_flags),
     "torture": ("fault-injection robustness sweep + scorecard",
                 _torture_flags),
     "age": ("device-aging lifetime campaign (wear to first block death)",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from repro.flash.block import BlockState
 from repro.flash.errors import ProgramFailError, UncorrectableError
 from repro.ftl.allocator import BlockAllocator
-from repro.ftl.base import PageMappedFtl
+from repro.ftl.base import InvalidationEvent, PageMappedFtl
 from repro.ftl.mapping import L2PTable
 from repro.ftl.page_status import StatusTable
 
@@ -107,11 +107,25 @@ class PowerLossRecovery:
         for lpa, (seq, gppa, secure) in winners.items():
             l2p.map(lpa, gppa)
             status.set_written(gppa, secure and ftl.tracks_secure)
+        # readable secured losers still owe their sanitization: the cut
+        # can land between a copy and the sanitize of its source.
+        owed: list[InvalidationEvent] = []
         for seq, gppa, secure, lpa in candidates:
-            if winners.get(lpa, (None, None, None))[1] != gppa:
-                status.set_written(gppa, False)
-                status.set_invalid(gppa)
-                stale += 1
+            winner_seq, winner_gppa, _ = winners[lpa]
+            if winner_gppa == gppa:
+                continue
+            secure = secure and ftl.tracks_secure
+            status.set_written(gppa, secure)
+            status.set_invalid(gppa)
+            stale += 1
+            # a same-seq loser is a GC copy whose move was cut: the same
+            # version as the live copy, so only "all"-scope variants
+            # (not cryptSSD, whose key that version still uses) owe it
+            if secure and (
+                seq < winner_seq or ftl.sanitize_scope == "all"
+            ):
+                reason = "gc" if seq == winner_seq else "host-update"
+                owed.append(InvalidationEvent(gppa, lpa, True, reason))
         for gppa in invalid:
             status.set_written(gppa, False)
             status.set_invalid(gppa)
@@ -149,6 +163,9 @@ class PowerLossRecovery:
         # the rebuild happened outside the observer stream: a checked
         # FTL's shadow tables must re-adopt the recovered state.
         ftl.resync_checker()
+        with ftl.timing.sanitize_region():
+            ftl._sanitize_host_batch(owed)
+        ftl._ensure_space_all_touched(owed)
         return RecoveryReport(
             pages_scanned=scanned,
             live_pages_recovered=len(winners),

@@ -90,7 +90,7 @@ class TestSuppression:
             "repro/flash/x.py",
             """
             def f(x):
-                return x == 1.0  # lint: disable=SIM01
+                return x == 1.0  # lint: disable=SIM03
             """,
         )
         assert [f.rule_id for f in lint_file(path)] == ["SIM04"]
@@ -133,7 +133,7 @@ class TestFileSuppression:
             tmp_path,
             "repro/flash/x.py",
             """
-            # lint: disable-file=SIM01
+            # lint: disable-file=SIM03
             def f(x):
                 return x == 1.0
             """,
@@ -247,8 +247,11 @@ class TestRegistry:
         catalogue = rule_catalogue()
         for rule in default_rules():
             assert rule.rule_id in catalogue
-        for rule_id in ("SIM01", "SIM02", "SIM03", "SIM04", "SIM05"):
+        for rule_id in ("SIM03", "SIM04", "SIM10", "SIM14", "SIM16"):
             assert rule_id in catalogue
+        # retired in favour of runtime checks (DESIGN.md 3c)
+        for rule_id in ("SIM01", "SIM02", "SIM05", "SIM11", "SIM12"):
+            assert rule_id not in catalogue
 
     def test_run_lint_clean_tree_exit_zero(self, tmp_path, capsys):
         _write(tmp_path, "repro/ok.py", "x = 1\n")

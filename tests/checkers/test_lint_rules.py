@@ -1,14 +1,30 @@
-"""Per-rule positive/negative cases on synthetic source files.
+"""Per-rule cases, one class per rule id.
 
-Each snippet is written under a ``repro/<dir>/`` shaped tmp tree so the
-directory-scoped rules see realistic ``rel_parts``.
+Kept rules are linted on synthetic source files, each written under a
+``repro/<dir>/`` shaped tmp tree so the directory-scoped rules see
+realistic ``rel_parts``.  Retired rules (SIM01, SIM02, SIM05) have no
+lint code left: their classes seed the rule's defect into a live FTL
+and check that the runtime guard that replaced the rule fails on it
+(DESIGN.md 3c), and that it stays quiet on the unmutated variants.
 """
 
 from __future__ import annotations
 
+import random
 import textwrap
 
+import pytest
+
 from repro.checkers.lint import lint_file
+from repro.checkers.sanitizer import InvariantViolation
+from repro.faults import FaultKind, FaultPlan
+from repro.ftl.base import InvalidationEvent
+from repro.ftl.page_status import PageStatus, StatusTable
+from repro.ftl.scrub_based import ScrubBasedFtl
+from repro.ftl.secure import SecureFtl
+from repro.ssd.config import SSDConfig
+from repro.ssd.device import SSD
+from repro.ssd.request import trim, write
 
 
 def _lint(tmp_path, relpath: str, body: str):
@@ -20,126 +36,6 @@ def _lint(tmp_path, relpath: str, body: str):
 
 def _ids(findings):
     return sorted({f.rule_id for f in findings})
-
-
-class TestSim01Encapsulation:
-    def test_direct_counter_mutation_flagged(self, tmp_path):
-        findings = _lint(
-            tmp_path,
-            "repro/ftl/rogue.py",
-            """
-            def f(self, gb):
-                self.status._live[gb] -= 1
-            """,
-        )
-        assert _ids(findings) == ["SIM01"]
-        assert "_live" in findings[0].message
-
-    def test_status_array_read_flagged(self, tmp_path):
-        findings = _lint(
-            tmp_path,
-            "repro/ftl/rogue.py",
-            """
-            def f(self, gppa):
-                return self.status._status[gppa]
-            """,
-        )
-        assert _ids(findings) == ["SIM01"]
-
-    def test_owner_module_exempt(self, tmp_path):
-        findings = _lint(
-            tmp_path,
-            "repro/ftl/page_status.py",
-            """
-            class StatusTable:
-                def set_invalid(self, gppa):
-                    self._status[gppa] = 2
-                    self._invalid[self.block_of(gppa)] += 1
-            """,
-        )
-        assert findings == []
-
-    def test_accessor_use_clean(self, tmp_path):
-        findings = _lint(
-            tmp_path,
-            "repro/ftl/good.py",
-            """
-            def f(self, gb):
-                return self.status.live_count(gb)
-            """,
-        )
-        assert findings == []
-
-
-class TestSim02Accounting:
-    UNACCOUNTED = """
-    class Ftl:
-        def lock_it(self, chip, ppn):
-            chip.plock(ppn)
-    """
-
-    ACCOUNTED = """
-    class Ftl:
-        def lock_it(self, chip_id, ppn):
-            self.chips[chip_id].plock(ppn)
-            self.timing.plock(chip_id)
-            self.stats.plocks += 1
-    """
-
-    def test_unaccounted_chip_op_flagged(self, tmp_path):
-        findings = _lint(tmp_path, "repro/ftl/x.py", self.UNACCOUNTED)
-        # SIM05 also fires (plock with no on_sanitize); SIM02 is the focus.
-        assert "SIM02" in _ids(findings)
-        sim02 = next(f for f in findings if f.rule_id == "SIM02")
-        assert "self.timing.*" in sim02.message
-        assert "self.stats.*" in sim02.message
-
-    def test_accounted_chip_op_clean(self, tmp_path):
-        findings = _lint(tmp_path, "repro/ftl/x.py", self.ACCOUNTED)
-        # SIM05 would fire for the missing on_sanitize; SIM02 must not.
-        assert "SIM02" not in _ids(findings)
-
-    def test_timing_only_still_flagged(self, tmp_path):
-        findings = _lint(
-            tmp_path,
-            "repro/ftl/x.py",
-            """
-            class Ftl:
-                def erase_it(self, chip_id, block):
-                    self.chips[chip_id].erase_block(block)
-                    self.timing.erase(chip_id)
-            """,
-        )
-        assert "SIM02" in _ids(findings)
-        assert "self.stats.*" in findings[0].message
-
-    def test_timing_model_call_is_not_a_chip_op(self, tmp_path):
-        findings = _lint(
-            tmp_path,
-            "repro/ftl/x.py",
-            """
-            class Ftl:
-                def account_only(self, chip_id):
-                    self.timing.plock(chip_id)
-            """,
-        )
-        assert findings == []
-
-    def test_outside_ftl_dir_not_scoped(self, tmp_path):
-        findings = _lint(tmp_path, "repro/host/x.py", self.UNACCOUNTED)
-        assert "SIM02" not in _ids(findings)
-
-    def test_suppression(self, tmp_path):
-        findings = _lint(
-            tmp_path,
-            "repro/ftl/x.py",
-            """
-            class Ftl:
-                def lock_it(self, chip, ppn):
-                    chip.plock(ppn)  # lint: disable=SIM02,SIM05
-            """,
-        )
-        assert findings == []
 
 
 class TestSim03Determinism:
@@ -288,52 +184,6 @@ class TestSim04FloatEquality:
             """,
         )
         assert findings == []
-
-
-class TestSim05Observer:
-    SILENT = """
-    class Ftl:
-        def lock_it(self, chip_id, ppn):
-            self.chips[chip_id].plock(ppn)
-            self.timing.plock(chip_id)
-            self.stats.plocks += 1
-    """
-
-    NOTIFYING = """
-    class Ftl:
-        def lock_it(self, chip_id, ppn, gppa):
-            self.chips[chip_id].plock(ppn)
-            self.timing.plock(chip_id)
-            self.stats.plocks += 1
-            self.observer.on_sanitize(gppa, "plock")
-    """
-
-    def test_silent_sanitize_flagged(self, tmp_path):
-        findings = _lint(tmp_path, "repro/ftl/x.py", self.SILENT)
-        assert _ids(findings) == ["SIM05"]
-        assert "on_sanitize" in findings[0].message
-
-    def test_notifying_sanitize_clean(self, tmp_path):
-        findings = _lint(tmp_path, "repro/ftl/x.py", self.NOTIFYING)
-        assert findings == []
-
-    def test_scrub_wordline_covered(self, tmp_path):
-        findings = _lint(
-            tmp_path,
-            "repro/ftl/x.py",
-            """
-            class Ftl:
-                def scrub_it(self, chip_id, block, wl):
-                    self.chips[chip_id].scrub_wordline(block, wl)
-                    self.timing.scrub(chip_id)
-                    self.stats.scrubs += 1
-            """,
-        )
-        assert _ids(findings) == ["SIM05"]
-
-    def test_outside_ftl_dir_not_scoped(self, tmp_path):
-        findings = _lint(tmp_path, "repro/core/x.py", self.SILENT)
-        assert "SIM05" not in _ids(findings)
 
 
 class TestSim06SwallowedFlashError:
@@ -779,3 +629,242 @@ class TestSim15SerializationBoundary:
             """,
         )
         assert "SIM15" not in _ids(findings)
+
+
+# ---------------------------------------------------------------------------
+# retired rules: the seeded defect against the runtime guard
+# ---------------------------------------------------------------------------
+ALL_VARIANTS = (
+    "baseline", "secSSD", "secSSD_nobLock", "erSSD", "scrSSD", "cryptSSD",
+)
+
+
+class _Without:
+    """``inner`` with some methods turned into no-ops and some attribute
+    writes dropped: the call site "forgets" them."""
+
+    def __init__(self, inner, dropped):
+        object.__setattr__(self, "_inner", inner)
+        object.__setattr__(self, "_dropped", dropped)
+
+    def __getattr__(self, name):
+        value = getattr(self._inner, name)
+        if name in self._dropped and callable(value):
+            return lambda *args, **kwargs: None
+        return value
+
+    def __setattr__(self, name, value):
+        if name not in self._dropped:
+            setattr(self._inner, name, value)
+
+
+def forgetting(base, method: str, attr: str, *dropped: str):
+    """A ``base`` subclass whose ``method`` forgets ``self.<attr>.<x>``
+    for each ``x`` in ``dropped`` (a call or a counter bump)."""
+
+    def mutated(self, *args, **kwargs):
+        real = getattr(self, attr)
+        setattr(self, attr, _Without(real, frozenset(dropped)))
+        try:
+            return getattr(super(cls, self), method)(*args, **kwargs)
+        finally:
+            setattr(self, attr, real)
+
+    cls = type(f"{base.__name__}Forgetting", (base,), {method: mutated})
+    return cls
+
+
+def _churn(ssd: SSD, rounds: int = 2, seed: int = 1) -> None:
+    """Random secure writes with some trims: enough to force GC."""
+    rng = random.Random(seed)
+    logical = ssd.logical_pages
+    for _ in range(rounds * logical):
+        lpa = rng.randrange(logical)
+        ssd.submit(trim(lpa) if rng.random() < 0.1 else write(lpa, secure=True))
+
+
+def _violation(config, ftl_class) -> InvariantViolation:
+    ssd = SSD(config, ftl_class=ftl_class, checked=True, check_interval=1)
+    with pytest.raises(InvariantViolation) as excinfo:
+        _churn(ssd)
+    return excinfo.value
+
+
+class TestSim01Encapsulation:
+    """StatusTable private state written outside ``page_status.py``:
+    the sanitizer's per-block counter recount fails on it."""
+
+    class CounterBypassFtl(SecureFtl):
+        """Invalidates by writing the table's arrays directly and
+        forgets the ``_invalid`` counter."""
+
+        def _invalidate(self, gppa, lpa, reason):
+            status = self.status
+            prev = status.get(gppa)
+            block = status.block_of(gppa)
+            status._status[gppa] = PageStatus.INVALID
+            status._live[block] -= 1
+            if prev is PageStatus.SECURED:
+                status._secured[block] -= 1
+            self.observer.on_invalidate(gppa, lpa, reason)
+            return InvalidationEvent(
+                gppa, lpa, prev is PageStatus.SECURED, reason
+            )
+
+    def test_direct_counter_mutation_flagged(self, single_chip_config):
+        violation = _violation(single_chip_config, self.CounterBypassFtl)
+        assert violation.invariant == "block-counters"
+
+    def test_owner_module_exempt(self):
+        # the transition methods are the one sanctioned writer: they
+        # keep every per-block counter equal to a recount
+        table = StatusTable(physical_pages=48, pages_per_block=12)
+        rng = random.Random(3)
+        for _ in range(400):
+            gppa = rng.randrange(48)
+            current = table.get(gppa)
+            if current is PageStatus.FREE:
+                table.set_written(gppa, secure=rng.random() < 0.5)
+            elif current is PageStatus.INVALID:
+                table.set_erased_block(table.block_of(gppa))
+            else:
+                table.set_invalid(gppa)
+            for block in range(table.n_blocks):
+                pages = [table.get(g) for g in range(block * 12, block * 12 + 12)]
+                secured = pages.count(PageStatus.SECURED)
+                assert table.secured_count(block) == secured
+                assert table.live_count(block) == (
+                    secured + pages.count(PageStatus.VALID)
+                )
+                assert table.invalid_count(block) == pages.count(
+                    PageStatus.INVALID
+                )
+
+
+#: op kind -> (chip command, timing charge, DeviceStats counter)
+ACCOUNTED_OPS = {
+    "plock": ("plock", "plock", "plocks"),
+    "block_lock": ("block_lock", "block_lock", "block_locks"),
+    "erase": ("erase_block", "erase", "flash_erases"),
+    "scrub": ("scrub_wordline", "scrub", "scrubs"),
+}
+
+
+class TestSim02Accounting:
+    """A chip op without its timing charge or its stats bump: the op
+    accounting oracle fails on it.  The oracle counts, per op kind, the
+    chip commands that completed, the timing model's charges and the
+    DeviceStats counter, under erase-, program- and lock-fail faults,
+    and requires the three to be equal."""
+
+    PLAN = FaultPlan.from_rates(
+        {
+            FaultKind.ERASE_FAIL: 0.01,
+            FaultKind.PROGRAM_FAIL: 0.01,
+            FaultKind.PLOCK_FAIL: 0.05,
+            FaultKind.BLOCK_LOCK_FAIL: 0.2,
+        },
+        seed=3,
+    )
+
+    @pytest.fixture
+    def config(self, small_geometry):
+        return SSDConfig(
+            n_channels=1, chips_per_channel=2, geometry=small_geometry,
+            overprovision=0.2,
+        )
+
+    @staticmethod
+    def _count(obj, name, counts, op):
+        inner = getattr(obj, name)
+
+        def counted(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            counts[op] += 1  # only commands that completed
+            return out
+
+        setattr(obj, name, counted)
+
+    def accounting(self, config, variant=None, ftl_class=None):
+        """(chip commands, timing charges, stats) per op kind after a
+        faulted churn."""
+        ssd = SSD(config, variant or "baseline", ftl_class=ftl_class,
+                  faults=self.PLAN)
+        commands = dict.fromkeys(ACCOUNTED_OPS, 0)
+        charges = dict.fromkeys(ACCOUNTED_OPS, 0)
+        for op, (command, charge, _) in ACCOUNTED_OPS.items():
+            for chip in ssd.ftl.chips:
+                if hasattr(chip, command):
+                    self._count(chip, command, commands, op)
+            self._count(ssd.ftl.timing, charge, charges, op)
+        _churn(ssd)
+        stats = ssd.ftl.stats
+        counters = {
+            op: getattr(stats, counter)
+            for op, (_, _, counter) in ACCOUNTED_OPS.items()
+        }
+        return commands, charges, counters, stats
+
+    def test_accounted_chip_op_clean(self, config):
+        exercised = dict.fromkeys(ACCOUNTED_OPS, 0)
+        erase_fails = program_fails = 0
+        for variant in ALL_VARIANTS:
+            commands, charges, counters, stats = self.accounting(
+                config, variant
+            )
+            assert commands == charges == counters, variant
+            for op, n in commands.items():
+                exercised[op] += n
+            erase_fails += stats.erase_fails
+            program_fails += stats.program_fails
+        # the faults fired and every op kind ran, so the oracle saw the
+        # retry, fallback and grown-bad paths
+        assert erase_fails > 0 and program_fails > 0
+        assert all(exercised.values()), exercised
+
+    def test_unaccounted_chip_op_flagged(self, config):
+        # grown-bad retirement scrubs without charging the timing model
+        commands, charges, counters, _ = self.accounting(
+            config,
+            ftl_class=forgetting(
+                ScrubBasedFtl, "_retire_bad_block", "timing", "scrub"
+            ),
+        )
+        assert commands["scrub"] == counters["scrub"] > charges["scrub"]
+
+    def test_timing_only_still_flagged(self, config):
+        # pLocks charged on the timing model but never counted
+        commands, charges, counters, _ = self.accounting(
+            config,
+            ftl_class=forgetting(SecureFtl, "_plock_verified", "stats", "plocks"),
+        )
+        assert commands["plock"] == charges["plock"] > counters["plock"]
+
+
+class TestSim05Observer:
+    """A sanitizing chip command without ``on_sanitize``: the sanitizer
+    still owes the stale copy at batch end and fails."""
+
+    def test_silent_sanitize_flagged(self, single_chip_config):
+        violation = _violation(
+            single_chip_config,
+            forgetting(SecureFtl, "_plock_verified", "observer", "on_sanitize"),
+        )
+        assert violation.invariant == "security"
+
+    def test_scrub_wordline_covered(self, single_chip_config):
+        violation = _violation(
+            single_chip_config,
+            forgetting(
+                ScrubBasedFtl, "_scrub_wordline_inner", "observer",
+                "on_sanitize",
+            ),
+        )
+        assert violation.invariant == "security"
+
+    def test_notifying_sanitize_clean(self, single_chip_config):
+        for ftl_class in (SecureFtl, ScrubBasedFtl):
+            ssd = SSD(single_chip_config, ftl_class=ftl_class, checked=True,
+                      check_interval=1)
+            _churn(ssd)
+            assert ssd.ftl.checker.summary()["probes"] > 0

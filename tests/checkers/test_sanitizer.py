@@ -178,7 +178,7 @@ class TestBrokenFtlsRejected:
         ssd = SSD(single_chip_config, "baseline", checked=True, check_interval=1)
         ssd.submit(write(0, secure=False))
         gppa = ssd.ftl.mapped_gppa(0)
-        # rot the table behind the observer's back (what SIM01 bans
+        # rot the table behind the observer's back (what the retired SIM01 banned
         # statically; the runtime checker catches it dynamically)
         ssd.ftl.status.set_invalid(gppa)
         with pytest.raises(InvariantViolation) as excinfo:

@@ -9,6 +9,8 @@ import random
 
 import pytest
 
+from repro.analysis.torture import run_power_loss_case
+from repro.checkers.residue import stale_secured_leaks
 from repro.faults import FaultKind, FaultPlan
 from repro.flash.block import BlockState
 from repro.flash.errors import PowerLossInjected
@@ -16,6 +18,8 @@ from repro.ftl import FTL_VARIANTS
 from repro.ftl.mapping import UNMAPPED
 from repro.ftl.page_status import PageStatus
 from repro.ftl.recovery import PowerLossRecovery
+from repro.ssd.config import scaled_config
+from repro.ssd.device import SSD
 from repro.ssd.request import trim, write
 
 
@@ -227,3 +231,48 @@ class TestRecoveryFaultEdges:
         assert ftl.chips[0].blocks[0].state is BlockState.RETIRED
         churn(ftl, 60, seed=7)  # and never allocate from it again
         assert ftl.chips[0].blocks[0].state is BlockState.RETIRED
+
+
+class TestSecuredLosers:
+    """A cut between a page copy and the sanitize of its source leaves
+    two readable copies; recovery keeps one and still owes the other
+    its sanitization."""
+
+    @staticmethod
+    def cut_gc_copy(ssd, lpa):
+        """Copy lpa's live page the way a GC move does, then lose power
+        before the source is invalidated: both copies carry one seq."""
+        ftl = ssd.ftl
+        chip_id, ppn = ftl.split_gppa(ftl.mapped_gppa(lpa))
+        result = ftl.chips[chip_id].read_page(ppn)
+        copy = ftl._program_new_page(chip_id, result.data, dict(result.spare))
+        crash_and_recover(ftl)
+        return copy
+
+    @pytest.mark.parametrize(
+        "variant", ["secSSD", "secSSD_nobLock", "erSSD", "scrSSD", "cryptSSD"]
+    )
+    def test_cut_gc_copy_leaves_no_readable_secured_version(
+        self, tiny_config, variant
+    ):
+        ssd = SSD(tiny_config, variant, checked=True, check_interval=1)
+        for lpa in range(40):
+            ssd.submit(write(lpa, secure=True))
+        before = logical_snapshot(ssd.ftl)
+        self.cut_gc_copy(ssd, 7)
+        ssd.ftl.checker.full_check()
+        # the surviving copy still serves the host (cryptSSD's key is
+        # shared by both copies of one version and must survive)
+        assert logical_snapshot(ssd.ftl) == before
+        ssd.submit(write(7, secure=True))
+        assert stale_secured_leaks(ssd) == []
+
+    def test_cut_relocation_regression(self):
+        # seed 11 cuts power at op 56 inside an erSSD relocation storm:
+        # the loser copy of lpa 181 used to be demoted to non-secured
+        # and stayed readable once its live copy was overwritten
+        case = run_power_loss_case(
+            scaled_config(blocks_per_chip=12, wordlines_per_block=4),
+            "erSSD", 56, 300, 11,
+        )
+        assert case.outcome == "PASS"
