@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from repro.sim.arrivals import ArrivalProcess, ClosedLoopArrivals
 from repro.sim.policies import DeferLocksPolicy, ReadPriorityPolicy, SchedulingPolicy
-from repro.sim.runner import SimResult, simulate_workload
+from repro.sim.runner import SimResult, capture_block_trace, simulate_trace
 from repro.ssd.config import SSDConfig
 from repro.telemetry.histogram import PERCENTILES
 
@@ -66,18 +66,22 @@ def run_tail_latency_study(
 ) -> dict[str, SimResult]:
     """Closed-loop tail-latency comparison across SSD variants.
 
-    Every variant sees the identical captured block trace; the returned
-    mapping preserves ``variants`` order.  ``arrivals`` defaults to a
-    closed loop at queue depth 32.
+    The block trace is rendered once and every variant replays it; the
+    returned mapping preserves ``variants`` order.  ``arrivals`` defaults
+    to a closed loop at queue depth 32.
     """
+    requests, steady_start = capture_block_trace(
+        config, workload, seed=seed, write_multiplier=write_multiplier
+    )
     out: dict[str, SimResult] = {}
     for variant in variants:
-        out[variant] = simulate_workload(
+        out[variant] = simulate_trace(
             config,
             workload,
             variant,
+            requests,
+            steady_start,
             seed=seed,
-            write_multiplier=write_multiplier,
             policy=policy_for_variant(variant),
             arrivals=arrivals if arrivals is not None else ClosedLoopArrivals(32),
             checked=checked,

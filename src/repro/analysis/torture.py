@@ -23,11 +23,11 @@ byte-identical scorecard):
   any secured page whose version is no longer live and which reads back
   ``readable`` under the residue rule is an exposure.
 
-The only excused exposures after a power cut are pages whose
-invalidating request was *in flight* when power died: the host was never
-acknowledged, so no sanitization promise exists for them yet (they are
-reported per-case as ``exempt``); they are destroyed when their blocks
-are reclaimed, like any stale data.
+No exposure is excused after a power cut.  A page whose invalidating
+request was *in flight* when power died either becomes live again (the
+request never reached flash) or is a secured loser that recovery
+sanitizes before it returns.  Each power-loss case reports how many such
+pages there were under its historical scorecard name ``exempt``.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class TortureCase:
     outcome: str   # "PASS" | "SKIP: ..." | "FAIL: ..."
     robustness: dict[str, int] = field(default_factory=dict)
     injected: dict[str, int] = field(default_factory=dict)
-    exempt: int = 0  # in-flight pages excused by a power cut
+    exempt: int = 0  # pages whose invalidation was in flight at the cut
 
     @property
     def passed(self) -> bool:
@@ -273,7 +273,7 @@ def traced_rate_case(
         sanitizer = ssd.ftl._sanitizer
         if sanitizer is not None:
             sanitizer.full_check()
-        leaks = stale_secured_leaks(ssd)
+        leaks = stale_secured_leaks(ssd.ftl)
         outcome = (
             "PASS"
             if not leaks
@@ -322,12 +322,12 @@ def run_power_loss_case(
             "SKIP: run ended before the scheduled boundary",
         )
     sanitizer = ssd.ftl._sanitizer
-    # pages whose invalidating request was still in flight: the host was
-    # never acknowledged, so they carry no sanitization promise yet
-    exempt = (
-        set(sanitizer._pending) | set(sanitizer._fresh)
+    # pages whose invalidating request was still in flight: recovery
+    # either revives them or sanitizes them, so none is excused
+    in_flight = (
+        len(set(sanitizer._pending) | set(sanitizer._fresh))
         if sanitizer is not None
-        else set()
+        else 0
     )
     recovery = PowerLossRecovery(ssd.ftl)
     recovery.simulate_power_loss()
@@ -335,7 +335,7 @@ def run_power_loss_case(
         recovery.recover()
         if sanitizer is not None:
             sanitizer.full_check()
-        leaks = [g for g in stale_secured_leaks(ssd) if g not in exempt]
+        leaks = stale_secured_leaks(ssd.ftl)
         if leaks:
             return _case_result(
                 ssd,
@@ -344,7 +344,7 @@ def run_power_loss_case(
                 f"op={op_index}",
                 f"FAIL: {len(leaks)} exposure(s) after recovery, "
                 f"e.g. gppa {leaks[:4]}",
-                exempt=len(exempt),
+                exempt=in_flight,
             )
         # the recovered device must still serve and still hold invariants
         for request in torture_requests(
@@ -353,9 +353,7 @@ def run_power_loss_case(
             ssd.submit(request)
         if sanitizer is not None:
             sanitizer.full_check()
-        post_leaks = [
-            g for g in stale_secured_leaks(ssd) if g not in exempt
-        ]
+        post_leaks = stale_secured_leaks(ssd.ftl)
         outcome = (
             "PASS"
             if not post_leaks
@@ -367,7 +365,7 @@ def run_power_loss_case(
     except (InvariantViolation, FlashError, RuntimeError) as exc:
         outcome = f"FAIL: recovery {type(exc).__name__}: {exc}"
     return _case_result(
-        ssd, variant, "power_loss", f"op={op_index}", outcome, exempt=len(exempt)
+        ssd, variant, "power_loss", f"op={op_index}", outcome, exempt=in_flight
     )
 
 
@@ -399,13 +397,17 @@ def run_checkpoint_case(
     if mode not in CHECKPOINT_MODES:
         raise ValueError(f"unknown checkpoint mode {mode!r}")
     try:
-        requests, _ = capture_block_trace(
+        rendered = capture_block_trace(
             config, workload, seed=seed, write_multiplier=write_multiplier
         )
-        every = max(1, len(requests) // 3)  # >= 3 checkpoint windows
+        every = max(1, len(rendered[0]) // 3)  # >= 3 checkpoint windows
         with tempfile.TemporaryDirectory() as tmp:
+            # every campaign call below replays the one rendered trace
             common = dict(
-                seed=seed, write_multiplier=write_multiplier, checked=True
+                seed=seed,
+                write_multiplier=write_multiplier,
+                checked=True,
+                rendered=rendered,
             )
             reference = run_chunked_simulation(
                 config, workload, variant, Path(tmp) / "ref", every, **common

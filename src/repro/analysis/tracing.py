@@ -22,7 +22,7 @@ from repro.analysis.latency import policy_for_variant
 from repro.analysis.tables import render_table
 from repro.sim.arrivals import ArrivalProcess, ClosedLoopArrivals
 from repro.sim.policies import policy_by_name
-from repro.sim.runner import SimResult, simulate_workload
+from repro.sim.runner import SimResult, capture_block_trace, simulate_trace
 from repro.ssd.config import SSDConfig
 from repro.telemetry import Telemetry
 from repro.telemetry.export import to_jsonl, trace_header, write_chrome_trace
@@ -57,21 +57,25 @@ def run_traced_study(
     checked: bool | None = None,
     check_interval: int | None = None,
 ) -> dict[str, TracedRun]:
-    """Run each variant with its own telemetry session, same block trace.
+    """Run each variant with its own telemetry session on one rendered trace.
 
     ``policy="auto"`` picks each variant's honest best (the tail-latency
     study's convention); anything else is resolved by name and applied
     uniformly.  The returned mapping preserves ``variants`` order.
     """
+    requests, steady_start = capture_block_trace(
+        config, workload, seed=seed, write_multiplier=write_multiplier
+    )
     out: dict[str, TracedRun] = {}
     for variant in variants:
         telemetry = Telemetry(capacity=capacity, sample=sample)
-        sim = simulate_workload(
+        sim = simulate_trace(
             config,
             workload,
             variant,
+            requests,
+            steady_start,
             seed=seed,
-            write_multiplier=write_multiplier,
             policy=(
                 policy_for_variant(variant)
                 if policy == "auto"

@@ -267,7 +267,7 @@ def verify_events(
 def verify_device(ledger: PageLedger, ssd: SSD, complete: bool = True) -> AuditReport:
     """Forensic cross-check of the ledger against the final chip state."""
     report = AuditReport()
-    device = DeviceResidue(ssd)
+    device = DeviceResidue(ssd.ftl)
     last_gen = {gen.gppa: gen for gen in ledger.generations}
     for gppa, gen in sorted(last_gen.items()):
         recovered = device.image.get(gppa)

@@ -24,7 +24,6 @@ from repro.flash.chip import ERASED_DATA, SCRUBBED_DATA, ZERO_DATA
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.ftl.base import PageMappedFtl
     from repro.security.attacker import RecoveredPage
-    from repro.ssd.device import SSD
 
 ERASED = "erased"
 LOCKED = "locked"
@@ -133,14 +132,16 @@ class DeviceResidue:
     apart issues no read command, so no chip counter moves.
     """
 
-    def __init__(self, ssd: SSD) -> None:
-        from repro.security.attacker import RawChipAttacker
+    def __init__(self, ftl: PageMappedFtl) -> None:
+        from repro.security.attacker import RecoveredPage
 
-        self.ftl = ssd.ftl
-        self._decrypt = getattr(self.ftl, "decrypt", None)
-        #: gppa -> the attacker's recovered page, for every readable page.
+        self.ftl = ftl
+        self._decrypt = getattr(ftl, "decrypt", None)
+        #: gppa -> the attacker's recovered page, for every readable page
+        #: (``RawChipAttacker.image_device`` dumps the same pages).
         self.image: dict[int, RecoveredPage] = {
-            page.gppa: page for page in RawChipAttacker(ssd).image_device().pages
+            gppa: RecoveredPage(gppa, payload)
+            for gppa, payload in sorted(ftl.raw_device_dump().items())
         }
 
     def readback(self, gppa: int) -> Readback:
@@ -166,14 +167,14 @@ class DeviceResidue:
                 yield RecoveredPage(gppa, plaintext(self.ftl, page.payload))
 
 
-def stale_secured_leaks(ssd: SSD) -> list[int]:
+def stale_secured_leaks(ftl: PageMappedFtl) -> list[int]:
     """The torture leak list: readable secured pages whose version is dead
     (not the live copy, nor a same-``seq`` GC duplicate of it).  Variants
-    with ``sanitize_scope == "none"`` promise nothing."""
-    ftl = ssd.ftl
+    with ``sanitize_scope == "none"`` promise nothing.  Issues no read
+    command, so no chip counter moves."""
     if getattr(ftl, "sanitize_scope", "none") == "none":
         return []
-    device = DeviceResidue(ssd)
+    device = DeviceResidue(ftl)
     leaks: list[int] = []
     for gppa in sorted(device.image):
         spare = spare_at(ftl, gppa)

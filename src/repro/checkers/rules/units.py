@@ -11,6 +11,8 @@ a crash.  This rule type-checks the suffix convention:
   arithmetic/comparison between suffixed operands of different units;
 * ``x_ms = expr_us``: assignment whose target suffix disagrees with the
   inferred unit of the value;
+* ``x_us += expr_ms`` / ``x_us -= expr_ms``: augmented assignment, the
+  same mix as ``x_us = x_us + expr_ms``;
 * ``f(duration_us=value_ms)``: keyword argument whose name disagrees
   with the value's unit;
 * ``def foo_us(...) -> ...: return expr_ms``: function-name suffix vs
@@ -142,6 +144,21 @@ class TimeUnitConsistencyRule(LintRule):
                             f"assigns a [{value_unit}] value to "
                             f"{ast.unparse(target)} [{target_unit}]",
                         )
+            elif isinstance(node, ast.AugAssign) and isinstance(
+                node.op, (ast.Add, ast.Sub)
+            ):
+                # ``a_us += b_ms`` is ``a_us = a_us + b_ms``
+                target_unit = _operand_units(node.target)
+                value_unit = unit_of_expr(node.value)
+                if target_unit and value_unit and target_unit != value_unit:
+                    yield self.finding(
+                        ctx,
+                        node,
+                        f"augmented assignment mixes units: "
+                        f"{ast.unparse(node.target)} [{target_unit}] "
+                        f"{'+' if isinstance(node.op, ast.Add) else '-'}= "
+                        f"{ast.unparse(node.value)} [{value_unit}]",
+                    )
             elif isinstance(node, ast.Call):
                 for kw in node.keywords:
                     if kw.arg is None:

@@ -36,7 +36,7 @@ import os
 from collections import deque
 from typing import TYPE_CHECKING, Any
 
-from repro.checkers.residue import sanitize_violation
+from repro.checkers.residue import sanitize_violation, stale_secured_leaks
 from repro.ftl.observer import notify_optional
 from repro.ftl.page_status import PageStatus
 
@@ -292,6 +292,9 @@ class FtlSanitizer:
         shadow is re-seeded from the real tables and the sanitize
         tracking is dropped (locked pages re-enter as plain INVALID,
         exactly how the recovery scan classifies them).
+
+        Dropping the tracking hides any sanitize the rebuild still owes:
+        the rebuilder checks those with :meth:`check_rebuild_leaks`.
         """
         status = self.ftl.status
         self._shadow = [status.get(g) for g in range(status.physical_pages)]
@@ -299,6 +302,22 @@ class FtlSanitizer:
         self._sanitized.clear()
         self._fresh.clear()
         self._record("resync (state rebuild adopted)")
+
+    def check_rebuild_leaks(self) -> None:
+        """Fail if a dead secured page is still readable after a rebuild.
+
+        Power-loss recovery calls this once it has sanitized its secured
+        losers; a loser it skipped is a readable dead secured page
+        (:func:`~repro.checkers.residue.stale_secured_leaks`).
+        """
+        leaks = stale_secured_leaks(self.ftl)
+        if leaks:
+            self._fail(
+                "security",
+                f"{len(leaks)} dead secured page(s) still readable after "
+                f"a state rebuild (e.g. gppa {leaks[:8]}): a sanitize the "
+                "rebuild owed never ran",
+            )
 
     # ------------------------------------------------------------------
     # structural checks

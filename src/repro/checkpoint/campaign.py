@@ -54,6 +54,7 @@ from repro.sim.policies import SchedulingPolicy, policy_by_name
 from repro.sim.runner import SimResult, capture_block_trace
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SSD
+from repro.ssd.request import IoRequest
 from repro.telemetry import Telemetry
 
 __all__ = [
@@ -183,6 +184,7 @@ def run_chunked_simulation(
     resume: bool = False,
     stop_after: int | None = None,
     stop_when: str | None = None,
+    rendered: tuple[list[IoRequest], int] | None = None,
     _crash_after: str | None = None,
 ) -> SimResult | None:
     """Run (or resume) one simulation in checkpointed windows.
@@ -204,6 +206,15 @@ def run_chunked_simulation(
     while resuming are quarantined and surfaced on the result as
     ``result.run.extra["checkpoint_recovery"]`` (a list of
     :class:`~repro.checkpoint.store.CorruptionReport` dicts).
+
+    ``rendered`` must equal ``capture_block_trace(config, workload,
+    seed, secure_fraction, write_multiplier)``: the manifest fingerprints
+    those parameters, not the requests.  A caller that runs several
+    campaigns on one trace passes it to each instead of having every
+    campaign render it again.  ``None`` renders it here, once, however
+    many checkpoint generations a resume has to fall back past.  A
+    resume whose trace length differs from the one the generations
+    were written for raises :class:`ValueError` and quarantines nothing.
     """
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
@@ -253,14 +264,17 @@ def run_chunked_simulation(
     else:
         store.write_campaign_manifest(fingerprint)
 
-    def build() -> tuple[list, int, SSD, QueueingEngine]:
-        requests, steady_start = capture_block_trace(
+    if rendered is None:
+        rendered = capture_block_trace(
             config,
             workload,
             seed=seed,
             secure_fraction=secure_fraction,
             write_multiplier=write_multiplier,
         )
+    requests, steady_start = rendered
+
+    def build() -> tuple[SSD, QueueingEngine]:
         ssd = SSD(
             config,
             variant,
@@ -274,7 +288,7 @@ def run_chunked_simulation(
         engine = QueueingEngine(
             ssd, requests, arrivals, policy, steady_start=steady_start
         )
-        return requests, steady_start, ssd, engine
+        return ssd, engine
 
     recovery: list[CorruptionReport] = []
     if resume:
@@ -285,7 +299,13 @@ def run_chunked_simulation(
             with _gc_paused():
                 load = store.latest_good()  # raises CheckpointError when dry
             recovery.extend(load.corrupt)
-            requests, steady_start, ssd, engine = build()
+            if load.meta.get("requests", len(requests)) != len(requests):
+                # the caller's trace, not the generation, is wrong
+                raise ValueError(
+                    f"campaign was written for a {load.meta['requests']}-"
+                    f"request trace; this one has {len(requests)}"
+                )
+            ssd, engine = build()
             try:
                 start = load.meta.get("stop", 0)
                 if type(start) is not int or not 0 <= start <= len(requests):
@@ -308,7 +328,7 @@ def run_chunked_simulation(
                 continue
             break
     else:
-        requests, steady_start, ssd, engine = build()
+        ssd, engine = build()
         start = 0
 
     n = len(requests)

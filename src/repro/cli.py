@@ -388,7 +388,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.analysis.latency import format_tail_latency, policy_for_variant
     from repro.sim.arrivals import BurstyArrivals, ClosedLoopArrivals, PoissonArrivals
     from repro.sim.policies import policy_by_name
-    from repro.sim.runner import simulate_workload
+    from repro.sim.runner import capture_block_trace, simulate_trace
 
     variants = _variants(args, ("baseline", "erSSD", "scrSSD", "secSSD"))
     _check_policy(args)
@@ -413,6 +413,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               "--stop-after or --checkpoint-dir (it is part of the "
               "campaign's determinism contract)")
         return 2
+    # every variant replays the one variant-independent render
+    rendered = capture_block_trace(
+        config, args.workload, seed=args.seed, write_multiplier=args.multiplier
+    )
     trace_sessions = {}
     results = {}
     for variant in variants:
@@ -433,12 +437,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
             telemetry = trace_sessions[variant] = Telemetry()
         if not checkpointing:
-            results[variant] = simulate_workload(
+            results[variant] = simulate_trace(
                 config,
                 args.workload,
                 variant,
+                *rendered,
                 seed=args.seed,
-                write_multiplier=args.multiplier,
                 policy=policy,
                 arrivals=arrivals,
                 checked=True if args.checked else None,
@@ -464,6 +468,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 telemetry=telemetry,
                 resume=args.resume,
                 stop_after=args.stop_after,
+                rendered=rendered,
             )
         if result is None:
             print(

@@ -165,6 +165,10 @@ class PowerLossRecovery:
         ftl.resync_checker()
         with ftl.timing.sanitize_region():
             ftl._sanitize_host_batch(owed)
+        if ftl.checker is not None:
+            # the resync dropped the sanitize tracking, so check the
+            # device directly: every secured loser must now be dead
+            ftl.checker.check_rebuild_leaks()
         ftl._ensure_space_all_touched(owed)
         return RecoveryReport(
             pages_scanned=scanned,

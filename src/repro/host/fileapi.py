@@ -33,10 +33,12 @@ class FileInfo:
     lpas: list[int] = field(default_factory=list)
     created_tick: int = 0
     deleted: bool = False
+    #: derived from ``flags`` (fixed at open), once: the file's data must
+    #: be tracked as secured.
+    secure: bool = field(init=False, repr=False)
 
-    @property
-    def secure(self) -> bool:
-        return not (self.flags & OpenFlags.O_INSEC)
+    def __post_init__(self) -> None:
+        self.secure = not self.flags & OpenFlags.O_INSEC
 
     @property
     def size_pages(self) -> int:

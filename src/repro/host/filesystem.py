@@ -35,7 +35,7 @@ class FileSystem:
         self._free: list[int] = list(range(self._capacity))
         heapq.heapify(self._free)
         self._files: dict[int, FileInfo] = {}
-        self._by_name: dict[str, int] = {}
+        self._by_name: dict[str, FileInfo] = {}
         self._next_fid = 1
 
     # ------------------------------------------------------------------
@@ -51,10 +51,10 @@ class FileSystem:
         return [f for f in self._files.values() if not f.deleted]
 
     def lookup(self, name: str) -> FileInfo:
-        fid = self._by_name.get(name)
-        if fid is None:
+        info = self._by_name.get(name)
+        if info is None:
             raise FileSystemError(f"no such file: {name!r}")
-        return self._files[fid]
+        return info
 
     def exists(self, name: str) -> bool:
         return name in self._by_name
@@ -72,7 +72,7 @@ class FileSystem:
         )
         self._next_fid += 1
         self._files[info.fid] = info
-        self._by_name[name] = info.fid
+        self._by_name[name] = info
         return info
 
     def write(self, name: str, offset_pages: int, npages: int) -> None:
@@ -83,21 +83,14 @@ class FileSystem:
         """
         if npages <= 0:
             raise ValueError("npages must be positive")
-        info = self.lookup(name)
-        if offset_pages < 0 or offset_pages > len(info.lpas):
-            raise FileSystemError(
-                f"sparse write at offset {offset_pages} beyond EOF is unsupported"
-            )
-        end = offset_pages + npages
-        while len(info.lpas) < end:
-            info.lpas.append(self._allocate_lpa())
-        lpas = info.lpas[offset_pages:end]
-        self._submit_runs(RequestOp.WRITE, lpas, info)
+        self._write(self.lookup(name), offset_pages, npages)
 
     def append(self, name: str, npages: int) -> None:
         """Append fresh pages at EOF."""
         info = self.lookup(name)
-        self.write(name, len(info.lpas), npages)
+        if npages <= 0:
+            raise ValueError("npages must be positive")
+        self._write(info, len(info.lpas), npages)
 
     def read(self, name: str, offset_pages: int = 0, npages: int | None = None) -> None:
         """Read a page range (defaults to the whole file)."""
@@ -107,12 +100,12 @@ class FileSystem:
         if npages <= 0:
             return
         lpas = info.lpas[offset_pages : offset_pages + npages]
-        self._submit_runs(RequestOp.READ, lpas, info)
+        self._submit_runs(_READ, lpas, info)
 
     def delete(self, name: str) -> None:
         """Unlink the file and trim all of its LPAs (Section 2.2)."""
         info = self.lookup(name)
-        self._submit_runs(RequestOp.TRIM, info.lpas, info)
+        self._submit_runs(_TRIM, info.lpas, info)
         for lpa in info.lpas:
             heapq.heappush(self._free, lpa)
         info.lpas = []
@@ -126,20 +119,35 @@ class FileSystem:
             self.write(name, 0, len(info.lpas))
 
     # ------------------------------------------------------------------
-    def _allocate_lpa(self) -> int:
-        if not self._free:
-            raise OutOfSpaceError("file system is full")
-        return heapq.heappop(self._free)
+    def _write(self, info: FileInfo, offset_pages: int, npages: int) -> None:
+        lpas = info.lpas
+        if offset_pages < 0 or offset_pages > len(lpas):
+            raise FileSystemError(
+                f"sparse write at offset {offset_pages} beyond EOF is unsupported"
+            )
+        end = offset_pages + npages
+        free = self._free
+        while len(lpas) < end:
+            if not free:
+                # the pages allocated so far stay on the file, unwritten
+                raise OutOfSpaceError("file system is full")
+            lpas.append(heapq.heappop(free))
+        self._submit_runs(_WRITE, lpas[offset_pages:end], info)
 
     def _submit_runs(self, op: RequestOp, lpas: list[int], info: FileInfo) -> None:
         """Submit one request per contiguous LPA run."""
-        flags = (
-            RequestFlags.NONE if info.secure else RequestFlags.INSEC_WRITE
-        )
+        submit = self.ssd.submit
+        flags = _SECURE if info.secure else _INSEC
+        fid = info.fid
+        if len(lpas) == 1:
+            submit(IoRequest(op, lpas[0], 1, flags, fid))
+            return
         for start, count in _contiguous_runs(lpas):
-            self.ssd.submit(
-                IoRequest(op, start, count, flags=flags, tag=info.fid)
-            )
+            submit(IoRequest(op, start, count, flags, fid))
+
+
+_READ, _WRITE, _TRIM = RequestOp.READ, RequestOp.WRITE, RequestOp.TRIM
+_SECURE, _INSEC = RequestFlags.NONE, RequestFlags.INSEC_WRITE
 
 
 def _contiguous_runs(lpas: list[int]) -> Iterator[tuple[int, int]]:

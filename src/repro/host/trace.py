@@ -11,9 +11,10 @@ behaviour determines the physical outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from repro.host.fileapi import OpenFlags
 from repro.host.filesystem import FileSystem
@@ -27,19 +28,37 @@ class TraceKind(Enum):
     DELETE = "delete"
 
 
-@dataclass(frozen=True)
-class TraceOp:
-    """One file-level operation."""
-
+class _TraceOpRecord(NamedTuple):
     kind: TraceKind
     name: str
-    offset_pages: int = 0
-    npages: int = 0
-    insec: bool = False
+    offset_pages: int
+    npages: int
+    insec: bool
 
-    def __post_init__(self) -> None:
-        if self.npages < 0 or self.offset_pages < 0:
+
+class TraceOp(_TraceOpRecord):
+    """One file-level operation (an immutable tuple)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: TraceKind,
+        name: str,
+        offset_pages: int = 0,
+        npages: int = 0,
+        insec: bool = False,
+    ) -> "TraceOp":
+        if npages < 0 or offset_pages < 0:
             raise ValueError("offset/npages must be non-negative")
+        return _tuple_new(cls, (kind, name, offset_pages, npages, insec))
+
+    @classmethod
+    def _make(cls, iterable) -> "TraceOp":
+        return cls(*iterable)  # validated; ``_replace`` goes through here
+
+
+_tuple_new = tuple.__new__
 
 
 def create(name: str, insec: bool = False) -> TraceOp:
@@ -82,33 +101,53 @@ class TraceReplayer:
         self.fs = fs
 
     def replay(self, ops: Iterable[TraceOp]) -> ReplayReport:
-        report = ReplayReport()
-        for op in ops:
-            self.apply(op)
-            report.ops += 1
-            if op.kind is TraceKind.CREATE:
-                report.creates += 1
-            elif op.kind in (TraceKind.WRITE, TraceKind.APPEND):
-                report.writes += 1
-                report.pages_written += op.npages
-            elif op.kind is TraceKind.READ:
-                report.reads += 1
-                report.pages_read += op.npages
-            elif op.kind is TraceKind.DELETE:
-                report.deletes += 1
-        return report
+        """Apply ``ops`` in order; one kind dispatch per op.
+
+        The counters are returned only for a replay that completes: an
+        op that raises (e.g. ``OutOfSpaceError``) propagates with the
+        file system holding the effects of every op before it.
+        """
+        fs = self.fs
+        create, write, append = fs.create, fs.write, fs.append
+        read, delete = fs.read, fs.delete
+        n = creates = writes = reads = deletes = written = read_pages = 0
+        for kind, name, offset_pages, npages, insec in ops:
+            # most frequent kinds first
+            if kind is _APPEND:
+                append(name, npages)
+                writes += 1
+                written += npages
+            elif kind is _READ:
+                read(name, offset_pages, npages or None)
+                reads += 1
+                read_pages += npages
+            elif kind is _CREATE:
+                create(name, _O_INSEC if insec else _O_NONE)
+                creates += 1
+            elif kind is _DELETE:
+                delete(name)
+                deletes += 1
+            elif kind is _WRITE:
+                write(name, offset_pages, npages)
+                writes += 1
+                written += npages
+            else:  # pragma: no cover - enum is closed
+                raise ValueError(f"unknown op kind {kind!r}")
+            n += 1
+        return ReplayReport(
+            ops=n,
+            creates=creates,
+            writes=writes,
+            reads=reads,
+            deletes=deletes,
+            pages_written=written,
+            pages_read=read_pages,
+        )
 
     def apply(self, op: TraceOp) -> None:
-        if op.kind is TraceKind.CREATE:
-            flags = OpenFlags.O_INSEC if op.insec else OpenFlags.NONE
-            self.fs.create(op.name, flags)
-        elif op.kind is TraceKind.WRITE:
-            self.fs.write(op.name, op.offset_pages, op.npages)
-        elif op.kind is TraceKind.APPEND:
-            self.fs.append(op.name, op.npages)
-        elif op.kind is TraceKind.READ:
-            self.fs.read(op.name, op.offset_pages, op.npages or None)
-        elif op.kind is TraceKind.DELETE:
-            self.fs.delete(op.name)
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown op kind {op.kind!r}")
+        self.replay((op,))
+
+
+_CREATE, _WRITE, _APPEND = TraceKind.CREATE, TraceKind.WRITE, TraceKind.APPEND
+_READ, _DELETE = TraceKind.READ, TraceKind.DELETE
+_O_INSEC, _O_NONE = OpenFlags.O_INSEC, OpenFlags.NONE

@@ -29,18 +29,28 @@ def op_to_dict(op: TraceOp) -> dict:
     }
 
 
-def op_from_dict(record: dict) -> TraceOp:
+def op_from_dict(record: object) -> TraceOp:
+    """Parse one trace record; ``ValueError("bad trace record: ...")`` if
+    it is not an object with a known ``kind``, a string ``name`` and
+    non-negative integer ``offset``/``npages``."""
     try:
+        if not isinstance(record, dict):
+            raise TypeError("not a JSON object")
         kind = TraceKind(record["kind"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad trace record: {record!r}") from exc
-    return TraceOp(
-        kind=kind,
-        name=record["name"],
-        offset_pages=int(record.get("offset", 0)),
-        npages=int(record.get("npages", 0)),
-        insec=bool(record.get("insec", False)),
-    )
+        name = record["name"]
+        if not isinstance(name, str):
+            raise TypeError(f"name {name!r} is not a string")
+        return TraceOp(
+            kind=kind,
+            name=name,
+            offset_pages=int(record.get("offset", 0)),
+            npages=int(record.get("npages", 0)),
+            insec=bool(record.get("insec", False)),
+        )
+    except KeyError as exc:
+        raise ValueError(f"bad trace record: missing {exc}: {record!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad trace record: {exc}: {record!r}") from exc
 
 
 def save_trace(path: str | Path, ops: Iterable[TraceOp]) -> int:
@@ -55,14 +65,19 @@ def save_trace(path: str | Path, ops: Iterable[TraceOp]) -> int:
 
 
 def load_trace(path: str | Path) -> Iterator[TraceOp]:
-    """Stream a trace back from ``path`` (lazily, line by line)."""
+    """Stream a trace back from ``path`` (lazily, line by line).
+
+    A malformed line raises one ``ValueError`` prefixed ``path:line``.
+    """
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                op = op_from_dict(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: invalid JSON") from exc
-            yield op_from_dict(record)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+            yield op

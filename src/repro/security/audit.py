@@ -57,7 +57,7 @@ class SanitizationAuditor:
     def audit_deleted_files(self, deleted_tags: set[object]) -> AuditReport:
         """C1: no content of any deleted file may be recoverable."""
         report = AuditReport(checked_files=len(deleted_tags))
-        for page in DeviceResidue(self.ssd).recovered():
+        for page in DeviceResidue(self.ssd.ftl).recovered():
             if page.file_tag in deleted_tags:
                 report.violations.append(
                     Violation("C1", page.file_tag, page.gppa, page.payload)
@@ -73,7 +73,7 @@ class SanitizationAuditor:
         (the version that is allowed to survive).
         """
         report = AuditReport(checked_lpas=len(live_versions))
-        for page in DeviceResidue(self.ssd).recovered():
+        for page in DeviceResidue(self.ssd.ftl).recovered():
             lpa = page.lpa
             if lpa is None or lpa not in live_versions:
                 continue

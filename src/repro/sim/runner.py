@@ -46,9 +46,8 @@ class _CaptureDevice:
         self.logical_pages = logical_pages
         self.ftl = _CaptureFtl()
         self.requests: list[IoRequest] = []
-
-    def submit(self, request: IoRequest) -> None:
-        self.requests.append(request)
+        #: record a request (the list's own ``append``, no wrapper frame)
+        self.submit = self.requests.append
 
 
 def capture_generator_trace(

@@ -13,8 +13,8 @@ like the paper's custom trace replayer does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, Flag, auto
+from typing import NamedTuple
 
 
 class RequestOp(Enum):
@@ -33,9 +33,20 @@ class RequestFlags(Flag):
     INSEC_WRITE = auto()
 
 
-@dataclass(frozen=True, slots=True)
-class IoRequest:
+class _IoRequestRecord(NamedTuple):
+    op: RequestOp
+    lpa: int
+    npages: int
+    flags: RequestFlags
+    tag: object
+    secure: bool
+
+
+class IoRequest(_IoRequestRecord):
     """One host request over a contiguous LPA range.
+
+    An immutable tuple: a rendered trace is shared by every variant that
+    replays it, so no consumer may change a request in place.
 
     Attributes
     ----------
@@ -50,29 +61,48 @@ class IoRequest:
     tag:
         Opaque host annotation (the file-system layer passes the file id,
         which VerTrace uses to attribute physical pages to files).
+    secure:
+        Whether written data must be tracked as secured: a write without
+        ``INSEC_WRITE``.  Decided once, at construction.
     """
 
-    op: RequestOp
-    lpa: int
-    npages: int = 1
-    flags: RequestFlags = RequestFlags.NONE
-    tag: object = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.npages <= 0:
+    def __new__(
+        cls,
+        op: RequestOp,
+        lpa: int,
+        npages: int = 1,
+        flags: RequestFlags = RequestFlags.NONE,
+        tag: object = None,
+    ) -> "IoRequest":
+        if npages <= 0:
             raise ValueError("npages must be positive")
-        if self.lpa < 0:
+        if lpa < 0:
             raise ValueError("lpa must be non-negative")
-
-    @property
-    def secure(self) -> bool:
-        """Whether written data must be tracked as secured."""
-        return self.op is RequestOp.WRITE and not (
-            self.flags & RequestFlags.INSEC_WRITE
+        secure = op is _WRITE and (
+            flags is _NO_FLAGS or not flags & RequestFlags.INSEC_WRITE
         )
+        return _tuple_new(cls, (op, lpa, npages, flags, tag, secure))
+
+    def __getnewargs__(self) -> tuple:
+        return self[:5]  # the constructor's arguments; ``secure`` is derived
+
+    def _replace(self, **changes: object) -> "IoRequest":
+        """A copy with ``changes`` applied, validated like a new request."""
+        return type(self)(**dict(zip(self._fields[:5], self), **changes))
+
+    @classmethod
+    def _make(cls, iterable) -> "IoRequest":
+        return cls(*iterable)  # the five constructor arguments, validated
 
     def lpas(self) -> range:
         return range(self.lpa, self.lpa + self.npages)
+
+
+_tuple_new = tuple.__new__
+_WRITE = RequestOp.WRITE
+_NO_FLAGS = RequestFlags.NONE
 
 
 def read(lpa: int, npages: int = 1, tag: object = None) -> IoRequest:

@@ -235,7 +235,7 @@ class TestEveryCallerOneAnswer:
 
     def test_torture_flags_dead_versions_no_method_explains(self, image):
         ssd, pages, oracle = image
-        leaks = set(stale_secured_leaks(ssd))
+        leaks = set(stale_secured_leaks(ssd.ftl))
         flagged = {name for name, gppa in pages.items() if gppa in leaks}
         assert flagged == {
             name for name, (cls, dead, _, _) in oracle.items()
@@ -266,7 +266,7 @@ class TestEveryCallerOneAnswer:
             pages[name] for name, row in readable_dead.items() if row[3] == 0
         }
         # cross-caller: every C1/C2 violation is on the torture leak list
-        assert c1 | c2 <= set(stale_secured_leaks(ssd))
+        assert c1 | c2 <= set(stale_secured_leaks(ssd.ftl))
 
 
 class TestCheckpointLockProbe:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.checkers.lint import lint_paths
 from repro.checkers.rules.units import TimeUnitConsistencyRule
 
@@ -45,6 +47,23 @@ class TestMismatches:
                 return latency_ms
         """)
         assert [f.rule_id for f in _lint(tmp_path)] == ["SIM13"]
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "self.cell_work_us = self.cell_work_us + t_read_ms",
+            "self.cell_work_us += t_read_ms",
+            "self.cell_work_us -= t_read_ms",
+        ],
+    )
+    def test_accumulating_mixed_units_flagged(self, tmp_path, statement):
+        _write(tmp_path, "repro/ssd/x.py", f"""
+            def f(self, t_read_ms):
+                {statement}
+        """)
+        (finding,) = _lint(tmp_path)
+        assert finding.rule_id == "SIM13"
+        assert "[us]" in finding.message and "[ms]" in finding.message
 
     def test_keyword_argument_mismatch_flagged(self, tmp_path):
         _write(tmp_path, "repro/ssd/x.py", """
@@ -94,6 +113,16 @@ class TestClean:
             def f(start_us):
                 end_us = start_us + 50
                 return end_us
+        """)
+        assert _lint(tmp_path) == []
+
+    def test_same_unit_accumulation(self, tmp_path):
+        # a conversion on the right of += is unit-unknown, so silent
+        _write(tmp_path, "repro/ssd/x.py", """
+            def f(self, t_read_us, t_read_ms):
+                self.cell_work_us += t_read_us
+                self.cell_work_us -= max(t_read_us, 0)
+                self.cell_work_us += t_read_ms * 1000
         """)
         assert _lint(tmp_path) == []
 

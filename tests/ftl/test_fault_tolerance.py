@@ -161,7 +161,7 @@ class TestLockFallbackChain:
         assert ssd.stats.lock_failures > 0
         assert ssd.stats.fallback_block_locks > 0
         ssd.ftl._sanitizer.full_check()
-        assert stale_secured_exposures(ssd) == []
+        assert stale_secured_exposures(ssd.ftl) == []
 
     def test_forced_plock_and_block_lock_fall_back_to_erase(self, tiny_config):
         plan = FaultPlan.from_rates(
@@ -173,7 +173,7 @@ class TestLockFallbackChain:
             ssd.submit(request)
         assert ssd.stats.fallback_erases > 0
         ssd.ftl._sanitizer.full_check()
-        assert stale_secured_exposures(ssd) == []
+        assert stale_secured_exposures(ssd.ftl) == []
 
     def test_lock_retry_recovers_single_glitch(self, tiny_config):
         ftl = FTL_VARIANTS["secSSD"](tiny_config, faults=FaultPlan(seed=4))

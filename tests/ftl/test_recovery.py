@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis.torture import run_power_loss_case
 from repro.checkers.residue import stale_secured_leaks
+from repro.checkers.sanitizer import InvariantViolation
 from repro.faults import FaultKind, FaultPlan
 from repro.flash.block import BlockState
 from repro.flash.errors import PowerLossInjected
@@ -265,7 +266,47 @@ class TestSecuredLosers:
         # shared by both copies of one version and must survive)
         assert logical_snapshot(ssd.ftl) == before
         ssd.submit(write(7, secure=True))
-        assert stale_secured_leaks(ssd) == []
+        assert stale_secured_leaks(ssd.ftl) == []
+
+    @staticmethod
+    def cut_host_update(ssd, lpa):
+        """Program lpa's next version the way a host write does, then
+        lose power before the L2P update and the old copy's sanitize:
+        the old copy is a secured loser that recovery owes a sanitize."""
+        ftl = ssd.ftl
+        chip_id, ppn = ftl.split_gppa(ftl.mapped_gppa(lpa))
+        spare = dict(ftl.chips[chip_id].read_page(ppn).spare)
+        seq = spare["seq"] = ftl._write_seq
+        ftl._write_seq += 1
+        ftl._program_new_page(chip_id, (lpa, spare["tag"], seq), spare)
+        crash_and_recover(ftl)
+
+    @pytest.mark.parametrize("variant", ["secSSD", "erSSD", "scrSSD"])
+    @pytest.mark.parametrize("mutant", [False, True])
+    def test_sanitizer_sees_a_recovery_sanitize_skipped(
+        self, tiny_config, variant, mutant
+    ):
+        # the mutant's _sanitize_host_batch skips one recovery loser; the
+        # torture leak scan sees the leak, and so must the sanitizer --
+        # inside recovery, before any GC could erase the leaked page
+        ssd = SSD(tiny_config, variant, checked=True, check_interval=1000)
+        for lpa in range(40):
+            ssd.submit(write(lpa, secure=True))
+        ftl = ssd.ftl
+        if not mutant:
+            self.cut_host_update(ssd, 7)
+            assert stale_secured_leaks(ftl) == []
+            ftl.checker.full_check()
+            ssd.submit(write(7, secure=True))
+            return
+        real = ftl._sanitize_host_batch
+        ftl._sanitize_host_batch = lambda events: real(events[1:])
+        with pytest.raises(InvariantViolation) as exc:
+            self.cut_host_update(ssd, 7)
+        del ftl._sanitize_host_batch
+        assert exc.value.invariant == "security"
+        assert "after a state rebuild" in exc.value.detail
+        assert stale_secured_leaks(ftl) != []
 
     def test_cut_relocation_regression(self):
         # seed 11 cuts power at op 56 inside an erSSD relocation storm:

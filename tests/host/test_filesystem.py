@@ -99,6 +99,21 @@ class TestWriteSemantics:
         fs.create("big")
         with pytest.raises(OutOfSpaceError):
             fs.append("big", fs.capacity_pages + 1)
+        # the pages allocated before the error stay on the file, unwritten
+        assert fs.lookup("big").size_pages == fs.capacity_pages
+        assert fs.used_pages == fs.capacity_pages
+        assert fs.ssd.stats.host_writes == 0
+
+    def test_validation_order(self, fs):
+        with pytest.raises(ValueError):
+            fs.write("ghost", 0, 0)  # npages is checked before the lookup
+        with pytest.raises(FileSystemError):
+            fs.append("ghost", 0)  # append looks the file up first
+        fs.create("a")
+        with pytest.raises(ValueError):
+            fs.append("a", 0)
+        with pytest.raises(FileSystemError):
+            fs.write("a", 1, 1)  # sparse write beyond EOF
 
     def test_read_whole_file(self, fs):
         fs.create("a")

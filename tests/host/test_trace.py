@@ -45,6 +45,14 @@ class TestBuilders:
         with pytest.raises(ValueError):
             TraceOp(TraceKind.WRITE, "f", -1, 1)
 
+    def test_immutable_and_replace_validates(self):
+        op = write("f", 3, 2)
+        with pytest.raises(AttributeError):
+            op.npages = 5
+        assert op._replace(npages=4) == write("f", 3, 4)
+        with pytest.raises(ValueError):
+            op._replace(npages=-1)
+
 
 class TestReplay:
     def test_lifecycle(self, replayer):

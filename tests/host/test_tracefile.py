@@ -1,5 +1,7 @@
 """Trace persistence (JSONL save/load)."""
 
+import json
+
 import pytest
 
 from repro.host.trace import TraceKind, TraceOp, append, create, delete, read, write
@@ -61,3 +63,56 @@ class TestRobustness:
     def test_missing_fields_default(self):
         op = op_from_dict({"kind": "read", "name": "f"})
         assert op == TraceOp(TraceKind.READ, "f", 0, 0, False)
+
+
+MALFORMED = {
+    "not-an-object": ([1, 2], "not a JSON object"),
+    "a-string": ("create", "not a JSON object"),
+    "missing-kind": ({"name": "x"}, "missing 'kind'"),
+    "unknown-kind": ({"kind": "explode", "name": "x"}, "not a valid TraceKind"),
+    "missing-name": ({"kind": "create"}, "missing 'name'"),
+    "numeric-name": ({"kind": "create", "name": 7}, "is not a string"),
+    "offset-not-int": (
+        {"kind": "write", "name": "x", "offset": "x", "npages": 1},
+        "invalid literal",
+    ),
+    "negative-npages": (
+        {"kind": "append", "name": "x", "npages": -1},
+        "must be non-negative",
+    ),
+    "negative-offset": (
+        {"kind": "read", "name": "x", "offset": -2},
+        "must be non-negative",
+    ),
+    "npages-null": ({"kind": "append", "name": "x", "npages": None}, "int()"),
+}
+
+
+class TestMalformedRecords:
+    """Every malformed record is one labelled ``ValueError`` line."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_record_rejected_with_one_line(self, case):
+        record, reason = MALFORMED[case]
+        with pytest.raises(ValueError) as exc:
+            op_from_dict(record)
+        message = str(exc.value)
+        assert message.startswith("bad trace record: ")
+        assert reason in message
+        assert "\n" not in message
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_load_prefixes_path_and_line(self, tmp_path, case):
+        record, reason = MALFORMED[case]
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"kind": "create", "name": "ok"}\n\n' + json.dumps(record) + "\n"
+        )
+        stream = load_trace(path)
+        assert next(stream) == create("ok")
+        with pytest.raises(ValueError) as exc:
+            next(stream)
+        message = str(exc.value)
+        assert message.startswith(f"{path}:3: bad trace record: ")
+        assert reason in message
+        assert "\n" not in message

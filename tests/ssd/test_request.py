@@ -47,3 +47,34 @@ class TestConstruction:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             write(0).lpa = 5
+
+
+class TestRecord:
+    """A request is an immutable tuple shared by every variant's replay."""
+
+    def test_secure_decided_at_construction(self):
+        req = IoRequest(RequestOp.WRITE, 3, 2, RequestFlags.INSEC_WRITE, "f")
+        assert tuple(req) == (
+            RequestOp.WRITE, 3, 2, RequestFlags.INSEC_WRITE, "f", False
+        )
+        assert IoRequest(RequestOp.WRITE, 3).secure is True
+        assert IoRequest(RequestOp.TRIM, 3).secure is False
+
+    def test_replace_revalidates_and_rederives(self):
+        req = write(5, npages=2, tag=1)
+        insec = req._replace(flags=RequestFlags.INSEC_WRITE)
+        assert not insec.secure and insec.lpas() == range(5, 7)
+        assert not req._replace(op=RequestOp.READ).secure
+        with pytest.raises(ValueError):
+            req._replace(npages=0)
+        with pytest.raises(TypeError):
+            req._replace(secure=False)
+
+    def test_pickle_and_copy_roundtrip(self):
+        import copy
+        import pickle
+
+        req = write(9, npages=3, secure=False, tag=("f", 2))
+        assert pickle.loads(pickle.dumps(req)) == req
+        assert copy.deepcopy(req) == req
+        assert type(pickle.loads(pickle.dumps(req))) is IoRequest
