@@ -33,10 +33,12 @@ certificate chains over, so editing one event perturbs the digest.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.checkpoint.codec import canonical_dumps, section_checksum
-from repro.telemetry import TraceEvent
+from repro.telemetry.events import EventColumns, TraceBus
+from repro.telemetry.export import LIFECYCLE_ARGS
 from repro.telemetry.histogram import percentile
 
 
@@ -119,57 +121,95 @@ class PageLedger:
         )
         del self.open_by_gppa[gen.gppa]
 
-    def apply(self, event: TraceEvent) -> None:
-        """Replay one bridge instant into the ledger."""
-        args = event.args
-        if event.cat == "ftl.page" and event.name == "program":
-            self._count("programs")
-            gppa = int(args["gppa"])  # type: ignore[arg-type]
-            if gppa in self.open_by_gppa:
-                # a page cannot be programmed twice without an erase
-                self._anomaly("program-over-open-page")
-                del self.open_by_gppa[gppa]
-            self.open_by_gppa[gppa] = len(self.generations)
-            self.generations.append(
-                PageGeneration(
-                    gppa=gppa,
-                    lpa=int(args["lpa"]),  # type: ignore[arg-type]
-                    secure=bool(args["secure"]),
-                    program_ts=event.ts_us,
-                )
+    def replay(self, columns: EventColumns) -> None:
+        """Replay a bus's columns (see :meth:`TraceBus.columns`).
+
+        Each kind is resolved once to its handler and the positions of
+        the args it takes; every other kind only advances the values
+        offset.
+        """
+        steps = [self._step(*spec) for spec in columns.kinds]
+        arity = [len(spec[4]) for spec in columns.kinds]
+        values = columns.values
+        pos = 0
+        for index, ts_us in zip(columns.kind, columns.ts_us):
+            step = steps[index]
+            if step is not None:
+                handler, at = step
+                handler(ts_us, *[values[pos + i] for i in at])
+            pos += arity[index]
+
+    def _step(
+        self, name: str, cat: str, ph: str, tid: str, keys: tuple[str, ...]
+    ) -> tuple[Callable[..., None], tuple[int, ...]] | None:
+        """One kind's handler and arg positions; ``None`` unless it is one
+        of the four bridge instants."""
+        required = LIFECYCLE_ARGS.get((cat, name))
+        if required is None:
+            return None
+        missing = [key for key in required if key not in keys]
+        if missing:
+            raise ValueError(
+                f"{cat}/{name} events lack the args {missing}; the ledger "
+                "cannot replay them"
             )
-        elif event.cat == "ftl.page" and event.name == "invalidate":
-            self._count("invalidations")
-            reason = str(args.get("reason"))
-            self.invalidated_by_reason[reason] = (
-                self.invalidated_by_reason.get(reason, 0) + 1
+        optional = {"invalidate": "reason", "sanitize": "method"}.get(name)
+        wanted = (*required, *([optional] if optional in keys else []))
+        handler = {
+            "program": self._program,
+            "invalidate": self._invalidate,
+            "sanitize": self._sanitize,
+            "erase": self._erase,
+        }[name]
+        return handler, tuple(keys.index(key) for key in wanted)
+
+    def _program(self, ts_us: float, gppa: object, lpa: object, secure: object) -> None:
+        self._count("programs")
+        page = int(gppa)  # type: ignore[call-overload]
+        if page in self.open_by_gppa:
+            # a page cannot be programmed twice without an erase
+            self._anomaly("program-over-open-page")
+            del self.open_by_gppa[page]
+        self.open_by_gppa[page] = len(self.generations)
+        self.generations.append(
+            PageGeneration(
+                gppa=page,
+                lpa=int(lpa),  # type: ignore[call-overload]
+                secure=bool(secure),
+                program_ts=ts_us,
             )
-            index = self.open_by_gppa.get(int(args["gppa"]))  # type: ignore[arg-type]
-            if index is None:
-                self._anomaly("invalidate-without-program")
-                return
-            gen = self.generations[index]
-            if gen.invalidate_ts is not None:
-                self._anomaly("double-invalidate")
-                return
-            gen.invalidate_ts = event.ts_us
-            gen.invalidate_reason = reason
-        elif event.cat == "ftl.sanitize" and event.name == "sanitize":
-            self._count("sanitizes")
-            method = str(args.get("method"))
-            index = self.open_by_gppa.get(int(args["gppa"]))  # type: ignore[arg-type]
-            if index is None:
-                self._anomaly("sanitize-without-program")
-                return
-            self._close(index, event.ts_us, method)
-        elif event.cat == "ftl.flash" and event.name == "erase":
-            self._count("erases")
-            block = int(args["block"])  # type: ignore[arg-type]
-            lo = block * self.pages_per_block
-            for gppa in range(lo, lo + self.pages_per_block):
-                index = self.open_by_gppa.get(gppa)
-                if index is not None:
-                    self._close(index, event.ts_us, "erase")
+        )
+
+    def _invalidate(self, ts_us: float, gppa: object, reason: object = None) -> None:
+        self._count("invalidations")
+        why = str(reason)
+        self.invalidated_by_reason[why] = self.invalidated_by_reason.get(why, 0) + 1
+        index = self.open_by_gppa.get(int(gppa))  # type: ignore[call-overload]
+        if index is None:
+            self._anomaly("invalidate-without-program")
+            return
+        gen = self.generations[index]
+        if gen.invalidate_ts is not None:
+            self._anomaly("double-invalidate")
+            return
+        gen.invalidate_ts = ts_us
+        gen.invalidate_reason = why
+
+    def _sanitize(self, ts_us: float, gppa: object, method: object = None) -> None:
+        self._count("sanitizes")
+        index = self.open_by_gppa.get(int(gppa))  # type: ignore[call-overload]
+        if index is None:
+            self._anomaly("sanitize-without-program")
+            return
+        self._close(index, ts_us, str(method))
+
+    def _erase(self, ts_us: float, block: object) -> None:
+        self._count("erases")
+        lo = int(block) * self.pages_per_block  # type: ignore[call-overload]
+        for gppa in range(lo, lo + self.pages_per_block):
+            index = self.open_by_gppa.get(gppa)
+            if index is not None:
+                self._close(index, ts_us, "erase")
 
     # -- derived views --------------------------------------------------
     def open_generations(self) -> list[PageGeneration]:
@@ -240,17 +280,22 @@ class PageLedger:
 
 
 def build_ledger(
-    events: list[TraceEvent],
+    bus: TraceBus,
     pages_per_block: int,
     sanitize_latency_us: dict[str, float] | None = None,
 ) -> PageLedger:
-    """Replay a full event stream (publication order) into a ledger."""
+    """Replay a bus's retained events (publication order) into a ledger.
+
+    Live, checkpoint-restored and archived evidence all arrive as a
+    :class:`~repro.telemetry.events.TraceBus` (an archive through
+    :func:`~repro.telemetry.export.read_jsonl`), so they share this one
+    replay path.
+    """
     if pages_per_block < 1:
         raise ValueError("pages_per_block must be >= 1")
     ledger = PageLedger(
         pages_per_block=pages_per_block,
         sanitize_latency_us=dict(sanitize_latency_us or {}),
     )
-    for event in events:
-        ledger.apply(event)
+    ledger.replay(bus.columns())
     return ledger

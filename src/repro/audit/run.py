@@ -37,7 +37,7 @@ from repro.checkpoint.codec import canonical_dumps, section_checksum
 from repro.sim.runner import SimResult
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SSD
-from repro.telemetry import Telemetry, TraceEvent
+from repro.telemetry import Telemetry, TraceBus
 from repro.telemetry.export import read_jsonl, trace_header
 
 #: ring capacity for audit-grade telemetry: large enough that no page
@@ -125,15 +125,17 @@ def build_sections(
 
 def audit_events(
     header: dict[str, object],
-    events: list[TraceEvent],
+    bus: TraceBus,
     ssd: SSD | None = None,
     certificate: dict[str, object] | None = None,
     key: bytes = DEFAULT_KEY,
 ) -> AuditResult:
     """Core pipeline: events -> ledger -> certificate -> verification.
 
-    With ``certificate`` the given artifact is verified against the
-    trace instead of issuing a fresh one.
+    ``bus`` holds the evidence: a live run's own bus, one restored from
+    checkpoint segments, or an archive read by :func:`read_jsonl`.  With
+    ``certificate`` the given artifact is verified against the trace
+    instead of issuing a fresh one.
     """
     pages_per_block = header.get("pages_per_block")
     if not isinstance(pages_per_block, int):
@@ -143,7 +145,7 @@ def audit_events(
         )
     latency = header.get("sanitize_latency_us")
     ledger = build_ledger(
-        events,
+        bus,
         pages_per_block,
         sanitize_latency_us=latency if isinstance(latency, dict) else None,
     )
@@ -152,7 +154,7 @@ def audit_events(
             build_sections(header, ledger, device_verified=ssd is not None),
             key=key,
         )
-    report = verify_all(certificate, header, events, ledger, ssd=ssd, key=key)
+    report = verify_all(certificate, header, bus, ledger, ssd=ssd, key=key)
     return AuditResult(
         header=header, ledger=ledger, certificate=certificate, report=report
     )
@@ -185,7 +187,7 @@ def audit_live_run(
         meta["seed"] = seed
     meta.update(extra_meta)
     header = trace_header(telemetry.bus, **meta)
-    return audit_events(header, telemetry.bus.events, ssd=ssd, key=key)
+    return audit_events(header, telemetry.bus, ssd=ssd, key=key)
 
 
 def audit_sim_result(
@@ -217,7 +219,7 @@ def audit_trace_file(
     key: bytes = DEFAULT_KEY,
 ) -> AuditResult:
     """Audit an archived JSONL trace (no device; forensic pass skipped)."""
-    header, events = read_jsonl(path)
+    header, bus = read_jsonl(path)
     if header is None:
         if pages_per_block is None:
             raise ValueError(
@@ -228,5 +230,5 @@ def audit_trace_file(
     elif pages_per_block is not None:
         header = {**header, "pages_per_block": pages_per_block}
     return audit_events(
-        header, events, ssd=None, certificate=certificate, key=key
+        header, bus, ssd=None, certificate=certificate, key=key
     )

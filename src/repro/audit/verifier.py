@@ -9,13 +9,13 @@ model):
    in the artifact surfaces as a ``checksum-mismatch`` /
    ``chain-mismatch`` / ``bad-signature`` finding.
 2. :func:`verify_events` -- replay the lifecycle rules over the raw
-   trace: simulated-time monotonicity of instants, per-category counts
-   against the header's published totals, non-negative exposure
-   windows, and zero lifecycle anomalies.  On a lossless trace (no
-   drops, no strides) every one of these is exact, so a deleted,
-   edited, or reordered record is caught; on a lossy trace the checks
-   that depend on completeness degrade to an ``incomplete-evidence``
-   disclosure instead of false confidence.
+   trace, read as the bus's columns: simulated-time monotonicity of
+   instants, per-category counts against the header's published
+   totals, non-negative exposure windows, and zero lifecycle
+   anomalies.  On a lossless trace (no drops, no strides) every one of
+   these is exact, so a deleted, edited, or reordered record is caught;
+   on a lossy trace the checks that depend on completeness degrade to
+   an ``incomplete-evidence`` disclosure instead of false confidence.
 3. :func:`verify_device` -- the forensic cross-check: image the chips
    through :class:`~repro.security.attacker.RawChipAttacker` (the
    Section 5.1 raw-chip adversary) and attempt recovery of every page
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac as hmac_mod
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.audit.certificate import (
@@ -44,7 +45,7 @@ from repro.audit.ledger import PageLedger
 from repro.checkers.residue import DeviceResidue, accepts
 from repro.checkpoint.codec import canonical_dumps, section_checksum
 from repro.ssd.device import SSD
-from repro.telemetry import TraceEvent
+from repro.telemetry.events import TraceBus
 
 #: trace categories the ledger replays; completeness checks cover these.
 LEDGER_CATEGORIES = ("ftl.page", "ftl.sanitize", "ftl.flash")
@@ -190,7 +191,7 @@ def verify_certificate(
 # ---------------------------------------------------------------------------
 def verify_events(
     header: dict[str, object] | None,
-    events: list[TraceEvent],
+    bus: TraceBus,
     ledger: PageLedger,
 ) -> AuditReport:
     """Replay-level checks: ordering, counts, windows, lifecycle rules."""
@@ -204,30 +205,37 @@ def verify_events(
             "(or has no disclosure header); completeness checks degraded",
             fatal=False,
         )
+    columns = bus.columns()
+    kinds = columns.kinds
 
     # simulated-time monotonicity of instants (publication order is
     # chronological for ph="i"; span records are stamped at start time).
+    instant = [spec[2] == "i" for spec in kinds]
+    ordered = 0
     last_ts = None
-    for event in events:
-        if event.ph != "i":
+    for index, ts_us in zip(columns.kind, columns.ts_us):
+        if not instant[index]:
             continue
-        report.checked("events.ordered")
-        if last_ts is not None and event.ts_us < last_ts:
+        ordered += 1
+        if last_ts is not None and ts_us < last_ts:
             report.add(
                 "event-order-violation",
                 "events",
-                f"instant {event.name!r} at t={event.ts_us} follows "
+                f"instant {kinds[index][0]!r} at t={ts_us} follows "
                 f"t={last_ts} (simulated time ran backwards)",
             )
             break
-        last_ts = event.ts_us
+        last_ts = ts_us
+    if ordered:
+        report.checked("events.ordered", ordered)
 
     # per-category counts against the header's published totals.
     if header is not None and complete:
         published = header.get("published") or {}
         seen: dict[str, int] = {}
-        for event in events:
-            seen[event.cat] = seen.get(event.cat, 0) + 1
+        for index, n in Counter(columns.kind).items():
+            cat = kinds[index][1]
+            seen[cat] = seen.get(cat, 0) + n
         for cat in LEDGER_CATEGORIES:
             report.checked("events.counted")
             expected = int(published.get(cat, 0)) if isinstance(published, dict) else 0
@@ -307,14 +315,14 @@ def verify_device(ledger: PageLedger, ssd: SSD, complete: bool = True) -> AuditR
 def verify_all(
     cert: dict[str, object],
     header: dict[str, object] | None,
-    events: list[TraceEvent],
+    bus: TraceBus,
     ledger: PageLedger,
     ssd: SSD | None = None,
     key: bytes = DEFAULT_KEY,
 ) -> AuditReport:
     """Run every applicable pass and cross-check cert against ledger."""
     report = verify_certificate(cert, key=key)
-    report.merge(verify_events(header, events, ledger))
+    report.merge(verify_events(header, bus, ledger))
 
     # the certificate's ledger digest must match the trace we replayed:
     # a trace edited *after* issuance diverges here even if the edit is

@@ -5,7 +5,8 @@ the three instruments every layer publishes into:
 
 * :attr:`Telemetry.bus` -- the structured :class:`~repro.telemetry.
   events.TraceBus` (ring-buffered, category-sampled trace events on the
-  simulated clock);
+  simulated clock, stored as columns; ``bus.events`` builds
+  :class:`~repro.telemetry.events.TraceEvent` objects on demand);
 * :attr:`Telemetry.metrics` -- the :class:`~repro.telemetry.metrics.
   MetricsRegistry` (counters/gauges/fixed-bucket histograms);
 * :attr:`Telemetry.tracer` -- the :class:`~repro.telemetry.spans.
@@ -23,7 +24,8 @@ is byte-for-byte the code that ran before telemetry existed.
 Wiring: pass ``Telemetry()`` as the ``telemetry=`` argument of
 :class:`repro.ssd.device.SSD` / :func:`repro.sim.runner.
 simulate_workload`, then export ``tel.bus.events`` via
-:mod:`repro.telemetry.export`.  The ``repro trace`` subcommand and the
+:mod:`repro.telemetry.export`; the audit layer reads
+``tel.bus.columns()`` instead.  The ``repro trace`` subcommand and the
 ``--trace-out`` flags of ``repro simulate`` / ``repro torture`` do all
 of that in one step.
 """

@@ -15,7 +15,7 @@ the FTL keeps its original observer and the hot path pays nothing.
 from __future__ import annotations
 
 from repro.ftl.observer import FtlObserver, NullObserver, notify_optional
-from repro.telemetry import Telemetry
+from repro.telemetry import Counter, Telemetry
 
 
 class TelemetryObserver:
@@ -27,12 +27,20 @@ class TelemetryObserver:
         self.telemetry = telemetry
         self.inner: FtlObserver = inner or NullObserver()
         self._bus = telemetry.bus
-        self._metrics = telemetry.metrics
+        self._metrics = metrics = telemetry.metrics
+        self._programs = metrics.bind("ftl.programs")
+        self._invalidations = metrics.bind("ftl.invalidations")
+        self._erases = metrics.bind("ftl.erases")
+        self._logical_ticks = metrics.bind("ftl.logical_ticks")
+        self._lock_drains = metrics.bind("sim.lock_drains")
+        self._deferred_pulses = metrics.bind("sim.deferred_lock_pulses")
+        #: ``ftl.sanitized.<method>`` counters, bound on first use.
+        self._sanitized: dict[str, Counter] = {}
 
     # ------------------------------------------------------------------
     def on_program(self, gppa: int, lpa: int, tag: object, secure: bool) -> None:
         self.inner.on_program(gppa, lpa, tag, secure)
-        self._metrics.counter("ftl.programs").inc()
+        self._programs.inc()
         self._bus.instant(
             "ftl.page",
             "program",
@@ -41,7 +49,7 @@ class TelemetryObserver:
 
     def on_invalidate(self, gppa: int, lpa: int, reason: str) -> None:
         self.inner.on_invalidate(gppa, lpa, reason)
-        self._metrics.counter("ftl.invalidations").inc()
+        self._invalidations.inc()
         self._bus.instant(
             "ftl.page",
             "invalidate",
@@ -50,23 +58,28 @@ class TelemetryObserver:
 
     def on_sanitize(self, gppa: int, method: str) -> None:
         self.inner.on_sanitize(gppa, method)
-        self._metrics.counter(f"ftl.sanitized.{method}").inc()
+        counter = self._sanitized.get(method)
+        if counter is None:
+            counter = self._sanitized[method] = self._metrics.bind(
+                f"ftl.sanitized.{method}"
+            )
+        counter.inc()
         self._bus.instant(
             "ftl.sanitize", "sanitize", args={"gppa": gppa, "method": method}
         )
 
     def on_erase(self, global_block: int) -> None:
         self.inner.on_erase(global_block)
-        self._metrics.counter("ftl.erases").inc()
+        self._erases.inc()
         self._bus.instant("ftl.flash", "erase", args={"block": global_block})
 
     def on_logical_tick(self, ticks: int) -> None:
         self.inner.on_logical_tick(ticks)
-        self._metrics.counter("ftl.logical_ticks").inc(ticks)
+        self._logical_ticks.inc(ticks)
 
     def on_lock_deferred(self, chip_id: int, n_locks: int, deferred_us: float) -> None:
         # the engine emits the drain *span*; the bridge only aggregates
         # and forwards (the inner observer may predate this callback).
         notify_optional(self.inner, "on_lock_deferred", chip_id, n_locks, deferred_us)
-        self._metrics.counter("sim.lock_drains").inc()
-        self._metrics.counter("sim.deferred_lock_pulses").inc(n_locks)
+        self._lock_drains.inc()
+        self._deferred_pulses.inc(n_locks)

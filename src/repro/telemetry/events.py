@@ -1,15 +1,25 @@
 """The structured trace-event bus.
 
-Every layer publishes :class:`TraceEvent` records into one
-:class:`TraceBus` per run: the FTLs through the observer bridge
-(:mod:`repro.telemetry.bridge`), the fault injector directly, the
-macro-phase spans through :mod:`repro.telemetry.spans`, and the
-discrete-event engine from its completion handlers.  Timestamps are
-*simulated* microseconds read from a pluggable ``clock`` callable --
-the open-loop occupancy clock (``TimingModel.elapsed_us``) by default,
-overridden with the event-heap clock when the :mod:`repro.sim` engine
-drives the run -- never the wall clock (rule SIM07 applies in spirit
-here too: a trace must be byte-identical for the same seed).
+Every layer publishes trace events into one :class:`TraceBus` per run:
+the FTLs through the observer bridge (:mod:`repro.telemetry.bridge`),
+the fault injector directly, the macro-phase spans through
+:mod:`repro.telemetry.spans`, and the discrete-event engine from its
+completion handlers.  ``TraceBus.instant`` and ``TraceBus.complete`` are
+the only ways to publish.  Timestamps are *simulated* microseconds read
+from a pluggable ``clock`` callable -- the open-loop occupancy clock
+(``TimingModel.elapsed_us``) by default, overridden with the event-heap
+clock when the :mod:`repro.sim` engine drives the run -- never the wall
+clock (rule SIM07 applies in spirit here too: a trace must be
+byte-identical for the same seed).
+
+The bus stores events as columns from the moment they are published
+(DESIGN 3f): a kind-index column into an interned table of ``(name,
+cat, ph, tid, sorted arg keys)``, ``ts_us`` and ``dur_us`` columns, and
+one flat list of ``args`` values.  That is the layout of a checkpoint
+segment, so :meth:`TraceBus.segment` is a slice, and the audit ledger
+replays :meth:`TraceBus.columns` directly.  :class:`TraceEvent` objects
+exist only on demand: :attr:`TraceBus.events` builds them for export
+(JSONL, Perfetto) and inspection.
 
 Memory is bounded two ways:
 
@@ -26,9 +36,10 @@ report exactly how much was observed vs retained.
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Callable, Mapping, Sequence
-from itertools import islice
+import sys
+from array import array
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import NamedTuple
 
 
 class TraceEvent:
@@ -80,8 +91,40 @@ class TraceEvent:
         )
 
 
+class EventColumns(NamedTuple):
+    """A bus's retained events as columns, oldest first.
+
+    ``kinds`` is the bus's kind table: one ``(name, cat, ph, tid, keys)``
+    tuple per distinct event shape, ``keys`` the sorted ``args`` keys.
+    ``kind`` holds one index into it per event, ``ts_us`` one time each,
+    and every event's ``args`` values, in key order, go end to end in
+    ``values`` -- so a reader walks them with a running offset
+    that advances by ``len(keys)`` per event.  The columns are the bus's
+    own storage, not copies: read them, never write them.
+    """
+
+    kinds: list[tuple[str, str, str, str, tuple[str, ...]]]
+    kind: array
+    ts_us: array
+    values: list[object]
+
+
+#: ``args=None``: no keys, no values (never mutated).
+_NO_ARGS: dict[str, object] = {}
+
+
 class TraceBus:
-    """Bounded, sampled sink for :class:`TraceEvent` records."""
+    """Bounded, sampled sink for trace events, kept as columns.
+
+    Each admitted event appends one entry to four columns: an index into
+    an interned *kind* table of ``(name, cat, ph, tid, sorted arg
+    keys)``, ``ts_us`` and ``dur_us`` (``array('d')``), and the offset of
+    its ``args`` values in one flat ``values`` list.  These are the
+    columns a checkpoint segment stores, so :meth:`segment` is a slice.
+    The ring evicts by advancing a head index; the dead prefix is cut
+    off once it outgrows half the capacity, so eviction costs amortised
+    O(1) and the columns hold at most 1.5x ``capacity`` events.
+    """
 
     def __init__(
         self,
@@ -98,15 +141,32 @@ class TraceBus:
         self.sample: dict[str, int] = dict(sample or {})
         #: simulated-time source; ``None`` reads as t=0 (pre-wiring).
         self.clock = clock
-        self._events: deque[TraceEvent] = deque(maxlen=capacity)
         self.dropped = 0
         self.sampled_out = 0
         self.category_counts: dict[str, int] = {}
         #: constant-time kill switch: while False, ``instant``/``complete``
-        #: return immediately -- no event construction, no counting, no
-        #: clock read.  Flip it back on to resume publishing; the pause
-        #: is invisible to retention accounting (nothing was published).
+        #: return immediately -- no event recorded, no counting, no clock
+        #: read.  Flip it back on to resume publishing; the pause is
+        #: invisible to retention accounting (nothing was published).
         self.enabled = True
+        #: the kind table and its index by kind tuple.
+        self._kinds: list[tuple[str, str, str, str, tuple[str, ...]]] = []
+        self._kind_index: dict[tuple, int] = {}
+        #: ``(name, cat, ph, tid, *args keys in the caller's order)`` ->
+        #: ``(kind index, sorted keys, or None when already sorted)``, so
+        #: an emitter that builds its args the same way each time costs
+        #: one dict lookup per event and sorts once.
+        self._shapes: dict[tuple, tuple[int, tuple[str, ...] | None]] = {}
+        self._kind = array("i")
+        self._ts = array("d")
+        self._dur = array("d")
+        #: per event: where its values start, as ``_base`` + list index.
+        self._offset = array("q")
+        self._values: list[object] = []
+        #: values cut off the front of ``_values`` by compaction.
+        self._base = 0
+        #: column index of the oldest retained event.
+        self._head = 0
 
     # ------------------------------------------------------------------
     def now_us(self) -> float:
@@ -125,10 +185,67 @@ class TraceBus:
             return False
         return True
 
-    def _push(self, event: TraceEvent) -> None:
-        if len(self._events) == self.capacity:
+    def _intern(self, spec: tuple[str, str, str, str, tuple[str, ...]]) -> int:
+        index = self._kind_index.get(spec)
+        if index is None:
+            index = self._kind_index[spec] = len(self._kinds)
+            self._kinds.append(spec)
+        return index
+
+    def _shape(
+        self, shape: tuple, args: Mapping[str, object]
+    ) -> tuple[int, tuple[str, ...] | None]:
+        keys = tuple(sorted(args))
+        index = self._intern((*shape[:4], keys))
+        found = (index, None if keys == tuple(args) else keys)
+        self._shapes[shape] = found
+        return found
+
+    def _push(
+        self,
+        name: str,
+        cat: str,
+        ph: str,
+        tid: str,
+        ts_us: float,
+        dur_us: float,
+        args: Mapping[str, object],
+    ) -> None:
+        shape = (name, cat, ph, tid, *args)
+        found = self._shapes.get(shape)
+        if found is None:
+            found = self._shape(shape, args)
+        index, keys = found
+        values = self._values
+        self._offset.append(self._base + len(values))
+        if keys is None:
+            values.extend(args.values())
+        else:
+            values.extend([args[key] for key in keys])
+        kind = self._kind
+        kind.append(index)
+        self._ts.append(ts_us)
+        self._dur.append(dur_us)
+        if len(kind) - self._head > self.capacity:
             self.dropped += 1
-        self._events.append(event)
+            self._head += 1
+            if self._head > self.capacity >> 1:
+                self._compact()
+
+    def _compact(self) -> None:
+        """Cut the evicted prefix off every column."""
+        head = self._head
+        if not head:
+            return
+        if head < len(self._kind):
+            cut = self._offset[head] - self._base
+        else:
+            cut = len(self._values)
+        del self._values[:cut]
+        self._base += cut
+        for column in (self._kind, self._ts, self._dur, self._offset):
+            del column[:head]
+        self._head = 0
 
     # ------------------------------------------------------------------
     def instant(
@@ -142,7 +259,7 @@ class TraceBus:
         if not self.enabled:
             return
         if self._admit(cat):
-            self._push(TraceEvent(name, cat, "i", self.now_us(), tid=tid, args=args))
+            self._push(name, cat, "i", tid, self.now_us(), 0.0, args or _NO_ARGS)
 
     def complete(
         self,
@@ -157,24 +274,63 @@ class TraceBus:
         if not self.enabled:
             return
         if self._admit(cat):
-            self._push(
-                TraceEvent(name, cat, "X", ts_us, dur_us=dur_us, tid=tid, args=args)
+            self._push(name, cat, "X", tid, ts_us, dur_us, args or _NO_ARGS)
+
+    @classmethod
+    def from_events(cls, events: Iterable[TraceEvent]) -> TraceBus:
+        """A bus holding ``events`` in order, none sampled or evicted.
+
+        The loader for archived and hand-built streams: each event is
+        counted as published in its category, and ``capacity`` ends up
+        equal to the number of events, as if the ring had just filled.
+        """
+        bus = cls(capacity=sys.maxsize)
+        counts = bus.category_counts
+        push = bus._push
+        for event in events:
+            counts[event.cat] = counts.get(event.cat, 0) + 1
+            push(
+                event.name, event.cat, event.ph, event.tid,
+                event.ts_us, event.dur_us, event.args,
             )
+        bus.capacity = max(1, len(bus))
+        return bus
 
     # ------------------------------------------------------------------
+    def __iter__(self) -> Iterator[TraceEvent]:
+        """Retained events, oldest first, each built on demand."""
+        kinds, values, base = self._kinds, self._values, self._base
+        offsets, ts_us, dur_us = self._offset, self._ts, self._dur
+        for i in range(self._head, len(self._kind)):
+            name, cat, ph, tid, keys = kinds[self._kind[i]]
+            pos = offsets[i] - base
+            yield TraceEvent(
+                name, cat, ph, ts_us[i], dur_us=dur_us[i], tid=tid,
+                args=dict(zip(keys, values[pos:pos + len(keys)])),
+            )
+
     @property
     def events(self) -> list[TraceEvent]:
-        """Retained events, oldest first."""
-        return list(self._events)
+        """Retained events, oldest first, as :class:`TraceEvent` objects.
+
+        Built on demand from the columns: for export and inspection.
+        Replay (the audit ledger and verifier) reads :meth:`columns`.
+        """
+        return list(self)
+
+    def columns(self) -> EventColumns:
+        """The retained events as columns (see :class:`EventColumns`)."""
+        self._compact()
+        return EventColumns(self._kinds, self._kind, self._ts, self._values)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._kind) - self._head
 
     def stats(self) -> dict[str, object]:
         """JSON-ready retention accounting for run snapshots."""
         return {
             "capacity": self.capacity,
-            "retained": len(self._events),
+            "retained": len(self),
             "dropped": self.dropped,
             "sampled_out": self.sampled_out,
             "published": dict(sorted(self.category_counts.items())),
@@ -188,7 +344,7 @@ class TraceBus:
         The push index of a retained event is its position in that
         stream: the ring holds indices ``dropped .. pushed - 1``.
         """
-        return self.dropped + len(self._events)
+        return self.dropped + len(self)
 
     def state_dict(self) -> dict[str, object]:
         """Checkpoint payload: the retention accounting, no events.
@@ -206,41 +362,35 @@ class TraceBus:
     def segment(self, since: int = 0) -> dict[str, object]:
         """The retained events with push index >= ``since``, as columns.
 
-        ``first`` is the push index of the first event.  An event's
-        name, category, phase, thread and sorted ``args`` keys are its
-        *kind*: ``kinds`` lists each distinct one as ``[name, cat, ph,
-        tid, keys]`` and ``kind`` holds one index into it per event.
-        ``ts_us`` and ``dur_us`` are per-event columns, and every
-        event's ``args`` values, in key order, go end to end in
-        ``values``.
+        ``first`` is the push index of the first event.  ``kinds`` lists
+        the kinds the slice uses as ``[name, cat, ph, tid, keys]``, in
+        order of first appearance, and ``kind`` holds one index into it
+        per event.  ``ts_us``, ``dur_us`` and ``values`` are the bus's
+        own columns, sliced.
         """
         pushed = self.pushed
         if not 0 <= since <= pushed:
             raise ValueError(f"segment cursor {since} outside 0..{pushed}")
         first = max(since, self.dropped)
-        events = list(islice(self._events, first - self.dropped, None))
-        # keyed by the args' own key order, so the common case -- every
-        # emitter builds its args the same way each time -- sorts once
-        seen: dict[tuple, tuple[int, tuple[str, ...]]] = {}
-        kinds: dict[tuple, int] = {}
-        kind: list[int] = []
-        values: list[object] = []
-        for event in events:
-            args = event.args
-            key = (event.name, event.cat, event.ph, event.tid, *args)
-            known = seen.get(key)
-            if known is None:
-                keys = tuple(sorted(args))
-                spec = (event.name, event.cat, event.ph, event.tid, keys)
-                known = seen[key] = (kinds.setdefault(spec, len(kinds)), keys)
-            kind.append(known[0])
-            values.extend([args[k] for k in known[1]])
+        start = self._head + first - self.dropped
+        kind = self._kind[start:]
+        used = list(dict.fromkeys(kind))
+        if used == list(range(len(used))):
+            local = kind.tolist()
+        else:
+            remap = {index: i for i, index in enumerate(used)}
+            local = list(map(remap.__getitem__, kind))
+        if start < len(self._kind):
+            values = self._values[self._offset[start] - self._base:]
+        else:
+            values = []
+        kinds = self._kinds
         return {
             "first": first,
-            "kinds": [[*spec[:4], list(spec[4])] for spec in kinds],
-            "kind": kind,
-            "ts_us": [e.ts_us for e in events],
-            "dur_us": [e.dur_us for e in events],
+            "kinds": [[*kinds[index][:4], list(kinds[index][4])] for index in used],
+            "kind": local,
+            "ts_us": self._ts[start:].tolist(),
+            "dur_us": self._dur[start:].tolist(),
             "values": values,
         }
 
@@ -249,49 +399,59 @@ class TraceBus:
         state: dict[str, object],
         segments: Sequence[dict[str, object]] = (),
     ) -> None:
-        """Restore the accounting and rebuild the ring from ``segments``.
+        """Restore the accounting and refill the columns from ``segments``.
 
         The segments must be contiguous and end at the snapshot's push
-        count; replaying them into a ``deque(maxlen=capacity)`` evicts
-        exactly what the live ring had evicted.
+        count; only the newest ``capacity`` of their events are kept,
+        which is exactly what the live ring had kept.
         """
-        ring: deque[TraceEvent] = deque(maxlen=self.capacity)
+        kind, ts_us, dur_us = array("i"), array("d"), array("d")
+        offsets, values = array("q"), []
         end = segments[0]["first"] if segments else 0
         for seg in segments:
             if seg["first"] != end:
                 raise ValueError(
                     f"trace segment starts at {seg['first']}, expected {end}"
                 )
-            kinds = [
-                (name, cat, ph, tid, tuple(keys))
+            local = [
+                self._intern((name, cat, ph, tid, tuple(keys)))
                 for name, cat, ph, tid, keys in seg["kinds"]
             ]
-            columns = (seg["kind"], seg["ts_us"], seg["dur_us"])
-            if len({len(column) for column in columns}) != 1:
+            arity = [len(keys) for *_, keys in seg["kinds"]]
+            n = len(seg["kind"])
+            if len(seg["ts_us"]) != n or len(seg["dur_us"]) != n:
                 raise ValueError("trace segment columns differ in length")
-            values = seg["values"]
-            pos = 0
-            for index, ts_us, dur_us in zip(*columns):
-                name, cat, ph, tid, keys = kinds[index]
-                stop = pos + len(keys)
-                ring.append(
-                    TraceEvent(
-                        name, cat, ph, ts_us, dur_us=dur_us, tid=tid,
-                        args=dict(zip(keys, values[pos:stop])),
-                    )
-                )
-                pos = stop
-            if pos != len(values):
+            if not all(
+                isinstance(i, int) and 0 <= i < len(local) for i in seg["kind"]
+            ):
+                raise ValueError("trace segment kind index outside its kinds")
+            pos = len(values)
+            for i in seg["kind"]:
+                offsets.append(pos)
+                pos += arity[i]
+            if pos - len(values) != len(seg["values"]):
                 raise ValueError("trace segment values do not match its kinds")
-            end += len(columns[0])
+            try:
+                ts_us.extend(seg["ts_us"])
+                dur_us.extend(seg["dur_us"])
+            except TypeError as exc:
+                raise ValueError(f"trace segment times not numeric: {exc}") from exc
+            kind.extend([local[i] for i in seg["kind"]])
+            values.extend(seg["values"])
+            end += n
         dropped = state["dropped"]
-        if end != state["pushed"] or len(ring) != end - dropped:
+        retained = min(len(kind), self.capacity)
+        if end != state["pushed"] or retained != end - dropped:
             raise ValueError(
-                f"trace segments end at push {end} holding {len(ring)} "
+                f"trace segments end at push {end} holding {retained} "
                 f"events; the bus pushed {state['pushed']} and dropped "
                 f"{dropped}"
             )
         self.dropped = dropped
         self.sampled_out = state["sampled_out"]
         self.category_counts = dict(state["category_counts"])
-        self._events = ring
+        self._kind, self._ts, self._dur = kind, ts_us, dur_us
+        self._offset, self._values = offsets, values
+        self._base = 0
+        self._head = len(kind) - retained
+        self._compact()

@@ -30,7 +30,7 @@ debugging a silently empty Perfetto UI.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from pathlib import Path
 
 from repro.telemetry.events import TraceBus, TraceEvent
@@ -40,6 +40,17 @@ HEADER_KEY = "repro_trace"
 
 #: format tag embedded in every header (bump on layout change).
 HEADER_FORMAT = "repro-trace-jsonl/1"
+
+#: the page-lifecycle instants the observer bridge publishes, by ``(cat,
+#: name)``, and the integer (or boolean) args each must carry: what the
+#: audit ledger needs to replay them.  An invalidate's ``reason`` and a
+#: sanitize's ``method`` are read when present.
+LIFECYCLE_ARGS: dict[tuple[str, str], tuple[str, ...]] = {
+    ("ftl.page", "program"): ("gppa", "lpa", "secure"),
+    ("ftl.page", "invalidate"): ("gppa",),
+    ("ftl.sanitize", "sanitize"): ("gppa",),
+    ("ftl.flash", "erase"): ("block",),
+}
 
 
 def trace_header(bus: TraceBus, **run_meta: object) -> dict[str, object]:
@@ -105,52 +116,83 @@ def write_jsonl(
 
 def read_jsonl(
     path: str | Path,
-) -> tuple[dict[str, object] | None, list[TraceEvent]]:
-    """Parse a JSONL trace back into ``(header, events)``.
+) -> tuple[dict[str, object] | None, TraceBus]:
+    """Parse a JSONL trace back into ``(header, bus)``.
 
     The inverse of :func:`write_jsonl`: the optional first-line header
     comes back as a plain dict (``None`` for headerless legacy files),
-    and every event line is rebuilt into a :class:`TraceEvent`.  Raises
-    ``ValueError`` on a line that is neither -- a trace that does not
+    and the event lines are loaded, in order, into the columns of a
+    :class:`TraceBus` (:meth:`TraceBus.from_events`), the same form a
+    live run's evidence takes.  Every record is validated on the way
+    in: ``name``/``cat``/``ph``/``tid`` strings, numeric ``ts_us`` and
+    ``dur_us``, an object ``args``, and the :data:`LIFECYCLE_ARGS` of a
+    page-lifecycle instant.  Any other line
+    raises ``ValueError("path:line: ...")`` -- a trace that does not
     parse must fail loudly, not silently audit as empty.
     """
     header: dict[str, object] | None = None
-    events: list[TraceEvent] = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ValueError(f"{path}:{lineno}: not a JSON object")
-        if HEADER_KEY in record:
-            if lineno != 1 or header is not None:
-                raise ValueError(
-                    f"{path}:{lineno}: stray {HEADER_KEY!r} header record"
-                )
-            header = record[HEADER_KEY]
-            continue
-        try:
-            events.append(
-                TraceEvent(
-                    record["name"],
-                    record["cat"],
-                    record["ph"],
-                    record["ts_us"],
-                    dur_us=record.get("dur_us", 0.0),
-                    tid=record["tid"],
-                    args=record.get("args") or {},
-                )
+
+    def events() -> Iterator[TraceEvent]:
+        nonlocal header
+        for lineno, line in enumerate(
+            Path(path).read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
+            if HEADER_KEY in record:
+                if lineno != 1 or header is not None:
+                    raise ValueError(
+                        f"{path}:{lineno}: stray {HEADER_KEY!r} header record"
+                    )
+                header = record[HEADER_KEY]
+                if not isinstance(header, dict):
+                    raise ValueError(f"{path}:{lineno}: header is not an object")
+                continue
+            problem = _record_problem(record)
+            if problem is not None:
+                raise ValueError(f"{path}:{lineno}: {problem}")
+            yield TraceEvent(
+                record["name"],
+                record["cat"],
+                record["ph"],
+                record["ts_us"],
+                dur_us=record.get("dur_us", 0.0),
+                tid=record["tid"],
+                args=record.get("args") or {},
             )
-        except KeyError as exc:
-            raise ValueError(
-                f"{path}:{lineno}: event record missing field {exc}"
-            ) from exc
-    return header, events
+
+    bus = TraceBus.from_events(events())
+    return header, bus
+
+
+def _record_problem(record: dict[str, object]) -> str | None:
+    """What makes one event record unloadable, or ``None``."""
+    for field in ("name", "cat", "ph", "tid", "ts_us"):
+        if field not in record:
+            return f"event record missing field {field!r}"
+    for field in ("name", "cat", "ph", "tid"):
+        if not isinstance(record[field], str):
+            return f"event field {field!r} is not a string: {record[field]!r}"
+    for field in ("ts_us", "dur_us"):
+        value = record.get(field, 0.0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return f"event field {field!r} is not a number: {value!r}"
+    args = record.get("args")
+    if args is not None and not isinstance(args, dict):
+        return f"event args is not an object: {args!r}"
+    for key in LIFECYCLE_ARGS.get((record["cat"], record["name"]), ()):
+        if not isinstance((args or {}).get(key), int):
+            return (
+                f"{record['cat']}/{record['name']} event needs an integer "
+                f"{key!r} arg: {args!r}"
+            )
+    return None
 
 
 # ---------------------------------------------------------------------------

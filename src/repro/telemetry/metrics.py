@@ -17,16 +17,22 @@ from repro.telemetry.histogram import DEFAULT_BOUNDS_US, FixedBucketHistogram
 class Counter:
     """Monotonic event count."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "value", "_pending")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0
+        #: the registry's counter table this counter joins on its first
+        #: ``inc`` (see :meth:`MetricsRegistry.bind`); ``None`` once in.
+        self._pending: dict[str, Counter] | None = None
 
     def inc(self, n: int = 1) -> None:
         if n < 0:
             raise ValueError("counters only go up")
         self.value += n
+        if self._pending is not None:
+            self._pending[self.name] = self
+            self._pending = None
 
 
 class Gauge:
@@ -49,12 +55,34 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, FixedBucketHistogram] = {}
+        #: counters handed out by :meth:`bind`, registered or not.
+        self._bound: dict[str, Counter] = {}
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
         found = self._counters.get(name)
         if found is None:
-            found = self._counters[name] = Counter(name)
+            found = self._bound.get(name) or Counter(name)
+            found._pending = None
+            self._counters[name] = found
+        return found
+
+    def bind(self, name: str) -> Counter:
+        """The counter ``name``, for a caller that holds it for the run.
+
+        Unlike :meth:`counter` this does not create the metric: a counter
+        not yet registered joins the registry on its first ``inc``, just
+        as a ``counter(name).inc()`` at that point would have, so binding
+        leaves snapshots unchanged.  A bound counter stays the one
+        ``name`` resolves to across :meth:`load_state_dict`.
+        """
+        found = self._bound.get(name)
+        if found is None:
+            found = self._counters.get(name)
+            if found is None:
+                found = Counter(name)
+                found._pending = self._counters
+            self._bound[name] = found
         return found
 
     def gauge(self, name: str) -> Gauge:
@@ -99,6 +127,9 @@ class MetricsRegistry:
         self._counters = {}
         self._gauges = {}
         self._histograms = {}
+        for counter in self._bound.values():
+            counter.value = 0
+            counter._pending = self._counters
         for name, value in state["counters"].items():
             self.counter(name).value = value
         for name, value in state["gauges"].items():

@@ -33,8 +33,14 @@ class TestSystemMeasurements:
     def test_mini_system_sweep(self):
         """A tiny device still yields all system-level keys (bands may be
         looser than the official bench config, so only structure is
-        asserted here)."""
-        config = scaled_config(blocks_per_chip=12, wordlines_per_block=8)
+        asserted here).  Two chips on one channel keep each chip's
+        12x8 geometry and the write multiplier at a quarter of the work."""
+        config = scaled_config(
+            blocks_per_chip=12,
+            wordlines_per_block=8,
+            n_channels=1,
+            chips_per_channel=2,
+        )
         m = collect_system_measurements(config, write_multiplier=0.5)
         assert ("fig14a", "secssd_norm_iops_avg") in m
         assert ("headline", "iops_vs_scrssd_avg") in m

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.audit.ledger import PageLedger, build_ledger
-from repro.telemetry import TraceEvent
+from repro.telemetry import TraceBus, TraceEvent
 
 LATENCY = {"plock": 100.0, "block_lock": 300.0, "erase": 3500.0, "scrub": 100.0}
 
@@ -36,7 +36,9 @@ def _erase(ts, block):
 
 
 def _ledger(events, pages_per_block=4):
-    return build_ledger(events, pages_per_block, sanitize_latency_us=LATENCY)
+    return build_ledger(
+        TraceBus.from_events(events), pages_per_block, sanitize_latency_us=LATENCY
+    )
 
 
 class TestReplay:

@@ -4,7 +4,10 @@ Each case copies the secSSD study's JSONL archive, applies one
 adversarial edit, and re-audits against the originally issued
 certificate.  Line 0 is the evidence-disclosure header (whose published
 counts mention category *names*, so tamper edits must address event
-lines explicitly rather than grepping the whole file).
+lines explicitly rather than grepping the whole file).  The last cases
+edit the live bus's checkpoint segment instead and load it back into a
+fresh bus, so the columnar path that resumed campaigns take is held to
+the same verdicts.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import json
 import pytest
 
 from repro.audit import audit_trace_file
+from repro.audit.run import audit_events
+from repro.telemetry import TraceBus
 from repro.telemetry.export import to_jsonl
 
 
@@ -126,3 +131,67 @@ def test_stripped_header_degrades_not_lies(archive):
     assert audit.ok  # a disclosure, not a verdict
     assert "incomplete-evidence" in _codes(audit)
     assert not audit.certificate["sections"]["evidence"]["complete"]
+
+
+# ---------------------------------------------------------------------------
+# the live columnar path: checkpoint segments edited, then reloaded
+# ---------------------------------------------------------------------------
+@pytest.fixture()
+def live(audited_runs):
+    """(bus, audit) of the secSSD run; tests edit copies of its segment."""
+    run, audit = audited_runs["secSSD"]
+    return run.telemetry.bus, audit
+
+
+def _reaudit(bus, audit, segment):
+    """Load ``segment`` into a fresh bus and audit it against the cert."""
+    fresh = TraceBus(capacity=bus.capacity, sample=bus.sample)
+    fresh.load_state_dict(bus.state_dict(), [segment])
+    return audit_events(audit.header, fresh, certificate=audit.certificate)
+
+
+def _events_of(segment, name):
+    """(event index, values offset, keys) of every ``name`` event."""
+    arity = [len(spec[4]) for spec in segment["kinds"]]
+    out, pos = [], 0
+    for i, kind in enumerate(segment["kind"]):
+        spec = segment["kinds"][kind]
+        if spec[0] == name and spec[2] == "i":
+            out.append((i, pos, spec[4]))
+        pos += arity[kind]
+    return out
+
+
+def test_reloaded_segment_verifies(live):
+    bus, audit = live
+    reaudit = _reaudit(bus, audit, copy.deepcopy(bus.segment()))
+    assert reaudit.ok, _codes(reaudit)
+    assert reaudit.ledger.digest() == audit.ledger.digest()
+
+
+def test_segment_with_edited_invalidate_gppa(live):
+    bus, audit = live
+    segment = copy.deepcopy(bus.segment())
+    _, pos, keys = _events_of(segment, "invalidate")[0]
+    segment["values"][pos + keys.index("gppa")] += 1
+    reaudit = _reaudit(bus, audit, segment)
+    assert not reaudit.ok
+    assert "ledger-digest-mismatch" in _codes(reaudit)
+
+
+def test_segment_with_swapped_instant_times(live):
+    bus, audit = live
+    segment = copy.deepcopy(bus.segment())
+    ts = segment["ts_us"]
+    instants = [i for name in ("program", "invalidate", "sanitize", "erase")
+                for i, _, _ in _events_of(segment, name)]
+    instants.sort()
+    for a, b in zip(instants, instants[1:]):
+        if ts[a] < ts[b]:
+            ts[a], ts[b] = ts[b], ts[a]
+            break
+    else:  # pragma: no cover - trace shape regression
+        pytest.fail("no increasing instant pair to swap")
+    reaudit = _reaudit(bus, audit, segment)
+    assert not reaudit.ok
+    assert "event-order-violation" in _codes(reaudit)
