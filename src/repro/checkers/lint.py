@@ -162,12 +162,6 @@ def functions_of(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFuncti
             yield node
 
 
-def calls_in(func: ast.AST) -> Iterator[ast.Call]:
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call):
-            yield node
-
-
 # ---------------------------------------------------------------------------
 # engine
 # ---------------------------------------------------------------------------

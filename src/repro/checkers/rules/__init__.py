@@ -4,7 +4,8 @@ Each rule lives in its own module and bans one construct that no
 runtime check can see at a new call site (DESIGN.md 3c records, per
 rule id, the seeded defect and the check that fails on it; SIM01,
 SIM02, SIM05, SIM11 and SIM12 are retired in favour of runtime
-checks, and their ids are not reused):
+checks, SIM10 in favour of the cross-process byte-identity test
+``tests/test_cross_process.py``, and their ids are not reused):
 
 * ``SIM03`` (:mod:`.determinism`) -- no unseeded module-level
   randomness anywhere in the simulator;
@@ -13,15 +14,13 @@ checks, and their ids are not reused):
 * ``SIM06`` (:mod:`.fault_handling`) -- no flash error is caught and
   swallowed without accounting (raise, stats, or exception use);
 * ``SIM07`` (:mod:`.sim_clock`) -- no wall clock (``time``/``datetime``)
-  or module-level ``random.*`` inside the ``sim/`` event engine;
+  or module-level ``random.*`` inside the ``sim/`` event engine or the
+  ``fleet/``, ``audit/`` and ``checkpoint/`` artifact writers;
 * ``SIM08`` (:mod:`.no_print`) -- no ``print()`` calls in library code
   (``cli.py`` is the one module that talks to stdout);
 * ``SIM09`` (:mod:`.parallel_only`) -- no ``multiprocessing`` /
   ``concurrent.futures`` imports outside ``analysis/parallel.py``
   (process fan-out goes through ``run_grid``'s determinism contract);
-* ``SIM10`` (:mod:`.taint`) -- determinism taint: wall clock, entropy,
-  process identity, and set iteration order must not flow into
-  ``RunResult``, telemetry events, or JSON artifacts;
 * ``SIM13`` (:mod:`.units`) -- ``_ns``/``_us``/``_ms``/``_s`` suffix
   dimensional analysis over arithmetic, comparisons, and bindings;
 * ``SIM14`` (:mod:`.layering`) -- the import-layer stack
@@ -49,7 +48,6 @@ from repro.checkers.rules.no_print import NoPrintRule
 from repro.checkers.rules.parallel_only import ParallelOnlyRule
 from repro.checkers.rules.serialization import SerializationBoundaryRule
 from repro.checkers.rules.sim_clock import SimWallClockRule
-from repro.checkers.rules.taint import DeterminismTaintRule
 from repro.checkers.rules.units import TimeUnitConsistencyRule
 
 #: registration order == report order for same-location findings.
@@ -60,7 +58,6 @@ ALL_RULES = (
     SimWallClockRule,
     NoPrintRule,
     ParallelOnlyRule,
-    DeterminismTaintRule,
     TimeUnitConsistencyRule,
     ImportLayeringRule,
     SerializationBoundaryRule,
@@ -70,7 +67,6 @@ ALL_RULES = (
 __all__ = [
     "ALL_RULES",
     "ArtifactSerializationRule",
-    "DeterminismTaintRule",
     "FloatEqualityRule",
     "ImportLayeringRule",
     "NoPrintRule",

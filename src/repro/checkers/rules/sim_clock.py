@@ -39,6 +39,14 @@ from repro.checkers.rules.determinism import STDLIB_GLOBAL_FNS
 #: modules whose very import signals wall-clock coupling.
 CLOCK_MODULES = frozenset({"time", "datetime"})
 
+#: the ``repro/`` package directories the rule covers.
+SCOPED_PACKAGES = ("sim", "fleet", "audit", "checkpoint")
+
+
+def _package(ctx: FileContext) -> str:
+    """The scoped package the file lives in, e.g. ``repro.audit``."""
+    return f"repro.{ctx.rel_parts[0]}"
+
 
 class SimWallClockRule(LintRule):
     rule_id = "SIM07"
@@ -55,12 +63,7 @@ class SimWallClockRule(LintRule):
         # contract: reports and certificates must be byte-identical
         # across serial/parallel/resumed runs, which one wall-clock read
         # or global RNG draw would break.
-        return (
-            ctx.in_package_dir("sim")
-            or ctx.in_package_dir("fleet")
-            or ctx.in_package_dir("audit")
-            or ctx.in_package_dir("checkpoint")
-        )
+        return any(ctx.in_package_dir(name) for name in SCOPED_PACKAGES)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -81,7 +84,7 @@ class SimWallClockRule(LintRule):
                 yield self.finding(
                     ctx,
                     node,
-                    f"import of {alias.name!r} inside repro.sim "
+                    f"import of {alias.name!r} inside {_package(ctx)} "
                     "(wall-clock coupling)",
                 )
 
@@ -94,7 +97,7 @@ class SimWallClockRule(LintRule):
             yield self.finding(
                 ctx,
                 node,
-                f"import of {names} from {node.module!r} inside repro.sim "
+                f"import of {names} from {node.module!r} inside {_package(ctx)} "
                 "(wall-clock coupling)",
             )
 
@@ -107,7 +110,7 @@ class SimWallClockRule(LintRule):
             yield self.finding(
                 ctx,
                 call,
-                f"call to {dotted}() inside repro.sim (simulated time must "
+                f"call to {dotted}() inside {_package(ctx)} (simulated time must "
                 "come from the event heap)",
             )
         elif chain[0] == "random" and chain[-1] in (
@@ -117,6 +120,6 @@ class SimWallClockRule(LintRule):
             yield self.finding(
                 ctx,
                 call,
-                f"module-level {dotted}() inside repro.sim (use a seeded "
+                f"module-level {dotted}() inside {_package(ctx)} (use a seeded "
                 "random.Random instance)",
             )

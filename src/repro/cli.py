@@ -629,9 +629,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     """Static domain lint over the simulator sources.
 
-    Eleven per-file rules (SIM03, SIM04, SIM06-SIM10, SIM13-SIM16); the
+    Ten per-file rules (SIM03, SIM04, SIM06-SIM09, SIM13-SIM16); the
     retired ids SIM01, SIM02, SIM05, SIM11 and SIM12 are guarded at
-    runtime instead (DESIGN.md 3c).
+    runtime instead, and SIM10 by the cross-process byte-identity test
+    (DESIGN.md 3c).
     """
     from repro.checkers.lint import rule_catalogue, run_lint
 
@@ -1178,7 +1179,7 @@ def _profile_flags(p: argparse.ArgumentParser) -> None:
 SUBCOMMANDS = {
     "audit": ("sanitization audit: trace or live run -> certificate",
               _audit_flags),
-    "lint": ("static domain lint (11 per-file SIM rules)", _lint_flags),
+    "lint": ("static domain lint (10 per-file SIM rules)", _lint_flags),
     "torture": ("fault-injection robustness sweep + scorecard",
                 _torture_flags),
     "age": ("device-aging lifetime campaign (wear to first block death)",

@@ -14,6 +14,7 @@ The relocation storms dominate everything: the paper measures WAF up to
 from __future__ import annotations
 
 from repro.ftl.base import InvalidationEvent, PageMappedFtl
+from repro.ftl.page_status import PageStatus
 
 
 class EraseBasedFtl(PageMappedFtl):
@@ -26,10 +27,13 @@ class EraseBasedFtl(PageMappedFtl):
 
     # ------------------------------------------------------------------
     def _sanitize_host_batch(self, events: list[InvalidationEvent]) -> None:
+        # a GC victim erased earlier in this request already took its
+        # stale copies with it; erasing it again would free it twice.
+        status = self.status
         blocks = {
             self.block_of_gppa(event.gppa)
             for event in events
-            if event.was_secured
+            if event.was_secured and status.get(event.gppa) is PageStatus.INVALID
         }
         for gb in sorted(blocks):
             self._erase_block_for_sanitize(gb)

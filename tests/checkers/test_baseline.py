@@ -43,7 +43,7 @@ class TestFingerprint:
         assert fingerprint(_finding(message="a")) != fingerprint(
             _finding(message="b")
         )
-        assert fingerprint(_finding(rule_id="SIM10")) != fingerprint(
+        assert fingerprint(_finding(rule_id="SIM07")) != fingerprint(
             _finding(rule_id="SIM14")
         )
 

@@ -17,6 +17,7 @@ from repro.checkers.lint import (
     rule_catalogue,
     run_lint,
 )
+from repro.checkers.rules import ALL_RULES
 
 
 def _write(tmp_path, relpath: str, body: str):
@@ -247,11 +248,16 @@ class TestRegistry:
         catalogue = rule_catalogue()
         for rule in default_rules():
             assert rule.rule_id in catalogue
-        for rule_id in ("SIM03", "SIM04", "SIM10", "SIM14", "SIM16"):
+        for rule_id in ("SIM03", "SIM04", "SIM07", "SIM14", "SIM16"):
             assert rule_id in catalogue
-        # retired in favour of runtime checks (DESIGN.md 3c)
-        for rule_id in ("SIM01", "SIM02", "SIM05", "SIM11", "SIM12"):
+        # retired in favour of runtime checks and the cross-process
+        # byte-identity test (DESIGN.md 3c)
+        for rule_id in ("SIM01", "SIM02", "SIM05", "SIM10", "SIM11", "SIM12"):
             assert rule_id not in catalogue
+
+    def test_ten_rules_without_sim10(self):
+        assert len(ALL_RULES) == 10
+        assert "SIM10" not in {rule.rule_id for rule in ALL_RULES}
 
     def test_run_lint_clean_tree_exit_zero(self, tmp_path, capsys):
         _write(tmp_path, "repro/ok.py", "x = 1\n")

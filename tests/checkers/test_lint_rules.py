@@ -338,6 +338,25 @@ class TestSim07WallClock:
         )
         assert _ids(findings) == ["SIM07"]
         assert len(findings) == 2  # the import and the call
+        assert "inside repro.sim " in findings[0].message
+
+    @pytest.mark.parametrize("package", ["fleet", "audit", "checkpoint"])
+    def test_message_names_the_files_package(self, tmp_path, package):
+        findings = _lint(
+            tmp_path,
+            f"repro/{package}/writer.py",
+            """
+            import time
+
+            def stamp():
+                return round(time.time(), 3)
+            """,
+        )
+        assert [f.message for f in findings] == [
+            f"import of 'time' inside repro.{package} (wall-clock coupling)",
+            f"call to time.time() inside repro.{package} (simulated time "
+            "must come from the event heap)",
+        ]
 
     def test_datetime_from_import_flagged(self, tmp_path):
         findings = _lint(

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from repro.analysis.experiments import run_workload_on_variant
 from repro.ftl.erase_based import EraseBasedFtl
 from repro.ftl.mapping import UNMAPPED
+from repro.ssd.config import scaled_config
 from repro.ssd.request import trim, write
 
 
@@ -93,3 +95,39 @@ class TestSanitizationGuarantee:
             isinstance(v, tuple) and v[1] == "f"
             for v in ftl.raw_device_dump().values()
         )
+
+
+class TestGcVictimInBatch:
+    def test_victim_erased_by_gc_is_not_freed_twice(self):
+        """A GC victim erased mid-request holds a secured stale copy of
+        that request; the end-of-request sanitize must not erase it and
+        hand it to the allocator a second time (it would be handed out
+        while full: ``ProgramOrderError`` at host write 517)."""
+        from repro.analysis.experiments import run_workload_on_variant
+        from repro.ssd.config import scaled_config
+
+        result = run_workload_on_variant(
+            scaled_config(blocks_per_chip=8, wordlines_per_block=4),
+            "DBServer",
+            "erSSD",
+            write_multiplier=0.5,
+            seed=1,
+        )
+        assert result.stats.host_writes == 844
+        assert result.stats.sanitize_erases == result.stats.flash_erases
+
+
+class TestGcVictimInBatch:
+    def test_victim_erased_by_gc_is_not_freed_twice(self):
+        """A GC victim erased mid-request can hold a secured stale copy
+        of that same request; the end-of-request sanitize must not erase
+        it again and free it twice (it was then handed out while full:
+        ``ProgramOrderError`` at host write 517)."""
+        result = run_workload_on_variant(
+            scaled_config(blocks_per_chip=8, wordlines_per_block=4),
+            "DBServer",
+            "erSSD",
+            write_multiplier=0.5,
+            seed=1,
+        )
+        assert result.stats.host_writes == 844
