@@ -41,6 +41,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+# numpy loads numpy.random on first attribute access; every chip's flag
+# arrays seed a generator, so load it with the module, not mid-build
+from numpy.random import default_rng
 
 from repro.core.flag_cells import FlagCellModel, PulseSettings, default_plock_pulse
 from repro.flash import constants
@@ -83,7 +86,7 @@ class PageApArray:
             raise ValueError("pages_per_block must be positive")
         if self.k < 1 or self.k % 2 == 0:
             raise ValueError("k must be a positive odd number (majority vote)")
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = default_rng(self.seed)
         self._need = self.k // 2 + 1
         # model and pulse are frozen dataclasses: both terms are constants
         self._success = self.model.program_success_prob(self.pulse)

@@ -147,13 +147,18 @@ class EvanescoChip(FlashChip):
             self.stats.busy_time_us += self.t_read_us
             if strict:
                 raise LockedBlockError(f"block {block_index} is bLocked")
-            return ReadResult(ZERO_DATA, {}, self.t_read_us, blocked=True)
+            # tuple.__new__: see FlashChip._sense_page
+            return tuple.__new__(
+                ReadResult, (ZERO_DATA, {}, self.t_read_us, True)
+            )
         if self._pap[block_index].is_disabled(page_offset, day):
             self.stats.reads += 1
             self.stats.busy_time_us += self.t_read_us
             if strict:
                 raise LockedPageError(f"ppn {ppn} is pLocked")
-            return ReadResult(ZERO_DATA, {}, self.t_read_us, blocked=True)
+            return tuple.__new__(
+                ReadResult, (ZERO_DATA, {}, self.t_read_us, True)
+            )
         return self._sense_page(self.blocks[block_index], page_offset, ppn, fail)
 
     def erase_block(self, block_index: int, now: float = 0.0) -> float:

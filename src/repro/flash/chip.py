@@ -187,8 +187,12 @@ class FlashChip:
                 rber=1.0,
                 limit=constants.ECC_LIMIT_RBER,
             )
+        # tuple.__new__ skips the NamedTuple's generated __new__, a
+        # Python frame that costs about as much as the tuple itself
         if page_offset >= block.next_page:
-            return ReadResult(ERASED_DATA, {}, self.t_read_us)
+            return tuple.__new__(
+                ReadResult, (ERASED_DATA, {}, self.t_read_us, False)
+            )
         spare = block.spare[page_offset]
         if spare.get("torn"):
             raise UncorrectableError(
@@ -198,7 +202,10 @@ class FlashChip:
             )
         if self.wear_gate is not None:
             self.wear_gate.check_readable(block, ppn)
-        return ReadResult(block.data[page_offset], dict(spare), self.t_read_us)
+        return tuple.__new__(
+            ReadResult,
+            (block.data[page_offset], dict(spare), self.t_read_us, False),
+        )
 
     def program_page(
         self,

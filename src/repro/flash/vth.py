@@ -31,7 +31,10 @@ figures, not any specific vendor's silicon (see DESIGN.md section 2).
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -41,24 +44,41 @@ from repro.flash.geometry import CellType, PageRole
 _SQRT2 = float(np.sqrt(2.0))
 
 
-try:  # scipy gives a vectorized erf; fall back to math.erf otherwise
-    from scipy.special import ndtr as _scipy_ndtr
-except ImportError:  # pragma: no cover - scipy is an optional accelerator
-    _scipy_ndtr = None
+def _math_ndtr(x: np.ndarray | float) -> np.ndarray | float:
+    """Standard normal CDF from :func:`math.erfc`.
+
+    ``erfc(-x/sqrt 2)`` keeps full relative precision in the lower tail,
+    where ``1 + erf(x/sqrt 2)`` cancels (1.8 % off at x = -8, 0.0 below
+    about -8.5); it agrees with ``scipy.special.ndtr`` to within 4.3e-13
+    relative over [-37.5, 37.5].
+    """
+    if np.isscalar(x):
+        return 0.5 * math.erfc(-float(x) / _SQRT2)
+    arr = np.asarray(x, dtype=np.float64)
+    return np.asarray(
+        [0.5 * math.erfc(-v / _SQRT2) for v in arr.ravel()]
+    ).reshape(arr.shape)
+
+
+@cache
+def _ndtr() -> Callable[..., np.ndarray | float]:
+    """The CDF implementation, chosen on the first evaluation.
+
+    scipy's vectorized ``ndtr`` is an optional accelerator.  Importing it
+    costs a process ~18 MB of RSS and ~0.3 s, and only the Vth figure
+    studies and the wear gate evaluate the CDF, so it is imported here
+    rather than with the module: the simulation path never loads scipy.
+    """
+    try:
+        from scipy.special import ndtr
+    except ImportError:
+        return _math_ndtr
+    return ndtr
 
 
 def _norm_cdf(x: np.ndarray | float) -> np.ndarray | float:
     """Standard normal CDF (vectorized)."""
-    if _scipy_ndtr is not None:
-        return _scipy_ndtr(x)
-    from math import erf
-
-    if np.isscalar(x):
-        return 0.5 * (1.0 + erf(float(x) / _SQRT2))
-    arr = np.asarray(x, dtype=np.float64)
-    return np.asarray(
-        [0.5 * (1.0 + erf(v / _SQRT2)) for v in arr.ravel()]
-    ).reshape(arr.shape)
+    return _ndtr()(x)
 
 
 @dataclass(frozen=True)

@@ -564,7 +564,10 @@ class PageMappedFtl:
     def _invalidate(self, gppa: int, lpa: int, reason: str) -> InvalidationEvent:
         prev = self.status.set_invalid(gppa)
         self.observer.on_invalidate(gppa, lpa, reason)
-        return InvalidationEvent(gppa, lpa, prev is PageStatus.SECURED, reason)
+        # tuple.__new__ skips the NamedTuple's generated __new__ frame
+        return tuple.__new__(
+            InvalidationEvent, (gppa, lpa, prev is PageStatus.SECURED, reason)
+        )
 
     # ------------------------------------------------------------------
     # garbage collection
@@ -691,7 +694,11 @@ class PageMappedFtl:
             on_invalidate(gppa, lpa, reason)
             set_written(new_gppa, was_secured)
             on_program(new_gppa, lpa, spare.get("tag"), was_secured)
-            events.append(InvalidationEvent(gppa, lpa, was_secured, reason))
+            events.append(
+                tuple.__new__(
+                    InvalidationEvent, (gppa, lpa, was_secured, reason)
+                )
+            )
         return events
 
     # ------------------------------------------------------------------

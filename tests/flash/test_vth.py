@@ -1,9 +1,13 @@
 """Vth distribution engine: stress responses and RBER computation."""
 
+import contextlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.flash import vth
 from repro.flash.geometry import CellType, PageRole
 from repro.flash.vth import (
     StressState,
@@ -247,3 +251,36 @@ class TestHypothesisInvariants:
             StressState(pe_cycles=1000, open_interval_days=days), PageRole.CSB
         )
         assert opened >= base
+
+
+
+@contextlib.contextmanager
+def scipy_blocked():
+    """Resolve the Vth CDF as if scipy were not installed."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "scipy", None)
+        patch.setitem(sys.modules, "scipy.special", None)
+        vth._ndtr.cache_clear()
+        try:
+            yield
+        finally:
+            vth._ndtr.cache_clear()
+
+
+class TestNormCdfFallback:
+    def test_fallback_matches_ndtr_across_both_tails(self):
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        xs = np.linspace(-37.5, 37.5, 3001)
+        expected = ndtr(xs)
+        with scipy_blocked():
+            assert vth._ndtr() is vth._math_ndtr
+            got = vth._norm_cdf(xs)
+        # the lower tail is where 1 + erf(x/sqrt 2) cancels to 0.0
+        assert expected[0] > 0.0
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_fallback_keeps_scalars_and_shapes(self):
+        with scipy_blocked():
+            assert isinstance(vth._norm_cdf(0.5), float)
+            assert vth._norm_cdf(0.0) == 0.5
+            assert vth._norm_cdf(np.zeros((2, 3))).shape == (2, 3)
