@@ -28,6 +28,7 @@ byte-identical across serial, parallel, and resumed campaigns.
 from __future__ import annotations
 
 from repro.fleet.tenants import DeviceSpec, FleetConfig, TenantWorkload
+from repro.sim.metrics import spread_indices
 from repro.sim.runner import SimResult
 from repro.ssd.config import SSDConfig
 from repro.telemetry import MetricsRegistry
@@ -83,17 +84,6 @@ def sanitize_costs(
     }
 
 
-def _downsample(
-    curve: list[tuple[float, float]], max_points: int
-) -> list[list[float]]:
-    if len(curve) <= max_points:
-        return [[t, v] for t, v in curve]
-    step = (len(curve) - 1) / (max_points - 1)
-    picked = [curve[round(i * step)] for i in range(max_points - 1)]
-    picked.append(curve[-1])
-    return [[t, v] for t, v in picked]
-
-
 def device_report(
     config: SSDConfig,
     cfg: FleetConfig,
@@ -105,6 +95,7 @@ def device_report(
     report = result.report
     stats = result.run.stats
     counts = {key: getattr(stats, key) for key in _STAT_KEYS}
+    curve = report.sanitize_backlog
     return {
         "device": spec.device_id,
         "tenants": spec.tenants,
@@ -117,7 +108,7 @@ def device_report(
         "p99_all_us": report.latency["all"]["p99_us"],
         "backlog_peak_us": report.sanitize_backlog_peak_us,
         "backlog_mean_us": report.sanitize_backlog_mean_us,
-        "backlog": _downsample(report.sanitize_backlog, CURVE_POINTS),
+        "backlog": [list(curve[j]) for j in spread_indices(len(curve), CURVE_POINTS)],
         "stats": counts,
         "cost": sanitize_costs(config, counts),
         "storms": generator.storm_counters(),

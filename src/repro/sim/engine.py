@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 from repro.ftl.observer import notify_optional
 from repro.sim.events import SimClock
-from repro.sim.metrics import DepthSeries, LatencyRecorder, WorkSeries
+from repro.sim.metrics import DepthSeries, LatencyRecorder, StepSeries
 from repro.sim.ops import FlashOp, OpKind, RecordingTiming
 from repro.sim.policies import DeferLocksPolicy, SchedulingPolicy
 from repro.ssd.device import SSD
@@ -321,7 +321,7 @@ class QueueingEngine:
         #: outstanding sanitization-class flash work (lock pulses,
         #: scrubs, erases issued but not yet serviced), in microseconds
         #: of chip time; sampled into a step series on every change.
-        self.sanitize_backlog = WorkSeries()
+        self.sanitize_backlog = StepSeries()
         self._sanitize_backlog_us = 0.0
         self._seq = 0
         self._next_index = 0

@@ -10,7 +10,9 @@ same-seed determinism guarantee.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 from repro.ssd.request import RequestOp
 
@@ -28,7 +30,8 @@ __all__ = [
     "percentile",
     "LatencyRecorder",
     "DepthSeries",
-    "WorkSeries",
+    "StepSeries",
+    "spread_indices",
 ]
 
 
@@ -36,8 +39,8 @@ __all__ = [
 class LatencyRecorder:
     """End-to-end request latency samples, grouped by request class."""
 
-    samples: dict[RequestOp, list[float]] = field(
-        default_factory=lambda: {op: [] for op in RequestOp}
+    samples: dict[RequestOp, array] = field(
+        default_factory=lambda: {op: array("d") for op in RequestOp}
     )
 
     def add(self, op: RequestOp, latency_us: float) -> None:
@@ -53,11 +56,10 @@ class LatencyRecorder:
     # ------------------------------------------------------------------
     def summary_for(self, op: RequestOp | None) -> dict[str, float]:
         if op is not None:
-            data = self.samples[op]
-        else:
-            data = []
-            for values in self.samples.values():
-                data.extend(values)
+            return summarize(self.samples[op])
+        data = array("d")
+        for values in self.samples.values():
+            data.extend(values)
         return summarize(data)
 
     def summary(self) -> dict[str, dict[str, float]]:
@@ -69,53 +71,79 @@ class LatencyRecorder:
     # ------------------------------------------------------------------
     def state_dict(self) -> dict[str, list[float]]:
         """Checkpoint payload, keyed by the op's string value."""
-        return {op.value: list(values) for op, values in self.samples.items()}
+        return {op.value: values.tolist() for op, values in self.samples.items()}
 
     def load_state_dict(self, state: dict[str, list[float]]) -> None:
-        self.samples = {op: list(state.get(op.value, [])) for op in RequestOp}
+        self.samples = {op: array("d", state.get(op.value, ())) for op in RequestOp}
 
 
-@dataclass
-class DepthSeries:
-    """Time series of an integer level (queue depth, requests in flight).
+def spread_indices(n: int, max_points: int) -> range | list[int]:
+    """Indices of at most ``max_points`` of ``n`` samples, evenly spread.
 
-    Records a point whenever the level changes; consecutive same-level
-    points coalesce.  ``downsample`` bounds report size.
+    Both ends are kept; a series that already fits keeps every index.
+    """
+    if max_points < 2:
+        raise ValueError("max_points must be >= 2")
+    if n <= max_points:
+        return range(n)
+    step = (n - 1) / (max_points - 1)
+    picked = [round(i * step) for i in range(max_points - 1)]
+    picked.append(n - 1)
+    return picked
+
+
+class StepSeries:
+    """Step function of a float level (queued work in microseconds).
+
+    A point is recorded whenever the level changes; consecutive
+    same-level points coalesce, and a same-instant transition keeps only
+    the final level.  The engine's sanitization backlog -- the
+    flash-time of sanitization-class operations (lock pulses, scrubs,
+    erases) queued or deferred but not yet serviced -- is one, where
+    levels are sums of op durations.  Points live in two typed columns,
+    ``times_us`` (``array("d")``) and ``levels``
+    (``array(level_typecode)``): 16 bytes a point, where lists of boxed
+    numbers cost ~64.  ``downsample`` bounds report size.
     """
 
-    times_us: list[float] = field(default_factory=list)
-    levels: list[int] = field(default_factory=list)
+    #: ``array`` typecode of ``levels``: ``"d"`` float, ``"q"`` integer.
+    level_typecode = "d"
 
-    def record(self, time_us: float, level: int) -> None:
-        if self.levels and self.levels[-1] == level:
-            return
-        if self.times_us and time_us == self.times_us[-1]:
-            # same-instant transition: keep only the final level
-            self.levels[-1] = level
-            self._recoalesce()
-            return
-        self.times_us.append(time_us)
-        self.levels.append(level)
+    def __init__(self) -> None:
+        self.times_us = array("d")
+        self.levels = array(self.level_typecode)
 
-    def _recoalesce(self) -> None:
-        if len(self.levels) >= 2 and self.levels[-1] == self.levels[-2]:
-            self.times_us.pop()
-            self.levels.pop()
+    def record(self, time_us: float, level: float) -> None:
+        times, levels = self.times_us, self.levels
+        if levels and levels[-1] == level:
+            return
+        if times and time_us == times[-1]:
+            # same-instant transition: keep only the final level, and drop
+            # the point when that returns to the level before it
+            if len(levels) >= 2 and levels[-2] == level:
+                times.pop()
+                levels.pop()
+            else:
+                levels[-1] = level
+            return
+        times.append(time_us)
+        levels.append(level)
 
     def __len__(self) -> int:
         return len(self.times_us)
 
     @property
-    def peak(self) -> int:
-        return max(self.levels, default=0)
+    def peak(self) -> float:
+        return max(self.levels, default=0 if self.level_typecode == "q" else 0.0)
 
     def mean_level(self, until_us: float) -> float:
         """Time-weighted average level over [0, until_us]."""
-        if until_us <= 0.0 or not self.times_us:
+        times = self.times_us
+        if until_us <= 0.0 or not times:
             return 0.0
         total = 0.0
-        for i, (t, level) in enumerate(zip(self.times_us, self.levels)):
-            end = self.times_us[i + 1] if i + 1 < len(self.times_us) else until_us
+        ends = chain(islice(times, 1, None), (until_us,))
+        for t, end, level in zip(times, ends, self.levels):
             end = min(end, until_us)
             if end > t:
                 total += (end - t) * level
@@ -123,87 +151,19 @@ class DepthSeries:
 
     def state_dict(self) -> dict[str, list[float] | list[int]]:
         """Checkpoint payload (see :mod:`repro.checkpoint`)."""
-        return {"times_us": list(self.times_us), "levels": list(self.levels)}
+        return {"times_us": self.times_us.tolist(), "levels": self.levels.tolist()}
 
     def load_state_dict(self, state: dict[str, object]) -> None:
-        self.times_us = list(state["times_us"])
-        self.levels = list(state["levels"])
-
-    def downsample(self, max_points: int = 256) -> list[tuple[float, int]]:
-        """At most ``max_points`` (time, level) pairs, ends preserved."""
-        if max_points < 2:
-            raise ValueError("max_points must be >= 2")
-        points = list(zip(self.times_us, self.levels))
-        if len(points) <= max_points:
-            return points
-        step = (len(points) - 1) / (max_points - 1)
-        picked = [points[round(i * step)] for i in range(max_points - 1)]
-        picked.append(points[-1])
-        return picked
-
-
-@dataclass
-class WorkSeries:
-    """Time series of a float level (queued work in microseconds).
-
-    The float sibling of :class:`DepthSeries`: a step function sampled
-    whenever the level changes.  Used for the engine's sanitization
-    backlog -- the flash-time of sanitization-class operations (lock
-    pulses, scrubs, erases) queued or deferred but not yet serviced --
-    where levels are sums of op durations, not integer counts.
-    """
-
-    times_us: list[float] = field(default_factory=list)
-    levels: list[float] = field(default_factory=list)
-
-    def record(self, time_us: float, level: float) -> None:
-        if self.levels and self.levels[-1] == level:
-            return
-        if self.times_us and time_us == self.times_us[-1]:
-            # same-instant transition: keep only the final level
-            self.levels[-1] = level
-            if len(self.levels) >= 2 and self.levels[-1] == self.levels[-2]:
-                self.times_us.pop()
-                self.levels.pop()
-            return
-        self.times_us.append(time_us)
-        self.levels.append(level)
-
-    def __len__(self) -> int:
-        return len(self.times_us)
-
-    @property
-    def peak(self) -> float:
-        return max(self.levels, default=0.0)
-
-    def mean_level(self, until_us: float) -> float:
-        """Time-weighted average level over [0, until_us]."""
-        if until_us <= 0.0 or not self.times_us:
-            return 0.0
-        total = 0.0
-        for i, (t, level) in enumerate(zip(self.times_us, self.levels)):
-            end = self.times_us[i + 1] if i + 1 < len(self.times_us) else until_us
-            end = min(end, until_us)
-            if end > t:
-                total += (end - t) * level
-        return total / until_us
-
-    def state_dict(self) -> dict[str, list[float]]:
-        """Checkpoint payload (see :mod:`repro.checkpoint`)."""
-        return {"times_us": list(self.times_us), "levels": list(self.levels)}
-
-    def load_state_dict(self, state: dict[str, object]) -> None:
-        self.times_us = list(state["times_us"])
-        self.levels = list(state["levels"])
+        self.times_us = array("d", state["times_us"])
+        self.levels = array(self.level_typecode, state["levels"])
 
     def downsample(self, max_points: int = 256) -> list[tuple[float, float]]:
         """At most ``max_points`` (time, level) pairs, ends preserved."""
-        if max_points < 2:
-            raise ValueError("max_points must be >= 2")
-        points = list(zip(self.times_us, self.levels))
-        if len(points) <= max_points:
-            return points
-        step = (len(points) - 1) / (max_points - 1)
-        picked = [points[round(i * step)] for i in range(max_points - 1)]
-        picked.append(points[-1])
-        return picked
+        times, levels = self.times_us, self.levels
+        return [(times[j], levels[j]) for j in spread_indices(len(times), max_points)]
+
+
+class DepthSeries(StepSeries):
+    """Step function of an integer level (queue depth, requests in flight)."""
+
+    level_typecode = "q"

@@ -11,6 +11,7 @@ sanitization it triggered -- and reports percentiles.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro.ssd.request import RequestOp
@@ -21,8 +22,8 @@ from repro.telemetry.histogram import percentile as _nearest_rank  # lint: disab
 class WorkLog:
     """Per-request work samples, grouped by request type."""
 
-    samples: dict[RequestOp, list[float]] = field(
-        default_factory=lambda: {op: [] for op in RequestOp}
+    samples: dict[RequestOp, array] = field(
+        default_factory=lambda: {op: array("d") for op in RequestOp}
     )
 
     def record(self, op: RequestOp, work_us: float) -> None:
@@ -53,27 +54,30 @@ class WorkLog:
         return max(data, default=0.0)
 
     def summary(self, op: RequestOp | None = None) -> dict[str, float]:
+        data = self._select(op)
+        ordered = sorted(data)
         return {
-            "count": float(self.count(op)),
-            "mean_us": self.mean(op),
-            "p50_us": self.percentile(50, op),
-            "p99_us": self.percentile(99, op),
-            "max_us": self.max(op),
+            "count": float(len(data)),
+            # summed in insertion order, as mean() does
+            "mean_us": sum(data) / len(data) if data else 0.0,
+            "p50_us": _nearest_rank(ordered, 50),
+            "p99_us": _nearest_rank(ordered, 99),
+            "max_us": max(data, default=0.0),
         }
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict[str, list[float]]:
         """Checkpoint payload, keyed by the op's string value."""
-        return {op.value: list(values) for op, values in self.samples.items()}
+        return {op.value: values.tolist() for op, values in self.samples.items()}
 
     def load_state_dict(self, state: dict[str, list[float]]) -> None:
-        self.samples = {op: list(state.get(op.value, [])) for op in RequestOp}
+        self.samples = {op: array("d", state.get(op.value, ())) for op in RequestOp}
 
     # ------------------------------------------------------------------
-    def _select(self, op: RequestOp | None) -> list[float]:
+    def _select(self, op: RequestOp | None) -> array:
         if op is not None:
             return self.samples[op]
-        merged: list[float] = []
+        merged = array("d")
         for values in self.samples.values():
             merged.extend(values)
         return merged

@@ -18,6 +18,7 @@ min, and max are kept alongside, so rates and means stay exact.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from math import ceil
 
 #: the percentiles every latency/work summary reports, in report order.
@@ -57,7 +58,7 @@ def percentile(sorted_data: list[float], q: float) -> float:
     return sorted_data[rank]
 
 
-def summarize(data: list[float]) -> dict[str, float]:
+def summarize(data: Iterable[float]) -> dict[str, float]:
     """count/mean/min/:data:`PERCENTILES`/max of unsorted samples.
 
     Same key set as :meth:`FixedBucketHistogram.snapshot`, with the same

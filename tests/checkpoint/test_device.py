@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+from array import array
+
 import pytest
 
 from repro.analysis.torture import torture_requests
 from repro.checkpoint.campaign import run_chunked_simulation
-from repro.checkpoint.codec import canonical_dumps, encode
+from repro.checkpoint.codec import canonical_dumps, decode, encode
 from repro.checkpoint.device import restore_device, snapshot_device
 from repro.faults import FaultKind, FaultPlan
 from repro.ftl import FTL_VARIANTS
@@ -17,6 +20,7 @@ from repro.sim.ops import RecordingTiming
 from repro.sim.policies import policy_by_name
 from repro.sim.runner import capture_block_trace
 from repro.ssd.device import SSD
+from repro.ssd.request import RequestOp
 
 
 def state_bytes(ssd):
@@ -87,11 +91,11 @@ class TestParityValidation:
 
 
 class TestEngineState:
-    def build(self, config):
+    def build(self, config, variant="secSSD"):
         requests, steady_start = capture_block_trace(
             config, "MailServer", seed=1, write_multiplier=0.3
         )
-        ssd = SSD(config, "secSSD", seed=1, checked=True)
+        ssd = SSD(config, variant, seed=1, checked=True)
         ssd.instrument_timing(RecordingTiming.from_config(config))
         engine = QueueingEngine(
             ssd,
@@ -120,6 +124,31 @@ class TestEngineState:
         b = target._report()
         assert b.latency == a.latency
         assert b.utilization == a.utilization
+
+    def test_restored_series_stay_typed_columns(self, ck_config):
+        # the checkpoint carries plain lists; a resumed campaign must get
+        # its typed columns back, not keep the boxed lists
+        requests, source_ssd, source = self.build(ck_config, "erSSD")
+        source.run_window(len(requests))
+        snapshot = snapshot_device(source_ssd, source)
+        stored = json.loads(canonical_dumps(encode(snapshot)))
+
+        _, target_ssd, target = self.build(ck_config, "erSSD")
+        restore_device(target_ssd, target, decode(stored))
+        columns = {
+            "depth.times_us": target.depth.times_us,
+            "depth.levels": target.depth.levels,
+            "backlog.times_us": target.sanitize_backlog.times_us,
+            "backlog.levels": target.sanitize_backlog.levels,
+        }
+        for op in RequestOp:
+            columns[f"latency.{op.value}"] = target.latency.samples[op]
+            columns[f"worklog.{op.value}"] = target_ssd.work_log.samples[op]
+        for name, column in columns.items():
+            assert isinstance(column, array), name
+            assert column.typecode == ("q" if name == "depth.levels" else "d"), name
+        assert all(len(column) for column in columns.values())  # none vacuous
+        assert target.state_dict() == source.state_dict()
 
     def test_state_dict_refuses_non_quiescence(self, ck_config):
         requests, ssd, engine = self.build(ck_config)

@@ -80,24 +80,24 @@ class TestDepthSeries:
         series.record(0.0, 1)
         series.record(5.0, 1)  # no-op
         series.record(9.0, 2)
-        assert series.times_us == [0.0, 9.0]
-        assert series.levels == [1, 2]
+        assert list(series.times_us) == [0.0, 9.0]
+        assert list(series.levels) == [1, 2]
 
     def test_same_instant_transition_keeps_final_level(self):
         series = DepthSeries()
         series.record(0.0, 1)
         series.record(4.0, 2)
         series.record(4.0, 3)  # overwrite, not append
-        assert series.times_us == [0.0, 4.0]
-        assert series.levels == [1, 3]
+        assert list(series.times_us) == [0.0, 4.0]
+        assert list(series.levels) == [1, 3]
 
     def test_same_instant_overwrite_recoalesces(self):
         series = DepthSeries()
         series.record(0.0, 1)
         series.record(4.0, 2)
         series.record(4.0, 1)  # back to the previous level: point vanishes
-        assert series.times_us == [0.0]
-        assert series.levels == [1]
+        assert list(series.times_us) == [0.0]
+        assert list(series.levels) == [1]
 
     def test_peak(self):
         series = DepthSeries()

@@ -42,6 +42,26 @@ class TestWorkLogMechanics:
         summary = log.summary()
         assert set(summary) == {"count", "mean_us", "p50_us", "p99_us", "max_us"}
 
+    def test_summary_matches_per_statistic_methods(self):
+        # summary() selects and sorts once; every field must still read
+        # exactly what the single-statistic methods return, the mean
+        # summed in insertion order (so not from the sorted copy)
+        rng = random.Random(7)
+        log = WorkLog()
+        for _ in range(500):
+            log.record(rng.choice(list(RequestOp)), rng.uniform(0.0, 1e4) / 3.0)
+        for op in (None, *RequestOp):
+            assert log.summary(op) == {
+                "count": float(log.count(op)),
+                "mean_us": log.mean(op),
+                "p50_us": log.percentile(50, op),
+                "p99_us": log.percentile(99, op),
+                "max_us": log.max(op),
+            }
+        assert WorkLog().summary() == dict.fromkeys(
+            ("count", "mean_us", "p50_us", "p99_us", "max_us"), 0.0
+        )
+
 
 class TestDeviceIntegration:
     def test_write_work_includes_program_and_transfer(self, tiny_config):

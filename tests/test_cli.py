@@ -298,6 +298,24 @@ class TestSimulateCommand:
         assert set(payload) == {"baseline", "secSSD"}
         assert payload["secSSD"]["policy"]["name"] == "defer"
 
+    def test_resumed_er_ssd_json_report_is_byte_identical(
+        self, tmp_path, capsys
+    ):
+        # erSSD's backlog series is the longest the engine keeps, so this
+        # byte-checks that restored typed columns report like live ones
+        sim = ["simulate", "--variants", "erSSD", "--blocks", "8",
+               "--wordlines", "4", "--multiplier", "0.5", "--qd", "8",
+               "--checkpoint-every", "200"]
+        killed = sim + ["--checkpoint-dir", str(tmp_path / "ck")]
+        assert main(killed + ["--stop-after", "1"]) == 0
+        resumed = tmp_path / "resumed.json"
+        assert main(killed + ["--resume", "--json", str(resumed)]) == 0
+        straight = tmp_path / "straight.json"
+        assert main(sim + ["--checkpoint-dir", str(tmp_path / "ck2"),
+                           "--json", str(straight)]) == 0
+        capsys.readouterr()
+        assert resumed.read_bytes() == straight.read_bytes()
+
     def test_resume_under_another_telemetry_ring_is_usage_error(
         self, tmp_path, capsys
     ):
