@@ -12,10 +12,10 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.analysis.tables import render_table
+from repro.ftl.request import RequestOp
 from repro.host.filesystem import FileSystem
 from repro.host.trace import TraceReplayer
 from repro.ssd.device import SSD
-from repro.ssd.request import RequestOp
 from repro.workloads import WORKLOADS
 
 VARIANTS = ("baseline", "secSSD", "scrSSD", "erSSD")

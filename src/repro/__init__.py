@@ -7,9 +7,10 @@ The library is organized bottom-up:
   behavioural chips, and the reprogram-based sanitization baselines;
 * :mod:`repro.core` -- Evanesco itself: pLock/bLock, pAP/bAP flag
   physics, the Evanesco chip, and the Figure 9/12 design exploration;
-* :mod:`repro.ftl` -- the baseline FTL and the four evaluated variants
-  (secSSD, secSSD_nobLock, erSSD, scrSSD);
-* :mod:`repro.ssd` -- device model: topology, timing, requests, stats;
+* :mod:`repro.ftl` -- the baseline FTL and the evaluated variants
+  (secSSD, secSSD_nobLock, erSSD, scrSSD, cryptSSD), with the host
+  requests, the occupancy timing model and the run counters they use;
+* :mod:`repro.ssd` -- the device: configuration, FTL, telemetry;
 * :mod:`repro.host` -- file system, trace replay, VerTrace profiler;
 * :mod:`repro.workloads` -- the four Table 2 benchmark generators;
 * :mod:`repro.security` -- the Section 5.1 attacker and C1/C2 auditing;
@@ -30,7 +31,6 @@ from repro.core import EvanescoChip
 from repro.ssd import (
     SSD,
     SSDConfig,
-    make_ssd,
     paper_config,
     read,
     scaled_config,
@@ -45,7 +45,6 @@ __all__ = [
     "SSD",
     "SSDConfig",
     "__version__",
-    "make_ssd",
     "paper_config",
     "read",
     "scaled_config",

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.ftl.stats import RunResult
 from repro.host.filesystem import FileSystem
 from repro.host.trace import TraceReplayer
 from repro.host.vertrace import TimeplotSample, VerTrace
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SSD
-from repro.ssd.stats import RunResult
 from repro.workloads import WORKLOADS
 
 #: variant order used across Figure 14 outputs.

@@ -32,7 +32,6 @@ pages there were under its historical scorecard name ``exempt``.
 
 from __future__ import annotations
 
-import json
 import random
 import tempfile
 from dataclasses import dataclass, field
@@ -43,14 +42,15 @@ from repro.analysis.progress import ProgressReporter
 from repro.checkers.residue import stale_secured_leaks
 from repro.checkers.sanitizer import InvariantViolation
 from repro.checkpoint import run_chunked_simulation
+from repro.checkpoint.codec import report_dumps
 from repro.checkpoint.store import StoreCrashInjected
 from repro.faults import FaultKind, FaultPlan
 from repro.flash.errors import FlashError, PowerLossInjected
 from repro.ftl.recovery import PowerLossRecovery
+from repro.ftl.request import IoRequest, read, trim, write
 from repro.sim.runner import capture_block_trace
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SSD
-from repro.ssd.request import IoRequest, read, trim, write
 from repro.telemetry import Telemetry
 
 #: variant order used across torture outputs.
@@ -177,7 +177,7 @@ class TortureScorecard:
 
     def to_json(self) -> str:
         """Deterministic JSON: same seed + schedule -> identical bytes."""
-        return json.dumps(
+        return report_dumps(
             {
                 "seed": self.seed,
                 "passed": self.passed,
@@ -186,9 +186,7 @@ class TortureScorecard:
                 "retried_shards": self.retried_shards,
                 "cached_shards": self.cached_shards,
                 "cases": [case.to_dict() for case in self.cases],
-            },
-            sort_keys=True,
-            indent=2,
+            }
         )
 
     def format(self) -> str:

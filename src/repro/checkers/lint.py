@@ -279,18 +279,16 @@ def lint_paths(
 def format_findings(
     findings: Sequence[Finding],
     show_hints: bool = True,
-    baselined: int = 0,
 ) -> str:
     """Human-readable report: one block per finding plus a summary line."""
-    suffix = f", {baselined} baselined" if baselined else ""
     if not findings:
-        return f"repro lint: clean (0 findings{suffix})"
+        return "repro lint: clean (0 findings)"
     lines = [f.format(show_hint=show_hints) for f in findings]
     by_sev = {
         sev: sum(1 for f in findings if f.severity == sev) for sev in SEVERITIES
     }
     summary = ", ".join(f"{n} {sev}(s)" for sev, n in by_sev.items() if n)
-    lines.append(f"repro lint: {len(findings)} finding(s): {summary}{suffix}")
+    lines.append(f"repro lint: {len(findings)} finding(s): {summary}")
     return "\n".join(lines)
 
 
@@ -315,9 +313,6 @@ def run_lint(
     echo: Callable[[str], object] = print,
     fmt: str = "text",
     out: str | None = None,
-    baseline_path: str | None = None,
-    no_baseline: bool = False,
-    write_baseline: bool = False,
 ) -> int:
     """CLI entry: lint the given paths (default: the installed package).
 
@@ -326,19 +321,11 @@ def run_lint(
     SIM08-clean, the *call* happens on the caller's authority).
 
     ``fmt`` selects ``text``, ``json``, or ``sarif``; ``out`` writes the
-    report to a file instead of echoing it.  A baseline file (explicit
-    ``baseline_path``, or ``.lint-baseline.json`` discovered in the
-    working directory or an ancestor of the first linted path) hides
-    known findings; ``write_baseline`` regenerates it from the current
-    findings.
+    report to a file instead of echoing it.
 
-    Returns a process exit code: 0 when no *new* error-severity finding
+    Returns a process exit code: 0 when no error-severity finding
     remains, 1 otherwise, 2 on usage errors.
     """
-    from repro.checkers.baseline import (
-        DEFAULT_BASELINE_NAME,
-        Baseline,
-    )
     from repro.checkers.report import render_json, render_sarif
 
     if fmt not in ("text", "json", "sarif"):
@@ -353,55 +340,20 @@ def run_lint(
         echo(f"repro lint: {exc}")
         return 2
 
-    resolved_baseline: Path | None = None
-    if baseline_path:
-        resolved_baseline = Path(baseline_path)
-    elif not no_baseline:
-        # discover in the working directory first, then up from the
-        # linted path -- `repro lint /path/to/repo/src/repro` should
-        # honour that repo's committed baseline regardless of cwd
-        first = Path(paths[0]).resolve()
-        candidates = [Path.cwd(), first, *first.parents]
-        for directory in candidates:
-            candidate = directory / DEFAULT_BASELINE_NAME
-            if candidate.is_file():
-                resolved_baseline = candidate
-                break
-
-    if write_baseline:
-        target = resolved_baseline or Path.cwd() / DEFAULT_BASELINE_NAME
-        Baseline.from_findings(findings).dump(target)
-        echo(
-            f"repro lint: wrote baseline with {len(findings)} "
-            f"finding(s) to {target}"
-        )
-        return 0
-
-    baselined: list[Finding] = []
-    if resolved_baseline is not None and not no_baseline:
-        try:
-            baseline = Baseline.load(resolved_baseline)
-        except (OSError, ValueError) as exc:
-            echo(f"repro lint: cannot read baseline: {exc}")
-            return 2
-        findings, baselined = baseline.split(findings)
-
     if fmt == "json":
-        payload = render_json(findings, baselined)
+        payload = render_json(findings)
     elif fmt == "sarif":
-        payload = render_sarif(findings, baselined)
+        payload = render_sarif(findings)
     else:
-        payload = format_findings(
-            findings, show_hints=show_hints, baselined=len(baselined)
-        )
+        payload = format_findings(findings, show_hints=show_hints) + "\n"
 
     if out:
-        Path(out).write_text(payload + "\n", encoding="utf-8")
+        Path(out).write_text(payload, encoding="utf-8")
         echo(
-            format_findings([], baselined=len(baselined))
+            format_findings([])
             if not findings
             else f"repro lint: {len(findings)} finding(s) written to {out}"
         )
     else:
-        echo(payload)
+        echo(payload.removesuffix("\n"))
     return 1 if any(f.severity == "error" for f in findings) else 0

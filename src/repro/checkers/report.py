@@ -2,16 +2,15 @@
 
 The SARIF output follows the subset of the 2.1.0 schema that code
 hosts actually render: one run, rule metadata on the tool driver, one
-result per finding with a physical location.  Baselined findings are
-emitted with ``"baselineState": "unchanged"`` so viewers can fold them
-away while the gate (exit code) only counts *new* findings.
+result per finding with a physical location.  Both documents go
+through :func:`~repro.checkpoint.codec.report_dumps` (sorted keys,
+two-space indent, trailing newline).
 """
 
 from __future__ import annotations
 
-import json
-
 from repro.checkers.lint import Finding, default_rules
+from repro.checkpoint.codec import report_dumps
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (
@@ -37,30 +36,26 @@ def _finding_dict(finding: Finding) -> dict:
     return out
 
 
-def render_json(
-    new: list[Finding], baselined: list[Finding]
-) -> str:
+def render_json(findings: list[Finding]) -> str:
     """Stable JSON document for scripting against lint output."""
     payload = {
         "version": 1,
         "tool": TOOL_NAME,
         "summary": {
-            "findings": len(new),
-            "errors": sum(1 for f in new if f.severity == "error"),
-            "warnings": sum(1 for f in new if f.severity == "warning"),
-            "baselined": len(baselined),
+            "findings": len(findings),
+            "errors": sum(1 for f in findings if f.severity == "error"),
+            "warnings": sum(1 for f in findings if f.severity == "warning"),
         },
-        "findings": [_finding_dict(f) for f in new],
-        "baselined": [_finding_dict(f) for f in baselined],
+        "findings": [_finding_dict(f) for f in findings],
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return report_dumps(payload)
 
 
-def _sarif_result(finding: Finding, baselined: bool) -> dict:
+def _sarif_result(finding: Finding) -> dict:
     message = finding.message
     if finding.hint:
         message = f"{message} (hint: {finding.hint})"
-    result = {
+    return {
         "ruleId": finding.rule_id,
         "level": _SARIF_LEVEL.get(finding.severity, "warning"),
         "message": {"text": message},
@@ -76,15 +71,10 @@ def _sarif_result(finding: Finding, baselined: bool) -> dict:
             }
         ],
     }
-    if baselined:
-        result["baselineState"] = "unchanged"
-    return result
 
 
-def render_sarif(
-    new: list[Finding], baselined: list[Finding]
-) -> str:
-    """SARIF 2.1.0 log with rule metadata and baseline states."""
+def render_sarif(findings: list[Finding]) -> str:
+    """SARIF 2.1.0 log with rule metadata."""
     rules_meta = []
     seen: set[str] = set()
     for rule in default_rules():
@@ -101,8 +91,6 @@ def render_sarif(
                 },
             }
         )
-    results = [_sarif_result(f, baselined=False) for f in new]
-    results.extend(_sarif_result(f, baselined=True) for f in baselined)
     log = {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,
@@ -117,8 +105,8 @@ def render_sarif(
                         "rules": rules_meta,
                     }
                 },
-                "results": results,
+                "results": [_sarif_result(f) for f in findings],
             }
         ],
     }
-    return json.dumps(log, indent=2)
+    return report_dumps(log)

@@ -24,15 +24,14 @@ checks, SIM10 in favour of the cross-process byte-identity test
 * ``SIM13`` (:mod:`.units`) -- ``_ns``/``_us``/``_ms``/``_s`` suffix
   dimensional analysis over arithmetic, comparisons, and bindings;
 * ``SIM14`` (:mod:`.layering`) -- the import-layer stack
-  ``flash < ftl < ssd < sim < telemetry < analysis`` admits no upward
-  (and therefore no cyclic) imports;
+  ``telemetry < flash < ftl < ssd < sim < analysis < audit < fleet``
+  admits no upward (and therefore no cyclic) imports;
 * ``SIM15`` (:mod:`.serialization`) -- no ``pickle``/``marshal``/
   ``shelve`` imports outside ``checkpoint/`` (durable state goes
   through the versioned, checksummed checkpoint codec);
 * ``SIM16`` (:mod:`.artifacts`) -- no ad-hoc ``json.dump``/``dumps``
   outside the telemetry exporters and the checkpoint codec (run
-  evidence must stay canonical and re-verifiable; existing report
-  emitters are baselined).
+  evidence must stay canonical and re-verifiable).
 
 Suppress a rule on one line with ``# lint: disable=SIM0x`` or for a
 whole file with ``# lint: disable-file=SIM0x`` (add a justification

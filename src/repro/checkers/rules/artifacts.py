@@ -12,9 +12,8 @@ construction order and default separators, which is exactly how a
 
 This rule flags direct ``json.dump``/``json.dumps`` call sites (the
 writing side only -- reading stays free) outside the two sanctioned
-writer modules.  Existing report emitters are grandfathered through the
-lint baseline; *new* evidence paths must serialize through
-``canonical_dumps`` or a telemetry exporter.
+writer modules: every evidence path serializes through
+``canonical_dumps``/``report_dumps`` or a telemetry exporter.
 """
 
 from __future__ import annotations

@@ -3,20 +3,23 @@
 The packages form a strict stack -- each layer may import only from
 layers *below* it::
 
-    flash  <  ftl  <  ssd  <  sim  <  telemetry  <  analysis  <  audit  <  fleet
+    telemetry  <  flash  <  ftl  <  ssd  <  sim  <  analysis  <  audit  <  fleet
 
-``flash`` is pure device physics; ``ftl`` builds mapping policy on it;
-``ssd`` composes an FTL with timing/config into a device; ``sim`` drives
-devices through the event engine; ``telemetry`` observes everything
-beneath it; ``analysis`` consumes finished runs; ``audit`` replays
-finished traces into sanitization certificates (so it may drive runs via
+``telemetry`` is the observability substrate (trace bus, metrics,
+exporters) every layer above may publish into; it knows the FTL's
+observer protocol only as a type.  ``flash`` is pure device physics;
+``ftl`` builds mapping policy on it, with its own input (host requests),
+counters and occupancy cost model; ``ssd`` composes an FTL with a
+configuration into a device; ``sim`` drives devices through the event
+engine; ``analysis`` consumes finished runs; ``audit`` replays finished
+traces into sanitization certificates (so it may drive runs via
 ``analysis`` and probe devices, while ``fleet`` folds its certificates
-into campaign reports); ``fleet`` composes
-whole campaigns of devices over the analysis grid runner.  An *upward* import
-(``ftl`` importing ``sim``, say) inverts the dependency stack, and --
-because the contract is a total order -- any import cycle between named
-layers necessarily contains an upward edge, so this one rule also keeps
-the layer graph acyclic.
+into campaign reports); ``fleet`` composes whole campaigns of devices
+over the analysis grid runner.  An *upward* import (``ftl`` importing
+``sim``, say) inverts the dependency stack, and -- because the contract
+is a total order -- any import cycle between named layers necessarily
+contains an upward edge, so this one rule also keeps the layer graph
+acyclic.
 
 Packages outside the stack (``core``, ``host``, ``security``,
 ``workloads``, ``checkers``, ``faults``, top-level modules) are
@@ -41,7 +44,7 @@ from repro.checkers.lint import FileContext, Finding, LintRule
 
 #: the layer stack, lowest first.  Index == layer height.
 LAYER_ORDER = (
-    "flash", "ftl", "ssd", "sim", "telemetry", "analysis", "audit", "fleet",
+    "telemetry", "flash", "ftl", "ssd", "sim", "analysis", "audit", "fleet",
 )
 LAYERS = {name: i for i, name in enumerate(LAYER_ORDER)}
 

@@ -37,7 +37,6 @@ from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from repro.checkers.residue import sanitize_violation, stale_secured_leaks
-from repro.ftl.observer import notify_optional
 from repro.ftl.page_status import PageStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -61,7 +60,7 @@ def _env_flag(name: str) -> bool:
 
 
 _default_checked: bool = _env_flag("REPRO_CHECKED")
-_default_interval: int = int(os.environ.get("REPRO_CHECK_INTERVAL", "1") or 1)
+_default_interval: int = 1
 
 
 def set_default_checked(enabled: bool = True, interval: int | None = None) -> None:
@@ -153,10 +152,8 @@ class _RecordingObserver:
     def on_lock_deferred(self, chip_id: int, n_locks: int, deferred_us: float) -> None:
         # timing-only event (repro.sim deferral policy): record it in the
         # trail so violation reports show deferral activity, and forward
-        # if the inner observer cares; it never changes page status.
-        notify_optional(
-            self._inner, "on_lock_deferred", chip_id, n_locks, deferred_us
-        )
+        # it; it never changes page status.
+        self._inner.on_lock_deferred(chip_id, n_locks, deferred_us)
         self._sanitizer._record(
             f"lock-drain chip={chip_id} n={n_locks} waited={deferred_us:.1f}us"
         )

@@ -28,7 +28,7 @@ package provides it in four pieces:
   resumed campaign is byte-identical to the same campaign run
   uninterrupted (see DESIGN.md section 3i).
 
-This package sits outside the ``flash < ftl < ssd < sim < telemetry <
+This package sits outside the ``telemetry < flash < ftl < ssd < sim <
 analysis`` layer stack (like ``checkers``): it reaches *down* into
 every layer to collect state but is imported only by campaigns, the
 CLI, and the analysis harnesses.  Rule SIM15 keeps all serialization

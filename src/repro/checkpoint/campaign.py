@@ -47,6 +47,7 @@ from repro.checkpoint.store import (
     CorruptionReport,
 )
 from repro.faults import FaultPlan
+from repro.ftl.request import IoRequest
 from repro.sim.arrivals import ArrivalProcess, ClosedLoopArrivals
 from repro.sim.engine import QueueingEngine
 from repro.sim.ops import RecordingTiming
@@ -54,7 +55,6 @@ from repro.sim.policies import SchedulingPolicy, policy_by_name
 from repro.sim.runner import SimResult, capture_block_trace
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SSD
-from repro.ssd.request import IoRequest
 from repro.telemetry import Telemetry
 
 __all__ = [

@@ -34,8 +34,8 @@ import numpy as np
 from repro.faults import FaultKind
 from repro.flash.block import BlockState
 from repro.ftl.page_status import PageStatus
+from repro.ftl.request import RequestOp
 from repro.sim.ops import OpKind
-from repro.ssd.request import RequestOp
 
 __all__ = [
     "CodecError",

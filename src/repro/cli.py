@@ -38,7 +38,7 @@ sweep resumes instead of recomputing.
 
 Four maintenance commands ship with the simulator itself::
 
-    python -m repro lint                   # static domain lint (11 SIM rules)
+    python -m repro lint                   # static domain lint (10 SIM rules)
     python -m repro check                  # runtime invariant sanitizer run
     python -m repro torture                # fault-injection robustness sweep
     python -m repro profile -- simulate    # cProfile any repro command
@@ -644,9 +644,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         show_hints=not args.no_hints,
         fmt=args.format,
         out=args.out,
-        baseline_path=args.baseline,
-        no_baseline=args.no_baseline,
-        write_baseline=args.write_baseline,
     )
 
 
@@ -719,7 +716,7 @@ def cmd_torture(args: argparse.Namespace) -> int:
         resume_dir=args.resume,
         progress=_progress(args),
     )
-    print(card.to_json() if args.json else card.format())
+    print(card.to_json() if args.json else card.format() + "\n", end="")
     # --trace-out and --cert-out each replay one representative faulted
     # run per variant: the highest configured rate maximizes fault
     # instants in the trace and in the certificate's forensic pass
@@ -1018,14 +1015,6 @@ def _lint_flags(p: argparse.ArgumentParser) -> None:
                    help="report format (default: text)")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write the report to FILE instead of stdout")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="baseline file of accepted findings "
-                        "(default: ./.lint-baseline.json if present)")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore any baseline file")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="regenerate the baseline from the current "
-                        "findings and exit")
     p.add_argument("--rules", action="store_true",
                    help="list the rule catalogue and exit")
 

@@ -141,7 +141,7 @@ class FleetConfig:
         never silently serve shards from a differently-parameterized
         campaign.
         """
-        text = json.dumps(asdict(self), sort_keys=True)
+        text = json.dumps(asdict(self), sort_keys=True)  # lint: disable=SIM16 -- the hash keys resume caches and fleet --json echoes it; canonical separators would change it
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 

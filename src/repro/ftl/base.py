@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from contextlib import ExitStack, contextmanager
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.checkers.sanitizer import FtlSanitizer, default_checked
 from repro.faults import FaultInjector, FaultPlan
@@ -43,15 +43,13 @@ from repro.ftl.gc_policies import VictimView, policy_by_name
 from repro.ftl.mapping import L2PTable, UNMAPPED
 from repro.ftl.observer import FtlObserver, NullObserver
 from repro.ftl.page_status import PageStatus, StatusTable
-from repro.ssd.config import SSDConfig
-from repro.ssd.request import IoRequest, RequestOp
-from repro.ssd.stats import DeviceStats
-from repro.ssd.timing import TimingModel
-from repro.telemetry import (  # lint: disable=SIM14 -- telemetry is the cross-cutting observability seam (DESIGN 3f); DISABLED makes it zero-cost
-    DISABLED,
-    AnyTelemetry,
-    Telemetry,
-)
+from repro.ftl.request import IoRequest, RequestOp
+from repro.ftl.stats import DeviceStats
+from repro.ftl.timing import TimingModel
+from repro.telemetry import DISABLED, AnyTelemetry, Telemetry
+
+if TYPE_CHECKING:
+    from repro.ssd.config import SSDConfig
 
 
 class InvalidationEvent(NamedTuple):
@@ -97,17 +95,7 @@ class PageMappedFtl:
         #: variants' sanitization storms); the DISABLED singleton's
         #: spans are shared no-ops, so untraced runs pay ~nothing.
         self.tel: AnyTelemetry = telemetry if telemetry is not None else DISABLED
-        self.timing = TimingModel(
-            n_channels=config.n_channels,
-            chips_per_channel=config.chips_per_channel,
-            t_read_us=config.t_read_us,
-            t_prog_us=config.t_prog_us,
-            t_erase_us=config.t_erase_us,
-            t_plock_us=config.t_plock_us,
-            t_block_lock_us=config.t_block_lock_us,
-            t_scrub_us=config.t_scrub_us,
-            t_xfer_us=config.t_xfer_us,
-        )
+        self.timing = TimingModel.from_config(config)
         self.stats = DeviceStats()
         self.chips: list[FlashChip] = [
             self._make_chip(i) for i in range(config.n_chips)

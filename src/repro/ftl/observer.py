@@ -10,7 +10,7 @@ logger module onto FlashBench's emulated storage model.
 
 from __future__ import annotations
 
-from typing import Any, Protocol
+from typing import Protocol
 
 
 class FtlObserver(Protocol):
@@ -43,22 +43,7 @@ class FtlObserver(Protocol):
         policy only -- the FTL's functional lock state was already
         applied at invalidation time -- so observers use this to audit
         the deferral window, not to track sanitization coverage.
-        Optional: emitters must tolerate observers without it.
         """
-
-
-def notify_optional(observer: Any, method: str, *args: Any) -> None:
-    """Invoke an *optional* observer callback, tolerating its absence.
-
-    The protocol grows optional callbacks over time (``on_lock_deferred``
-    today); long-lived third-party observers may predate them.  Every
-    emitter and forwarder routes optional calls through this helper so
-    the tolerance rule lives in exactly one place instead of a
-    ``getattr`` guard per call site.
-    """
-    fn = getattr(observer, method, None)
-    if fn is not None:
-        fn(*args)
 
 
 class NullObserver:

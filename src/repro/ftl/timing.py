@@ -48,8 +48,14 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, TypeVar
 
 from repro.flash import constants
+
+if TYPE_CHECKING:
+    from repro.ssd.config import SSDConfig
+
+_Model = TypeVar("_Model", bound="TimingModel")
 
 
 @dataclass
@@ -100,6 +106,15 @@ class TimingModel:
                 raise ValueError(f"{name} must be positive, got {value!r}")
         self.chip_busy = [0.0] * self.n_chips
         self.channel_busy = [0.0] * self.n_channels
+
+    @classmethod
+    def from_config(cls: type[_Model], config: SSDConfig) -> _Model:
+        """A model with ``config``'s topology and operation latencies."""
+        return cls(
+            config.n_channels,
+            config.chips_per_channel,
+            **{name: getattr(config, name) for name in cls.TIMING_FIELDS},
+        )
 
     # ------------------------------------------------------------------
     @property

@@ -21,9 +21,9 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterator
 
+from repro.ftl.request import IoRequest, RequestFlags, RequestOp
 from repro.host.fileapi import FileInfo, FileSystemError, OpenFlags, OutOfSpaceError
 from repro.ssd.device import SSD
-from repro.ssd.request import IoRequest, RequestFlags, RequestOp
 
 
 class FileSystem:

@@ -4,8 +4,7 @@ Lets a generated workload trace be captured once and replayed later (or
 shipped alongside results), the way the paper replays its fixed Mobile
 trace against every SSD variant.  One JSON object per line::
 
-    {"kind": "append", "name": "img-0001", "offset": 0, "npages": 32,
-     "insec": false}
+    {"insec":false,"kind":"append","name":"img-0001","npages":32,"offset":0}
 
 Round-tripping preserves the trace exactly.
 """
@@ -55,11 +54,13 @@ def op_from_dict(record: object) -> TraceOp:
 
 def save_trace(path: str | Path, ops: Iterable[TraceOp]) -> int:
     """Write a trace to ``path``; returns the number of ops written."""
+    # imported here: repro.checkpoint imports the host layer
+    from repro.checkpoint.codec import canonical_dumps
+
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for op in ops:
-            fh.write(json.dumps(op_to_dict(op)))
-            fh.write("\n")
+            fh.write(canonical_dumps(op_to_dict(op)))
             count += 1
     return count
 

@@ -156,6 +156,9 @@ class VerTrace:
         self._flush_dirty()
         self.now += ticks
 
+    def on_lock_deferred(self, chip_id: int, n_locks: int, deferred_us: float) -> None:
+        pass  # deferral moves lock pulses in time, not page versions
+
     # ------------------------------------------------------------------
     def _flush_dirty(self) -> None:
         """Sample extrema/timeplots of files touched since the last tick."""

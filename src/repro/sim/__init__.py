@@ -1,6 +1,6 @@
 """Deterministic discrete-event queueing simulation of the SSD variants.
 
-The open-loop :class:`~repro.ssd.timing.TimingModel` answers "how fast
+The open-loop :class:`~repro.ftl.timing.TimingModel` answers "how fast
 can the device go"; this package answers "how long does a request
 *wait*".  It replays the same captured block traces through a
 discrete-event engine with per-chip and per-channel service queues,

@@ -49,14 +49,13 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.ftl.observer import notify_optional
+from repro.ftl.request import IoRequest, RequestOp
 from repro.sim.events import SimClock
 from repro.sim.metrics import DepthSeries, LatencyRecorder, StepSeries
 from repro.sim.ops import FlashOp, OpKind, RecordingTiming
 from repro.sim.policies import DeferLocksPolicy, SchedulingPolicy
 from repro.ssd.device import SSD
-from repro.ssd.request import IoRequest, RequestOp
-from repro.telemetry import Telemetry  # lint: disable=SIM14 -- cross-cutting observability seam, zero-cost when disabled
+from repro.telemetry import Telemetry
 
 _EV_ARRIVAL = "arrival"
 _EV_DONE = "done"
@@ -693,12 +692,8 @@ class QueueingEngine:
                 segment.drain = batch
         for segment in pending:
             self._enqueue(server, segment, priority=self.policy.DRAIN_PRIORITY)
-        notify_optional(
-            self.ssd.ftl.observer,
-            "on_lock_deferred",
-            server.chip_id,
-            len(pending),
-            waited_us,
+        self.ssd.ftl.observer.on_lock_deferred(
+            server.chip_id, len(pending), waited_us
         )
 
     # ------------------------------------------------------------------

@@ -14,12 +14,12 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
-from repro.ssd.request import RequestOp
+from repro.ftl.request import RequestOp
 
 # the shared nearest-rank implementation and report-order percentile
 # list live in repro.telemetry.histogram; re-exported here because the
 # sim package's public API predates the telemetry layer.
-from repro.telemetry.histogram import (  # lint: disable=SIM14 -- pure math helpers re-exported; sim's public API predates the telemetry layer
+from repro.telemetry.histogram import (
     PERCENTILES,
     percentile,
     summarize,

@@ -17,8 +17,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from repro.ssd.config import SSDConfig
-from repro.ssd.timing import TimingModel
+from repro.ftl.timing import TimingModel
 
 
 class OpKind(Enum):
@@ -54,7 +53,7 @@ class FlashOp(NamedTuple):
 
     ``sanitize`` attributes the op to data sanitization: always set for
     :data:`SANITIZE_KINDS`, and set for reads/programs/erases captured
-    inside the FTL's :meth:`~repro.ssd.timing.TimingModel.sanitize_region`
+    inside the FTL's :meth:`~repro.ftl.timing.TimingModel.sanitize_region`
     (relocation copies, padding programs, sanitize erases).  Plain host
     I/O and capacity-reclamation GC stay untagged.
     """
@@ -84,20 +83,6 @@ class RecordingTiming(TimingModel):
             OpKind.BLOCK_LOCK: self.t_block_lock_us,
             OpKind.SCRUB: self.t_scrub_us,
         }
-
-    @classmethod
-    def from_config(cls, config: SSDConfig) -> "RecordingTiming":
-        return cls(
-            n_channels=config.n_channels,
-            chips_per_channel=config.chips_per_channel,
-            t_read_us=config.t_read_us,
-            t_prog_us=config.t_prog_us,
-            t_erase_us=config.t_erase_us,
-            t_plock_us=config.t_plock_us,
-            t_block_lock_us=config.t_block_lock_us,
-            t_scrub_us=config.t_scrub_us,
-            t_xfer_us=config.t_xfer_us,
-        )
 
     # ------------------------------------------------------------------
     def begin_capture(self) -> None:

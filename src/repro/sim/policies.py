@@ -31,8 +31,8 @@ out of the request critical path:
 
 from __future__ import annotations
 
+from repro.ftl.request import RequestOp
 from repro.sim.ops import LOCK_KINDS, SUSPENDABLE_KINDS, OpKind
-from repro.ssd.request import RequestOp
 
 
 def is_host_read(segment) -> bool:

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.faults import FaultPlan
+from repro.ftl.request import IoRequest
+from repro.ftl.stats import RunResult
 from repro.host.filesystem import FileSystem
 from repro.host.trace import TraceReplayer
 from repro.sim.arrivals import ArrivalProcess, ClosedLoopArrivals
@@ -27,9 +29,7 @@ from repro.sim.ops import RecordingTiming
 from repro.sim.policies import SchedulingPolicy, policy_by_name
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SSD
-from repro.ssd.request import IoRequest
-from repro.ssd.stats import RunResult
-from repro.telemetry import Telemetry  # lint: disable=SIM14 -- cross-cutting observability seam, zero-cost when disabled
+from repro.telemetry import Telemetry
 from repro.workloads import WORKLOADS
 
 

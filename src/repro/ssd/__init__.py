@@ -1,8 +1,11 @@
-"""SSD device model: topology, timing, requests, and run statistics."""
+"""SSD device model: configuration, FTL variant, and telemetry wiring.
 
-from repro.ssd.config import SSDConfig, paper_config, scaled_config
-from repro.ssd.device import SSD, make_ssd
-from repro.ssd.request import (
+The request types, run statistics and timing model live in
+:mod:`repro.ftl` (they are the FTL's own input, counters and cost
+model) and are re-exported here.
+"""
+
+from repro.ftl.request import (
     IoRequest,
     RequestFlags,
     RequestOp,
@@ -10,8 +13,10 @@ from repro.ssd.request import (
     trim,
     write,
 )
-from repro.ssd.stats import DeviceStats, RunResult
-from repro.ssd.timing import TimingModel
+from repro.ftl.stats import DeviceStats, RunResult
+from repro.ftl.timing import TimingModel
+from repro.ssd.config import SSDConfig, paper_config, scaled_config
+from repro.ssd.device import SSD
 
 __all__ = [
     "DeviceStats",
@@ -22,7 +27,6 @@ __all__ = [
     "SSD",
     "SSDConfig",
     "TimingModel",
-    "make_ssd",
     "paper_config",
     "read",
     "scaled_config",

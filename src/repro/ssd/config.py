@@ -78,7 +78,7 @@ class SSDConfig:
     t_block_lock_us: float = constants.T_BLOCK_LOCK_US
     #: one scrub pulse (reprogram-overwrite of a programmed wordline);
     #: a single ISPP burst like a pLock pulse, hence the shared default
-    #: (see the accounting contract in repro/ssd/timing.py).
+    #: (see the accounting contract in repro/ftl/timing.py).
     t_scrub_us: float = constants.T_PLOCK_US
     t_xfer_us: float = constants.T_XFER_US
 

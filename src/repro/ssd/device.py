@@ -3,7 +3,7 @@
 The device is what the host stack and the benchmarks talk to.  It wires
 an :class:`~repro.ssd.config.SSDConfig` to one of the FTL variants,
 replays request streams, and reports the Figure-14 metrics
-(:class:`~repro.ssd.stats.RunResult`).
+(:class:`~repro.ftl.stats.RunResult`).
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ from collections.abc import Iterable
 from repro.faults import FaultPlan
 from repro.ftl import FTL_VARIANTS
 from repro.ftl.base import PageMappedFtl
-from repro.ftl.observer import FtlObserver
+from repro.ftl.observer import FtlObserver, NullObserver
+from repro.ftl.request import IoRequest
+from repro.ftl.stats import RunResult
 from repro.ssd.config import SSDConfig
-from repro.ssd.request import IoRequest
-from repro.ssd.stats import RunResult
 from repro.ssd.worklog import WorkLog
-from repro.telemetry import Telemetry  # lint: disable=SIM14 -- cross-cutting observability seam, zero-cost when disabled
-from repro.telemetry.bridge import TelemetryObserver  # lint: disable=SIM14 -- bridge adapts the observer seam; no behavioural dependency
+from repro.telemetry import Telemetry
+from repro.telemetry.bridge import TelemetryObserver
 
 
 class SSD:
@@ -78,7 +78,7 @@ class SSD:
             self.telemetry = telemetry
             # chain the bridge in front of the caller's observer; the
             # FTL's sanitizer (when checked) wraps in front of both.
-            observer = TelemetryObserver(telemetry, inner=observer)
+            observer = TelemetryObserver(telemetry, observer or NullObserver())
         self.ftl: PageMappedFtl = ftl_class(
             config,
             observer=observer,
@@ -116,7 +116,7 @@ class SSD:
         """Swap the FTL's timing model for an instrumented replacement.
 
         The :mod:`repro.sim` engine installs a recording
-        :class:`~repro.ssd.timing.TimingModel` subclass so that every
+        :class:`~repro.ftl.timing.TimingModel` subclass so that every
         flash operation a request triggers is captured for event-driven
         service simulation.  The swap must happen before any request is
         replayed (both models start from an all-idle device) and the
@@ -173,24 +173,3 @@ class SSD:
     def raw_dump(self) -> dict[int, object]:
         """Forensic attacker view of all programmed, unlocked data."""
         return self.ftl.raw_device_dump()
-
-
-def make_ssd(
-    config: SSDConfig,
-    variant: str,
-    observer: FtlObserver | None = None,
-    seed: int = 0,
-    checked: bool | None = None,
-    faults: FaultPlan | None = None,
-    telemetry: Telemetry | None = None,
-) -> SSD:
-    """Convenience constructor used by benchmarks and examples."""
-    return SSD(
-        config,
-        variant=variant,
-        observer=observer,
-        seed=seed,
-        checked=checked,
-        faults=faults,
-        telemetry=telemetry,
-    )

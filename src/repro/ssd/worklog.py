@@ -14,8 +14,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 
-from repro.ssd.request import RequestOp
-from repro.telemetry.histogram import percentile as _nearest_rank  # lint: disable=SIM14 -- pure math helper, shared to keep one percentile definition
+from repro.ftl.request import RequestOp
+from repro.telemetry.histogram import percentile as _nearest_rank
 
 
 @dataclass

@@ -10,22 +10,28 @@ bridge sees the same event stream every auditor sees.
 
 When telemetry is disabled the bridge is simply never constructed --
 the FTL keeps its original observer and the hot path pays nothing.
+
+``telemetry`` is the lowest layer of the SIM14 stack, so the bridge
+knows the observer protocol only as a type: the device hands it the
+``inner`` observer to forward to.
 """
 
 from __future__ import annotations
 
-from repro.ftl.observer import FtlObserver, NullObserver, notify_optional
+from typing import TYPE_CHECKING
+
 from repro.telemetry import Counter, Telemetry
+
+if TYPE_CHECKING:
+    from repro.ftl.observer import FtlObserver
 
 
 class TelemetryObserver:
     """Publishes FTL observer events onto a telemetry session."""
 
-    def __init__(
-        self, telemetry: Telemetry, inner: FtlObserver | None = None
-    ) -> None:
+    def __init__(self, telemetry: Telemetry, inner: FtlObserver) -> None:
         self.telemetry = telemetry
-        self.inner: FtlObserver = inner or NullObserver()
+        self.inner = inner
         self._bus = telemetry.bus
         self._metrics = metrics = telemetry.metrics
         self._programs = metrics.bind("ftl.programs")
@@ -79,7 +85,7 @@ class TelemetryObserver:
 
     def on_lock_deferred(self, chip_id: int, n_locks: int, deferred_us: float) -> None:
         # the engine emits the drain *span*; the bridge only aggregates
-        # and forwards (the inner observer may predate this callback).
-        notify_optional(self.inner, "on_lock_deferred", chip_id, n_locks, deferred_us)
+        # and forwards.
+        self.inner.on_lock_deferred(chip_id, n_locks, deferred_us)
         self._lock_drains.inc()
         self._deferred_pulses.inc(n_locks)

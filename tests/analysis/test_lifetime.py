@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.lifetime import LifetimeEstimate, WearStats, erase_reduction
 from repro.ftl import FTL_VARIANTS
-from repro.ssd.request import write
+from repro.ftl.request import write
 
 
 def churn(variant, config, rounds=3, seed=0, secure=True):

@@ -11,8 +11,8 @@ from repro.analysis.torture import (
 )
 from repro.checkers.residue import stale_secured_leaks as stale_secured_exposures
 from repro.faults import FaultKind, FaultPlan
+from repro.ftl.request import RequestOp, trim, write
 from repro.ssd.device import SSD
-from repro.ssd.request import RequestOp, trim, write
 
 
 class TestTortureRequests:

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+from repro.analysis.tracing import run_traced_study
 from repro.audit import audit_sim_result
 from repro.audit.ledger import PageGeneration, PageLedger
 from repro.audit.verifier import verify_device
-from repro.analysis.tracing import run_traced_study
+from repro.ftl.request import write
 from repro.security.attacker import RawChipAttacker
 from repro.ssd import SSD, scaled_config
-from repro.ssd.request import write
 
 
 def _codes(report):

@@ -1,11 +1,10 @@
-"""Output formats (json/sarif) and run_lint baseline/exit-code wiring."""
+"""Output formats (json/sarif) and run_lint exit-code wiring."""
 
 from __future__ import annotations
 
 import json
 import textwrap
 
-from repro.checkers.baseline import Baseline
 from repro.checkers.lint import Finding, run_lint
 from repro.checkers.report import render_json, render_sarif
 
@@ -32,22 +31,22 @@ DIRTY = """
 
 class TestJson:
     def test_document_shape(self):
-        payload = json.loads(render_json([_finding()], [_finding("old")]))
+        payload = json.loads(render_json([_finding()]))
         assert payload["version"] == 1
         assert payload["tool"] == "repro-lint"
         assert payload["summary"] == {
-            "findings": 1, "errors": 1, "warnings": 0, "baselined": 1,
+            "findings": 1, "errors": 1, "warnings": 0,
         }
         (finding,) = payload["findings"]
         assert finding["rule_id"] == "SIM04"
         assert finding["line"] == 3
         assert finding["hint"] == "use a tolerance"
-        assert payload["baselined"][0]["message"] == "old"
+        assert "baselined" not in payload
 
 
 class TestSarif:
     def test_log_shape_and_rule_metadata(self):
-        log = json.loads(render_sarif([_finding()], []))
+        log = json.loads(render_sarif([_finding()]))
         assert log["version"] == "2.1.0"
         (run,) = log["runs"]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
@@ -62,61 +61,27 @@ class TestSarif:
         assert region == {"startLine": 3, "startColumn": 5}
         assert "baselineState" not in result
 
-    def test_baselined_results_marked_unchanged(self):
-        log = json.loads(render_sarif([], [_finding()]))
-        (result,) = log["runs"][0]["results"]
-        assert result["baselineState"] == "unchanged"
-
 
 class TestRunLint:
     def test_sarif_out_file(self, tmp_path, capsys):
         _write(tmp_path, "repro/flash/x.py", DIRTY)
         out = tmp_path / "lint.sarif"
-        code = run_lint(
-            [str(tmp_path)], fmt="sarif", out=str(out), no_baseline=True
-        )
+        code = run_lint([str(tmp_path)], fmt="sarif", out=str(out))
         assert code == 1
         log = json.loads(out.read_text())
         assert log["runs"][0]["results"][0]["ruleId"] == "SIM04"
         # a human summary still goes to the console
         assert "finding" in capsys.readouterr().out
 
-    def test_baseline_accepts_known_findings(self, tmp_path, capsys):
+    def test_no_baseline_ignores_file(self, tmp_path, capsys, monkeypatch):
+        # a leftover baseline file next to the tree or in the working
+        # directory hides nothing: every finding gates
         _write(tmp_path, "repro/flash/x.py", DIRTY)
-        baseline = tmp_path / "base.json"
-        assert run_lint(
-            [str(tmp_path)], baseline_path=str(baseline),
-            write_baseline=True,
-        ) == 0
-        assert Baseline.load(baseline).fingerprints
-        capsys.readouterr()
-        # with the baseline in force the same tree gates green
-        assert run_lint(
-            [str(tmp_path)], baseline_path=str(baseline)
-        ) == 0
-        assert "baselined" in capsys.readouterr().out
-
-    def test_new_finding_still_fails_with_baseline(self, tmp_path, capsys):
-        _write(tmp_path, "repro/flash/x.py", DIRTY)
-        baseline = tmp_path / "base.json"
-        run_lint([str(tmp_path)], baseline_path=str(baseline),
-                 write_baseline=True)
-        _write(tmp_path, "repro/flash/y.py", DIRTY)
-        capsys.readouterr()
-        assert run_lint(
-            [str(tmp_path)], baseline_path=str(baseline)
-        ) == 1
-        assert "y.py" in capsys.readouterr().out
-
-    def test_no_baseline_ignores_file(self, tmp_path, capsys):
-        _write(tmp_path, "repro/flash/x.py", DIRTY)
-        baseline = tmp_path / "base.json"
-        run_lint([str(tmp_path)], baseline_path=str(baseline),
-                 write_baseline=True)
-        capsys.readouterr()
-        assert run_lint(
-            [str(tmp_path)], baseline_path=str(baseline), no_baseline=True
-        ) == 1
+        stale = json.dumps({"version": 1, "fingerprints": {"SIM04": 1}})
+        (tmp_path / ".lint-baseline.json").write_text(stale)
+        monkeypatch.chdir(tmp_path)
+        assert run_lint([str(tmp_path)]) == 1
+        assert "x.py" in capsys.readouterr().out
 
     def test_bad_format_is_usage_error(self, tmp_path, capsys):
         _write(tmp_path, "repro/ok.py", "x = 1\n")
@@ -125,6 +90,6 @@ class TestRunLint:
 
     def test_json_format_to_stdout(self, tmp_path, capsys):
         _write(tmp_path, "repro/ok.py", "x = 1\n")
-        assert run_lint([str(tmp_path)], fmt="json", no_baseline=True) == 0
+        assert run_lint([str(tmp_path)], fmt="json") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["findings"] == 0

@@ -1,4 +1,4 @@
-"""SIM14: import-layering contract (flash -> ... -> analysis, no upward)."""
+"""SIM14: import-layering contract (telemetry -> flash -> ... -> fleet, no upward)."""
 
 from __future__ import annotations
 
@@ -45,8 +45,38 @@ class TestLayering:
         assert finding.rule_id == "SIM14"
         assert finding.severity == "error"
         assert finding.line == 2
-        assert "'ftl' (layer 1)" in finding.message
-        assert "'sim' (layer 3)" in finding.message
+        assert "'ftl' (layer 2)" in finding.message
+        assert "'sim' (layer 4)" in finding.message
+
+    def test_telemetry_is_below_flash_and_ftl(self, tmp_path):
+        # every simulator layer publishes into telemetry: those edges
+        # point down
+        _write(tmp_path, "repro/flash/x.py", """
+            from repro.telemetry import Telemetry
+        """)
+        _write(tmp_path, "repro/ftl/x.py", """
+            from repro.telemetry.events import TraceBus
+        """)
+        assert _lint(tmp_path) == []
+
+    def test_telemetry_importing_ftl_is_flagged(self, tmp_path):
+        # the bridge may name the observer protocol only under
+        # TYPE_CHECKING; a runtime import is the old ftl <-> telemetry cycle
+        _write(tmp_path, "repro/telemetry/x.py", """
+            from repro.ftl.observer import NullObserver
+        """)
+        (finding,) = _lint(tmp_path)
+        assert "'telemetry' (layer 0)" in finding.message
+        assert "'ftl' (layer 2)" in finding.message
+
+    def test_ftl_importing_ssd_is_flagged(self, tmp_path):
+        # the FTL's requests, counters and timing live in ftl; the
+        # device stays above it
+        _write(tmp_path, "repro/ftl/x.py", """
+            from repro.ssd.device import SSD
+        """)
+        (finding,) = _lint(tmp_path)
+        assert "'ssd' (layer 3)" in finding.message
 
     def test_layering_cycle_is_caught_via_upward_edge(self, tmp_path):
         # ftl -> sim -> ftl: the downward half is legal, the upward half
@@ -62,11 +92,11 @@ class TestLayering:
         assert findings[0].path.endswith("secure.py")
 
     def test_type_checking_imports_exempt(self, tmp_path):
-        _write(tmp_path, "repro/ftl/observer.py", """
+        _write(tmp_path, "repro/telemetry/bridge.py", """
             from typing import TYPE_CHECKING
 
             if TYPE_CHECKING:
-                from repro.telemetry import Telemetry
+                from repro.ftl.observer import FtlObserver
         """)
         assert _lint(tmp_path) == []
 
@@ -88,6 +118,6 @@ class TestLayering:
 
     def test_inline_suppression_applies(self, tmp_path):
         _write(tmp_path, "repro/ftl/base.py", """
-            from repro.telemetry import Telemetry  # lint: disable=SIM14 -- seam
+            from repro.sim.engine import QueueingEngine  # lint: disable=SIM14 -- seam
         """)
         assert _lint(tmp_path) == []

@@ -270,21 +270,14 @@ class TestRegistry:
         out = capsys.readouterr().out
         assert "SIM04" in out and "x.py:1" in out
 
-    def test_shipped_package_is_clean_against_baseline(self):
-        """The tree has zero findings beyond the committed baseline."""
+    def test_shipped_package_is_clean(self):
+        """The shipped tree has zero findings (there is no baseline)."""
         from pathlib import Path
-
-        from repro.checkers.baseline import Baseline
 
         import repro
 
         package_root = Path(repro.__file__).resolve().parent
-        repo_root = package_root.parent.parent
-        baseline = Baseline.load(repo_root / ".lint-baseline.json")
-        new, accepted = baseline.split(lint_paths([package_root]))
-        assert new == [], "non-baselined findings:\n" + "\n".join(
-            f.format(show_hint=False) for f in new
+        findings = lint_paths([package_root])
+        assert findings == [], "findings:\n" + "\n".join(
+            f.format(show_hint=False) for f in findings
         )
-        # the baseline must not contain stale entries either: every
-        # accepted fingerprint is still produced by the tree
-        assert len(accepted) == sum(baseline.fingerprints.values())

@@ -20,11 +20,11 @@ from repro.checkers.sanitizer import InvariantViolation
 from repro.faults import FaultKind, FaultPlan
 from repro.ftl.base import InvalidationEvent
 from repro.ftl.page_status import PageStatus, StatusTable
+from repro.ftl.request import trim, write
 from repro.ftl.scrub_based import ScrubBasedFtl
 from repro.ftl.secure import SecureFtl
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SSD
-from repro.ssd.request import trim, write
 
 
 def _lint(tmp_path, relpath: str, body: str):

@@ -20,9 +20,9 @@ from repro.ftl import FTL_VARIANTS
 from repro.ftl.base import InvalidationEvent, PageMappedFtl
 from repro.ftl.page_status import PageStatus
 from repro.ftl.recovery import PowerLossRecovery
+from repro.ftl.request import trim, write
 from repro.ftl.secure import SecureFtl
 from repro.ssd.device import SSD
-from repro.ssd.request import trim, write
 
 SUBCLASS_VARIANTS = (
     "secSSD", "secSSD_nobLock", "erSSD", "scrSSD", "cryptSSD",

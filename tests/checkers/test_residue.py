@@ -26,9 +26,9 @@ from repro.checkers.residue import probe, stale_secured_leaks
 from repro.checkers.sanitizer import InvariantViolation
 from repro.checkpoint.device import CheckpointAuditError, restore_audit
 from repro.flash.chip import ERASED_DATA, ReadResult
+from repro.ftl.request import trim, write
 from repro.security.audit import SanitizationAuditor, collect_live_versions
 from repro.ssd.device import SSD
-from repro.ssd.request import trim, write
 
 METHODS = ("plock", "block_lock", "scrub", "erase", "key_delete")
 

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.checkers.sanitizer import (
     FtlSanitizer,
@@ -12,9 +19,9 @@ from repro.checkers.sanitizer import (
     set_default_checked,
 )
 from repro.ftl.recovery import PowerLossRecovery
+from repro.ftl.request import read, trim, write
 from repro.ftl.secure import SecureFtl
 from repro.ssd.device import SSD
-from repro.ssd.request import read, trim, write
 
 ALL_VARIANTS = (
     "baseline",
@@ -91,6 +98,21 @@ class TestDefaults:
                 set_default_checked(True, interval=0)
         finally:
             set_default_checked(saved_enabled, interval=saved_interval)
+
+    def test_environment_does_not_set_the_interval(self):
+        # only set_default_checked(interval=) and --interval set it; a
+        # stray environment value must neither crash the import nor
+        # slip past their >= 1 check
+        env = dict(os.environ, REPRO_CHECK_INTERVAL="abc")
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parent.parent)
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import repro.cli\n"
+             "from repro.checkers.sanitizer import default_interval\n"
+             "assert default_interval() == 1, default_interval()\n"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
 
     def test_bogus_sanitize_scope_rejected(self, single_chip_config):
         class WeirdFtl(SecureFtl):

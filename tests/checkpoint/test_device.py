@@ -13,6 +13,7 @@ from repro.checkpoint.codec import canonical_dumps, decode, encode
 from repro.checkpoint.device import restore_device, snapshot_device
 from repro.faults import FaultKind, FaultPlan
 from repro.ftl import FTL_VARIANTS
+from repro.ftl.request import RequestOp
 from repro.security.attacker import RawChipAttacker
 from repro.sim.arrivals import ClosedLoopArrivals
 from repro.sim.engine import QueueingEngine
@@ -20,7 +21,6 @@ from repro.sim.ops import RecordingTiming
 from repro.sim.policies import policy_by_name
 from repro.sim.runner import capture_block_trace
 from repro.ssd.device import SSD
-from repro.ssd.request import RequestOp
 
 
 def state_bytes(ssd):

@@ -8,7 +8,7 @@ from repro.flash.block import BlockState
 from repro.ftl.base import PageMappedFtl
 from repro.ftl.mapping import UNMAPPED
 from repro.ftl.page_status import PageStatus
-from repro.ssd.request import read, trim, write
+from repro.ftl.request import read, trim, write
 
 
 @pytest.fixture

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from repro.ftl.crypto_based import CryptoFtl, T_CRYPTO_US, is_ciphertext
+from repro.ftl.request import trim, write
 from repro.security.attacker import KeyCompromiseAttacker, RawChipAttacker
 from repro.ssd.device import SSD
-from repro.ssd.request import trim, write
 
 
 @pytest.fixture

@@ -7,8 +7,8 @@ import pytest
 from repro.analysis.experiments import run_workload_on_variant
 from repro.ftl.erase_based import EraseBasedFtl
 from repro.ftl.mapping import UNMAPPED
+from repro.ftl.request import trim, write
 from repro.ssd.config import scaled_config
-from repro.ssd.request import trim, write
 
 
 @pytest.fixture

@@ -19,8 +19,8 @@ from repro.flash.block import BlockState
 from repro.flash.errors import PowerLossInjected
 from repro.ftl import FTL_VARIANTS
 from repro.ftl.recovery import PowerLossRecovery
+from repro.ftl.request import RequestOp, read, write
 from repro.ssd.device import SSD
-from repro.ssd.request import RequestOp, read, write
 
 
 def fail_next(ftl, kind: FaultKind, count: int = 1, skip: int = 0) -> None:

@@ -14,8 +14,8 @@ from repro.ftl.gc_policies import (
     policy_by_name,
     wear_aware_greedy,
 )
+from repro.ftl.request import write
 from repro.ssd.config import SSDConfig
-from repro.ssd.request import write
 
 
 def view(invalid=5, live=5, ppb=10, erases=0, last=0, now=100):

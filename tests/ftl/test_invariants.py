@@ -20,8 +20,8 @@ from repro.flash.geometry import CellType, Geometry
 from repro.ftl import FTL_VARIANTS
 from repro.ftl.mapping import UNMAPPED
 from repro.ftl.page_status import PageStatus
+from repro.ftl.request import trim, write
 from repro.ssd.config import SSDConfig
-from repro.ssd.request import trim, write
 
 SANITIZING = ("secSSD", "secSSD_nobLock", "erSSD", "scrSSD")
 

@@ -19,9 +19,9 @@ from repro.ftl import FTL_VARIANTS
 from repro.ftl.mapping import UNMAPPED
 from repro.ftl.page_status import PageStatus
 from repro.ftl.recovery import PowerLossRecovery
+from repro.ftl.request import trim, write
 from repro.ssd.config import scaled_config
 from repro.ssd.device import SSD
-from repro.ssd.request import trim, write
 
 
 def churn(ftl, writes, seed=0, span=None, trims=False):

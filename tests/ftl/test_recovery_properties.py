@@ -16,8 +16,8 @@ from repro.ftl import FTL_VARIANTS
 from repro.ftl.mapping import UNMAPPED
 from repro.ftl.page_status import PageStatus
 from repro.ftl.recovery import PowerLossRecovery
+from repro.ftl.request import trim, write
 from repro.ssd.config import SSDConfig
-from repro.ssd.request import trim, write
 
 
 def make_config() -> SSDConfig:

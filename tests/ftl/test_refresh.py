@@ -4,8 +4,8 @@ import pytest
 
 from repro.ftl import FTL_VARIANTS
 from repro.ftl.mapping import UNMAPPED
+from repro.ftl.request import read, write
 from repro.ssd.config import SSDConfig
-from repro.ssd.request import read, write
 
 
 @pytest.fixture

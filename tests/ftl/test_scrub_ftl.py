@@ -6,8 +6,8 @@ import pytest
 
 from repro.flash.chip import SCRUBBED_DATA
 from repro.ftl.mapping import UNMAPPED
+from repro.ftl.request import trim, write
 from repro.ftl.scrub_based import ScrubBasedFtl
-from repro.ssd.request import trim, write
 
 
 @pytest.fixture

@@ -6,8 +6,8 @@ import pytest
 
 from repro.ftl.mapping import UNMAPPED
 from repro.ftl.page_status import PageStatus
+from repro.ftl.request import trim, write
 from repro.ftl.secure import SecureFtl, SecureFtlNoBlockLock
-from repro.ssd.request import trim, write
 
 
 @pytest.fixture

@@ -6,8 +6,8 @@ import pytest
 
 from repro.ftl.allocator import BlockAllocator, GC_STREAM, HOST_STREAM
 from repro.ftl.base import PageMappedFtl
+from repro.ftl.request import write
 from repro.ssd.config import SSDConfig
-from repro.ssd.request import write
 
 
 @pytest.fixture

@@ -25,8 +25,8 @@ from repro.ftl.gc_policies import (
     VictimView,
     wear_aware_greedy,
 )
+from repro.ftl.request import read, write
 from repro.ssd.config import scaled_config
-from repro.ssd.request import read, write
 
 
 def one_block_geometry() -> Geometry:

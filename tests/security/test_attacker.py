@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.ftl.request import trim, write
 from repro.security.attacker import RawChipAttacker
 from repro.ssd.device import SSD
-from repro.ssd.request import trim, write
 
 
 @pytest.fixture

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+from repro.ftl.request import trim, write
 from repro.security.audit import SanitizationAuditor, collect_live_versions
 from repro.ssd.device import SSD
-from repro.ssd.request import trim, write
 
 SANITIZING = ("secSSD", "secSSD_nobLock", "erSSD", "scrSSD")
 

@@ -22,10 +22,10 @@ from types import SimpleNamespace
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.ftl.request import IoRequest, RequestOp
 from repro.sim import ClosedLoopArrivals, FifoPolicy, QueueingEngine, RecordingTiming
 from repro.sim.arrivals import ArrivalProcess
 from repro.sim.ops import OpKind
-from repro.ssd.request import IoRequest, RequestOp
 from repro.telemetry import Telemetry
 
 _TIMING_CALL = {

@@ -15,8 +15,8 @@ from repro.sim import (
     capture_block_trace,
     simulate_workload,
 )
+from repro.ftl.request import IoRequest, RequestOp
 from repro.ssd.device import SSD
-from repro.ssd.request import IoRequest, RequestOp
 
 
 def _engine(config, requests, policy=None, queue_depth=8):

@@ -12,8 +12,8 @@ from repro.sim import (
     ReadPriorityPolicy,
     RecordingTiming,
 )
+from repro.ftl.request import IoRequest, RequestOp
 from repro.sim.events import SimClock
-from repro.ssd.request import IoRequest, RequestOp
 
 
 class _Device:

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.ftl.request import RequestOp
 from repro.sim.metrics import PERCENTILES, DepthSeries, LatencyRecorder, percentile
-from repro.ssd.request import RequestOp
 
 
 class TestPercentile:

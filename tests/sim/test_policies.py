@@ -14,7 +14,7 @@ from repro.sim.policies import (
     is_host_read,
     policy_by_name,
 )
-from repro.ssd.request import RequestOp
+from repro.ftl.request import RequestOp
 
 
 def _segment(kind, stage="cell", op=RequestOp.READ, request=True):

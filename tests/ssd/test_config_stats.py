@@ -3,8 +3,8 @@
 import pytest
 
 from repro.flash.geometry import Geometry
+from repro.ftl.stats import DeviceStats, RunResult
 from repro.ssd.config import SSDConfig, paper_config, scaled_config
-from repro.ssd.stats import DeviceStats, RunResult
 
 
 class TestPaperConfig:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.ssd.device import SSD, make_ssd
-from repro.ssd.request import read, trim, write
+from repro.ftl.request import read, trim, write
+from repro.ssd.device import SSD
 
 
 class TestConstruction:
@@ -16,9 +16,6 @@ class TestConstruction:
     def test_unknown_variant_rejected(self, tiny_config):
         with pytest.raises(ValueError, match="unknown variant"):
             SSD(tiny_config, "fancySSD")
-
-    def test_make_ssd_helper(self, tiny_config):
-        assert make_ssd(tiny_config, "secSSD").variant == "secSSD"
 
 
 class TestReplay:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ssd.request import (
+from repro.ftl.request import (
     IoRequest,
     RequestFlags,
     RequestOp,

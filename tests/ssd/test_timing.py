@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ssd.timing import TimingModel
+from repro.ftl.timing import TimingModel
 
 
 @pytest.fixture

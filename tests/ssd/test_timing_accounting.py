@@ -4,7 +4,7 @@ The closed-loop engine cross-checks against ``elapsed_us`` and splits
 work into chip vs channel occupancy, so the accounting identity
 ``total_work_us == cell_work_us + xfer_work_us`` and the per-field
 validation are normative (see the module docstring of
-:mod:`repro.ssd.timing`).  The capturing subclass the engine swaps in
+:mod:`repro.ftl.timing`).  The capturing subclass the engine swaps in
 must charge exactly what the plain model charges; a differential
 property replays random op streams on both and compares bit for bit.
 """
@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ftl.request import IoRequest, RequestOp
+from repro.ftl.timing import TimingModel
 from repro.sim.ops import SANITIZE_KINDS, FlashOp, OpKind, RecordingTiming
 from repro.ssd.config import SSDConfig, scaled_config
 from repro.ssd.device import SSD
-from repro.ssd.request import IoRequest, RequestOp
-from repro.ssd.timing import TimingModel
 
 
 def _model(**overrides) -> TimingModel:

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from repro.ftl.request import RequestOp, read, trim, write
 from repro.ssd.device import SSD
-from repro.ssd.request import RequestOp, read, trim, write
 from repro.ssd.worklog import WorkLog
 
 

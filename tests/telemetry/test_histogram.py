@@ -77,7 +77,7 @@ class TestNearestRankPercentile:
         assert percentile(ordered, lo) <= percentile(ordered, hi)
 
     def test_worklog_uses_shared_implementation(self):
-        from repro.ssd.request import RequestOp
+        from repro.ftl.request import RequestOp
         from repro.ssd.worklog import WorkLog
 
         log = WorkLog()

@@ -6,10 +6,10 @@ import pytest
 
 from repro.analysis.torture import traced_rate_case
 from repro.faults import FaultKind, FaultPlan
+from repro.ftl.request import write
 from repro.sim.runner import simulate_workload
 from repro.ssd.config import scaled_config
 from repro.ssd.device import SSD
-from repro.ssd.request import write
 from repro.telemetry import DISABLED, Telemetry
 from repro.telemetry.bridge import TelemetryObserver
 from repro.telemetry.export import to_jsonl

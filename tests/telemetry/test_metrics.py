@@ -99,11 +99,12 @@ class TestBoundCounters:
     def test_bridge_snapshot_matches_unbound_lookups(self):
         """The observer bridge's bound counters report what per-event
         ``counter(name).inc()`` calls did: only what was counted."""
+        from repro.ftl.observer import NullObserver
         from repro.telemetry import Telemetry
         from repro.telemetry.bridge import TelemetryObserver
 
         tel = Telemetry()
-        bridge = TelemetryObserver(tel)
+        bridge = TelemetryObserver(tel, NullObserver())
         assert tel.snapshot()["counters"] == {}
         bridge.on_program(0, 0, None, True)
         bridge.on_sanitize(0, "plock")
@@ -113,7 +114,7 @@ class TestBoundCounters:
             "ftl.sanitized.plock": 2,
         }
         restored = Telemetry()
-        restored_bridge = TelemetryObserver(restored)
+        restored_bridge = TelemetryObserver(restored, NullObserver())
         restored.load_state_dict(tel.state_dict(), [tel.bus.segment()])
         restored_bridge.on_program(1, 1, None, False)
         bridge.on_program(1, 1, None, False)

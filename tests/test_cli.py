@@ -138,6 +138,10 @@ BAD_ARGV = [
     ["simulate", "--interval", "0"],
     ["simulate", "--interval", "-3"],
     ["check", "--interval", "0"],
+    # the lint baseline mechanism is gone: its flags are unknown options
+    ["lint", "--baseline", "x"],
+    ["lint", "--no-baseline"],
+    ["lint", "--write-baseline"],
 ]
 
 
