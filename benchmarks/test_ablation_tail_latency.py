@@ -36,7 +36,7 @@ def test_ablation_write_tails(benchmark, versioning_config):
     rows = []
     p99 = {}
     for variant, ssd in runs.items():
-        summary = ssd.work_log.summary(RequestOp.WRITE)
+        summary = ssd.work_log.summary_for(RequestOp.WRITE)
         p99[variant] = summary["p99_us"]
         rows.append(
             [

@@ -23,7 +23,7 @@ from repro.analysis.tables import render_table
 from repro.sim.arrivals import ArrivalProcess, ClosedLoopArrivals
 from repro.sim.policies import policy_by_name
 from repro.sim.runner import SimResult, capture_block_trace, simulate_trace
-from repro.ssd.config import SSDConfig
+from repro.ssd.config import SSDConfig, run_meta
 from repro.telemetry import Telemetry
 from repro.telemetry.export import to_jsonl, trace_header, write_chrome_trace
 
@@ -34,14 +34,14 @@ class TracedRun:
 
     sim: SimResult
     telemetry: Telemetry
-    #: run-identity fields carried into the export headers (workload,
-    #: variant, seed, geometry) so a trace file is self-describing
-    #: evidence for the audit layer.
-    meta: dict[str, object] | None = None
+    #: run-identity fields carried into the export headers
+    #: (:func:`~repro.ssd.config.run_meta`) so a trace file is
+    #: self-describing evidence for the audit layer.
+    meta: dict[str, object]
 
     def header(self) -> dict[str, object]:
         """Evidence-disclosure header for this run's event stream."""
-        return trace_header(self.telemetry.bus, **(self.meta or {}))
+        return trace_header(self.telemetry.bus, **self.meta)
 
 
 def run_traced_study(
@@ -89,13 +89,7 @@ def run_traced_study(
         out[variant] = TracedRun(
             sim=sim,
             telemetry=telemetry,
-            meta={
-                "workload": workload,
-                "variant": variant,
-                "seed": seed,
-                "pages_per_block": config.geometry.pages_per_block,
-                "sanitize_latency_us": config.sanitize_latency_us(),
-            },
+            meta=run_meta(config, workload, variant, seed),
         )
     return out
 

@@ -33,9 +33,8 @@ from repro.audit.verifier import (
     evidence_complete,
     verify_all,
 )
-from repro.checkpoint.codec import canonical_dumps, section_checksum
 from repro.sim.runner import SimResult
-from repro.ssd.config import SSDConfig
+from repro.ssd.config import SSDConfig, run_meta
 from repro.ssd.device import SSD
 from repro.telemetry import Telemetry, TraceBus
 from repro.telemetry.export import read_jsonl, trace_header
@@ -49,27 +48,6 @@ AUDIT_CAPACITY = 1 << 22
 def audit_telemetry(capacity: int = AUDIT_CAPACITY) -> Telemetry:
     """A telemetry session fit for evidence: big ring, no sampling."""
     return Telemetry(capacity=capacity, sample=None)
-
-
-def config_fingerprint(config: SSDConfig) -> str:
-    """Short deterministic fingerprint of the device configuration."""
-    geometry = config.geometry
-    payload = {
-        "n_channels": config.n_channels,
-        "chips_per_channel": config.chips_per_channel,
-        "blocks_per_chip": geometry.blocks_per_chip,
-        "wordlines_per_block": geometry.wordlines_per_block,
-        "cell_type": int(geometry.cell_type),
-        "page_size_bytes": geometry.page_size_bytes,
-        "overprovision": config.overprovision,
-        "gc_policy": config.gc_policy,
-        "t_prog_us": config.t_prog_us,
-        "t_erase_us": config.t_erase_us,
-        "t_plock_us": config.t_plock_us,
-        "t_block_lock_us": config.t_block_lock_us,
-        "t_scrub_us": config.t_scrub_us,
-    }
-    return section_checksum(canonical_dumps(payload))[:12]
 
 
 @dataclass
@@ -176,17 +154,9 @@ def audit_live_run(
     replays have no :class:`~repro.sim.runner.SimResult`) pass the bare
     pieces; with ``ssd`` the raw-chip forensic cross-check runs too.
     """
-    meta: dict[str, object] = {
-        "workload": workload,
-        "variant": variant,
-        "pages_per_block": config.geometry.pages_per_block,
-        "config_fingerprint": config_fingerprint(config),
-        "sanitize_latency_us": config.sanitize_latency_us(),
-    }
-    if seed is not None:
-        meta["seed"] = seed
-    meta.update(extra_meta)
-    header = trace_header(telemetry.bus, **meta)
+    header = trace_header(
+        telemetry.bus, **run_meta(config, workload, variant, seed, **extra_meta)
+    )
     return audit_events(header, telemetry.bus, ssd=ssd, key=key)
 
 

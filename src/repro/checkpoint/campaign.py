@@ -50,9 +50,13 @@ from repro.faults import FaultPlan
 from repro.ftl.request import IoRequest
 from repro.sim.arrivals import ArrivalProcess, ClosedLoopArrivals
 from repro.sim.engine import QueueingEngine
-from repro.sim.ops import RecordingTiming
 from repro.sim.policies import SchedulingPolicy, policy_by_name
-from repro.sim.runner import SimResult, capture_block_trace
+from repro.sim.runner import (
+    SimResult,
+    assemble_result,
+    build_engine,
+    capture_block_trace,
+)
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SSD
 from repro.telemetry import Telemetry
@@ -275,20 +279,20 @@ def run_chunked_simulation(
     requests, steady_start = rendered
 
     def build() -> tuple[SSD, QueueingEngine]:
-        ssd = SSD(
+        engine = build_engine(
             config,
             variant,
+            requests,
+            steady_start,
             seed=seed,
+            policy=policy,
+            arrivals=arrivals,
             checked=checked,
             check_interval=check_interval,
             faults=faults,
             telemetry=telemetry,
         )
-        ssd.instrument_timing(RecordingTiming.from_config(config))
-        engine = QueueingEngine(
-            ssd, requests, arrivals, policy, steady_start=steady_start
-        )
-        return ssd, engine
+        return engine.ssd, engine
 
     recovery: list[CorruptionReport] = []
     if resume:
@@ -349,20 +353,9 @@ def run_chunked_simulation(
         if stop_after is not None and written >= stop_after:
             return None
 
-    report = engine._report()
-    run = ssd.result()
-    run.latency = report.latency
-    run.utilization = report.utilization
+    result = assemble_result(workload, variant, engine, engine._report())
     if recovery:
-        run.extra["checkpoint_recovery"] = [r.to_dict() for r in recovery]
-    return SimResult(
-        workload=workload,
-        variant=variant,
-        policy=policy.describe(),
-        arrivals=arrivals.describe(),
-        requests=n,
-        steady_start=steady_start,
-        report=report,
-        run=run,
-        device=ssd,
-    )
+        result.run.extra["checkpoint_recovery"] = [
+            r.to_dict() for r in recovery
+        ]
+    return result

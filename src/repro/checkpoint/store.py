@@ -86,7 +86,8 @@ __all__ = [
 #: thresholds (no per-page ndarrays).
 #: v4: the telemetry events are append-only segments listed in the
 #: manifest's ``chains``, and each block stores its pages as columns.
-FORMAT_VERSION = 4
+#: v5: chip state drops its ``stats`` key (chips keep no cost model).
+FORMAT_VERSION = 5
 
 _MANIFEST = "MANIFEST.json"
 _GEN_PREFIX = "gen-"

@@ -36,12 +36,14 @@ falls back to the previous good generation).  ``torture --resume DIR``
 and ``fleet --resume DIR`` cache completed grid shards so a killed
 sweep resumes instead of recomputing.
 
-Four maintenance commands ship with the simulator itself::
+Three maintenance commands ship with the simulator itself::
 
     python -m repro lint                   # static domain lint (10 SIM rules)
     python -m repro check                  # runtime invariant sanitizer run
     python -m repro torture                # fault-injection robustness sweep
-    python -m repro profile -- simulate    # cProfile any repro command
+
+To profile any command, run it under the standard library's profiler:
+``python -m cProfile -s cumulative -m repro simulate ...``.
 
 ``torture``, ``fleet`` and ``age`` take ``--jobs N`` to fan their
 experiment grids over worker processes (the merged artifact stays
@@ -487,18 +489,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if results:
         print(format_tail_latency(results))
     if args.trace_out:
-        from repro.audit.run import config_fingerprint
+        from repro.ssd.config import run_meta
         from repro.telemetry.export import trace_header, write_chrome_trace
 
         headers = {
             v: trace_header(
-                tel.bus,
-                workload=args.workload,
-                variant=v,
-                seed=args.seed,
-                pages_per_block=config.geometry.pages_per_block,
-                config_fingerprint=config_fingerprint(config),
-                sanitize_latency_us=config.sanitize_latency_us(),
+                tel.bus, **run_meta(config, args.workload, v, args.seed)
             )
             for v, tel in trace_sessions.items()
         }
@@ -595,35 +591,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                   "verification")
             return 1
     return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    """cProfile another repro command; print a pstats hot-spot report."""
-    import cProfile
-    import io
-    import pstats
-
-    command = list(args.cmd)
-    if command and command[0] == "--":
-        command = command[1:]
-    if not command:
-        print("profile: give a repro command to run, e.g. "
-              "`repro profile -- simulate --blocks 8 --wordlines 4`")
-        return 2
-    if command[0] == "profile":
-        print("profile: cannot profile itself")
-        return 2
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        status = main(command)
-    finally:
-        profiler.disable()
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.strip_dirs().sort_stats(args.sort).print_stats(args.limit)
-    print(stream.getvalue().rstrip())
-    return status
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -888,7 +855,6 @@ COMMANDS = {
     "scorecard": cmd_scorecard,
     "simulate": cmd_simulate,
     "fleet": cmd_fleet,
-    "profile": cmd_profile,
     "trace": cmd_trace,
     "lint": cmd_lint,
     "check": cmd_check,
@@ -1150,19 +1116,6 @@ def _check_flags(p: argparse.ArgumentParser) -> None:
                    help="workload traces to replay (default: Mobile)")
 
 
-def _profile_flags(p: argparse.ArgumentParser) -> None:
-    p.description = ("Profile any repro command, e.g. "
-                     "`repro profile -- simulate --blocks 8 --wordlines 4`.")
-    p.add_argument("--sort", default="cumulative",
-                   help="pstats sort key (cumulative, tottime, "
-                        "ncalls, ...)")
-    p.add_argument("--limit", type=int, default=25,
-                   help="rows of the pstats report to print")
-    p.add_argument("cmd", nargs=argparse.REMAINDER,
-                   help="the repro command line to profile "
-                        "(prefix with -- to pass options)")
-
-
 #: subcommand -> (one-line help, flag declarations); every other
 #: command is a figure/table regenerator taking the default scale
 SUBCOMMANDS = {
@@ -1181,7 +1134,6 @@ SUBCOMMANDS = {
               _fleet_flags),
     "check": ("run workloads under the runtime invariant sanitizer",
               _check_flags),
-    "profile": ("run another repro command under cProfile", _profile_flags),
 }
 
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from repro.core.ap_flags import PageApArray
 from repro.core.flag_cells import FlagCellModel, PulseSettings, default_plock_pulse
 from repro.core.ssl_lock import BlockApFlag, SslLockModel, default_block_pulse
-from repro.flash import constants
 from repro.flash.chip import FlashChip, ReadResult, ZERO_DATA
 from repro.flash.errors import LockedBlockError, LockedPageError
 
@@ -38,8 +37,6 @@ US_PER_DAY = 86_400.0 * 1e6
 class EvanescoChip(FlashChip):
     """Flash chip with pLock/bLock and AP-gated reads."""
 
-    t_plock_us: float = constants.T_PLOCK_US
-    t_block_lock_us: float = constants.T_BLOCK_LOCK_US
     flag_model: FlagCellModel = field(default_factory=FlagCellModel)
     plock_pulse: PulseSettings = field(default_factory=default_plock_pulse)
     ssl_model: SslLockModel = field(default_factory=SslLockModel)
@@ -69,14 +66,14 @@ class EvanescoChip(FlashChip):
     def _day(now_us: float) -> float:
         return now_us / US_PER_DAY
 
-    def plock(self, ppn: int, now: float = 0.0) -> float:
-        """Lock one page: program its pAP flag cells; returns latency.
+    def plock(self, ppn: int, now: float = 0.0) -> None:
+        """Lock one page: program its pAP flag cells.
 
         The pulse also counts as one inhibited-program disturb event on
         the page's wordline (the Figure 9(b) reliability coupling).
 
         An injected lock failure models flag-cell majority loss: the
-        pulse is issued (disturb and accounting happen) but no flag cell
+        pulse is issued (the disturb happens) but no flag cell
         reaches the programmed state, so the k=9 majority circuit still
         reads *enabled*.  Callers verify via :meth:`page_locked`; the
         pulse is re-appliable, so retrying re-programs missed cells.
@@ -91,15 +88,11 @@ class EvanescoChip(FlashChip):
             self._pap[block_index].lock(page_offset, now / US_PER_DAY)
         wordline = page_offset // geometry.pages_per_wordline
         self.blocks[block_index].wl_disturb_pulses[wordline] += 1
-        stats = self.stats
-        stats.plocks += 1
-        stats.busy_time_us += self.t_plock_us
-        return self.t_plock_us
 
-    def block_lock(self, block_index: int, now: float = 0.0) -> float:
-        """Lock a whole block: program its SSL cells; returns latency.
+    def block_lock(self, block_index: int, now: float = 0.0) -> None:
+        """Lock a whole block: program its SSL cells.
 
-        Injected failures mirror :meth:`plock`: the pulse costs time but
+        Injected failures mirror :meth:`plock`: the pulse is issued but
         leaves the SSL cells below the disable threshold, so callers
         must verify with :meth:`block_locked`.
         """
@@ -107,9 +100,6 @@ class EvanescoChip(FlashChip):
         self.geometry.check_block(block_index)
         if not failed:
             self._bap[block_index].lock(day=self._day(now))
-        self.stats.blocks_locked += 1
-        self.stats.busy_time_us += self.t_block_lock_us
-        return self.t_block_lock_us
 
     # ------------------------------------------------------------------
     def page_locked(self, ppn: int, now: float = 0.0) -> bool:
@@ -143,30 +133,21 @@ class EvanescoChip(FlashChip):
         block_index, page_offset = self.geometry.split_ppn(ppn)
         day = self._day(now)
         if self._bap[block_index].is_disabled(day):
-            self.stats.reads += 1
-            self.stats.busy_time_us += self.t_read_us
             if strict:
                 raise LockedBlockError(f"block {block_index} is bLocked")
             # tuple.__new__: see FlashChip._sense_page
-            return tuple.__new__(
-                ReadResult, (ZERO_DATA, {}, self.t_read_us, True)
-            )
+            return tuple.__new__(ReadResult, (ZERO_DATA, {}, True))
         if self._pap[block_index].is_disabled(page_offset, day):
-            self.stats.reads += 1
-            self.stats.busy_time_us += self.t_read_us
             if strict:
                 raise LockedPageError(f"ppn {ppn} is pLocked")
-            return tuple.__new__(
-                ReadResult, (ZERO_DATA, {}, self.t_read_us, True)
-            )
+            return tuple.__new__(ReadResult, (ZERO_DATA, {}, True))
         return self._sense_page(self.blocks[block_index], page_offset, ppn, fail)
 
-    def erase_block(self, block_index: int, now: float = 0.0) -> float:
+    def erase_block(self, block_index: int, now: float = 0.0) -> None:
         """Erase resets both pAP and bAP flags (the only unlock path)."""
-        latency = super().erase_block(block_index, now)
+        super().erase_block(block_index, now)
         self._pap[block_index].erase()
         self._bap[block_index].erase()
-        return latency
 
     # ------------------------------------------------------------------
     def raw_dump(self, now: float = 0.0) -> dict[int, object]:

@@ -5,7 +5,8 @@ Public surface of the substrate the Evanesco reproduction is built on:
 * :class:`~repro.flash.geometry.Geometry` / :class:`~repro.flash.geometry.CellType`
   -- chip layout and address arithmetic;
 * :class:`~repro.flash.chip.FlashChip` -- behavioural chip with the
-  standard read/program/erase command set and timing;
+  standard read/program/erase command set (cost lives in the FTL's
+  :class:`~repro.ftl.timing.TimingModel`);
 * :class:`~repro.flash.vth.VthModel` -- calibrated threshold-voltage
   distribution engine backing every chip-level experiment;
 * :class:`~repro.flash.ecc.EccModel` -- ECC correction-limit model;
@@ -13,7 +14,7 @@ Public surface of the substrate the Evanesco reproduction is built on:
   reprogram-based sanitization baselines of Section 4.
 """
 
-from repro.flash.chip import ERASED_DATA, ZERO_DATA, ChipStats, FlashChip, ReadResult
+from repro.flash.chip import ERASED_DATA, ZERO_DATA, FlashChip, ReadResult
 from repro.flash.block import Block, BlockState
 from repro.flash.ecc import EccModel, default_ecc
 from repro.flash.encoding import Encoding, encoding_for
@@ -35,7 +36,6 @@ __all__ = [
     "Block",
     "BlockState",
     "CellType",
-    "ChipStats",
     "EccModel",
     "Encoding",
     "ERASED_DATA",

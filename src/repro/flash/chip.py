@@ -1,13 +1,15 @@
 """Behavioural model of one NAND flash chip.
 
-The chip exposes the standard command set (read / program / erase) with
-the paper's timing constants and keeps operation statistics.  The
+The chip exposes the standard command set (read / program / erase) and
+models what each command does to the cells, nothing else: what a command
+costs is :class:`repro.ftl.timing.TimingModel`'s to decide, and how many
+ran is counted once, in :class:`repro.ftl.stats.DeviceStats`.  The
 Evanesco-enhanced chip in :mod:`repro.core.evanesco_chip` subclasses this
 to add `pLock` / `bLock` and access-permission checks on the read path.
 
-Reads return a :class:`ReadResult` carrying the payload, spare metadata,
-and the operation latency; a read of an erased page returns the all-ones
-pattern token ``ERASED_DATA`` (erased cells read as '1').
+Reads return a :class:`ReadResult` carrying the payload and spare
+metadata; a read of an erased page returns the all-ones pattern token
+``ERASED_DATA`` (erased cells read as '1').
 """
 
 from __future__ import annotations
@@ -55,43 +57,8 @@ class ReadResult(NamedTuple):
 
     data: Any
     spare: dict[str, Any]
-    latency_us: float
     #: whether the chip's AP logic suppressed the data (Evanesco chips).
     blocked: bool = False
-
-
-@dataclass
-class ChipStats:
-    """Cumulative operation counts and busy time for one chip."""
-
-    reads: int = 0
-    programs: int = 0
-    erases: int = 0
-    plocks: int = 0
-    blocks_locked: int = 0
-    busy_time_us: float = 0.0
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "reads": self.reads,
-            "programs": self.programs,
-            "erases": self.erases,
-            "plocks": self.plocks,
-            "blocks_locked": self.blocks_locked,
-            "busy_time_us": self.busy_time_us,
-        }
-
-    def state_dict(self) -> dict[str, float]:
-        """Checkpoint payload -- same keys as :meth:`snapshot`."""
-        return self.snapshot()
-
-    def load_state_dict(self, state: dict[str, float]) -> None:
-        self.reads = state["reads"]
-        self.programs = state["programs"]
-        self.erases = state["erases"]
-        self.plocks = state["plocks"]
-        self.blocks_locked = state["blocks_locked"]
-        self.busy_time_us = state["busy_time_us"]
 
 
 @dataclass
@@ -100,9 +67,6 @@ class FlashChip:
 
     geometry: Geometry
     pe_limit: int | None = None
-    t_read_us: float = constants.T_READ_US
-    t_prog_us: float = constants.T_PROG_US
-    t_erase_us: float = constants.T_BERS_US
     #: optional fault hook (duck-typed :class:`repro.faults.FaultInjector`):
     #: consulted once per chip command; may fail the op or cut power.
     fault_hook: Any = None
@@ -113,14 +77,12 @@ class FlashChip:
     #: fresh-forever sense path bit-for-bit.
     wear_gate: Any = None
     blocks: list[Block] = field(init=False)
-    stats: ChipStats = field(init=False)
 
     def __post_init__(self) -> None:
         self.blocks = [
             Block(self.geometry, i, pe_limit=self.pe_limit)
             for i in range(self.geometry.blocks_per_chip)
         ]
-        self.stats = ChipStats()
         # incrementally maintained FREE-block set: every Block state
         # transition notifies _track_block_state, so free_blocks() never
         # rescans the whole array (it used to be O(blocks) per call)
@@ -178,9 +140,6 @@ class FlashChip:
         The spare area comes back as a fresh copy, so a caller may keep
         or mutate it without touching the stored page.
         """
-        stats = self.stats
-        stats.reads += 1
-        stats.busy_time_us += self.t_read_us
         if fail:
             raise UncorrectableError(
                 f"ppn {ppn}: injected transient read failure",
@@ -191,7 +150,7 @@ class FlashChip:
         # Python frame that costs about as much as the tuple itself
         if page_offset >= block.next_page:
             return tuple.__new__(
-                ReadResult, (ERASED_DATA, {}, self.t_read_us, False)
+                ReadResult, (ERASED_DATA, {}, False)
             )
         spare = block.spare[page_offset]
         if spare.get("torn"):
@@ -204,7 +163,7 @@ class FlashChip:
             self.wear_gate.check_readable(block, ppn)
         return tuple.__new__(
             ReadResult,
-            (block.data[page_offset], dict(spare), self.t_read_us, False),
+            (block.data[page_offset], dict(spare), False),
         )
 
     def program_page(
@@ -213,8 +172,8 @@ class FlashChip:
         data: Any,
         spare: dict[str, Any] | None = None,
         now: float = 0.0,
-    ) -> float:
-        """Program one page; returns the operation latency (us).
+    ) -> None:
+        """Program one page.
 
         ``spare`` is stored as given, not copied (see :meth:`Block.program`).
         """
@@ -230,28 +189,18 @@ class FlashChip:
             # cut): the page is consumed with cells between distributions
             data, spare = TORN_DATA, {"torn": True}
         self.blocks[block_index].program(page_offset, data, spare, now)
-        stats = self.stats
-        stats.programs += 1
-        stats.busy_time_us += self.t_prog_us
         if directive:
             if directive == FAULT_POWER_LOSS:
                 raise PowerLossInjected(f"power loss during program of ppn {ppn}")
             raise ProgramFailError(f"ppn {ppn}: program status-fail")
-        return self.t_prog_us
 
-    def erase_block(self, block_index: int, now: float = 0.0) -> float:
-        """Erase one block; returns the operation latency (us)."""
+    def erase_block(self, block_index: int, now: float = 0.0) -> None:
+        """Erase one block."""
         if self._begin_op("erase"):
             raise EraseFailError(f"block {block_index}: erase status-fail")
-        block = self.block(block_index)
-        block.erase(now)
-        self.stats.erases += 1
-        self.stats.busy_time_us += self.t_erase_us
-        return self.t_erase_us
+        self.block(block_index).erase(now)
 
-    def scrub_wordline(
-        self, block_index: int, wordline: int, latency_us: float = 100.0
-    ) -> float:
+    def scrub_wordline(self, block_index: int, wordline: int) -> None:
         """Destroy every page of a wordline with a one-shot scrub pulse.
 
         Section 4: scrubbing merges the Vth states of all cells on the
@@ -269,8 +218,6 @@ class FlashChip:
         for offset in range(base, end):
             block.data[offset] = SCRUBBED_DATA
             block.spare[offset] = EMPTY_SPARE
-        self.stats.busy_time_us += latency_us
-        return latency_us
 
     # ------------------------------------------------------------------
     def next_programmable_page(self, block_index: int) -> int | None:
@@ -292,10 +239,7 @@ class FlashChip:
     # ------------------------------------------------------------------
     def state_dict(self) -> dict[str, Any]:
         """Checkpoint payload (see :mod:`repro.checkpoint`)."""
-        return {
-            "blocks": [block.state_dict() for block in self.blocks],
-            "stats": self.stats.state_dict(),
-        }
+        return {"blocks": [block.state_dict() for block in self.blocks]}
 
     def load_state_dict(self, state: dict[str, Any]) -> None:
         """Restore in place -- Block objects are mutated, not replaced,
@@ -303,7 +247,6 @@ class FlashChip:
         rebuilt in one pass afterwards."""
         for block, payload in zip(self.blocks, state["blocks"]):
             block.load_state_dict(payload)
-        self.stats.load_state_dict(state["stats"])
         self._free_blocks = {
             i
             for i, block in enumerate(self.blocks)

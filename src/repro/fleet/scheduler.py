@@ -35,11 +35,7 @@ from repro.analysis.parallel import (
     derive_seed,
     run_grid_detailed,
 )
-from repro.audit.run import (
-    audit_sim_result,
-    audit_telemetry,
-    config_fingerprint,
-)
+from repro.audit.run import audit_sim_result, audit_telemetry
 from repro.fleet.report import aggregate_fleet, device_report
 from repro.fleet.tenants import (
     DeviceSpec,
@@ -49,7 +45,7 @@ from repro.fleet.tenants import (
 )
 from repro.sim.arrivals import ClosedLoopArrivals
 from repro.sim.runner import SimResult, capture_generator_trace, simulate_trace
-from repro.ssd.config import SSDConfig, scaled_config
+from repro.ssd.config import SSDConfig, run_meta, scaled_config
 from repro.telemetry import Telemetry, TraceEvent
 from repro.telemetry.export import trace_header, write_chrome_trace, write_jsonl
 
@@ -164,13 +160,13 @@ def _device_header(
     """The evidence-disclosure header for one fleet device's stream."""
     return trace_header(
         telemetry.bus,
-        workload=f"fleet-device-{spec.device_id}",
-        variant=variant,
-        seed=spec.seed,
-        device=spec.device_id,
-        pages_per_block=config.geometry.pages_per_block,
-        config_fingerprint=config_fingerprint(config),
-        sanitize_latency_us=config.sanitize_latency_us(),
+        **run_meta(
+            config,
+            f"fleet-device-{spec.device_id}",
+            variant,
+            spec.seed,
+            device=spec.device_id,
+        ),
     )
 
 

@@ -395,18 +395,13 @@ class PageMappedFtl:
     def probe_read(self, chip_id: int, ppn: int) -> ReadResult:
         """Out-of-band verification read that leaves no trace.
 
-        Runs with faults suspended and restores the chip's operation
-        counters, so a checked or audited run reports identical
-        statistics *and* an identical fault sequence to a plain one.
+        Runs with faults suspended and charges neither the timing model
+        nor :class:`DeviceStats`, so a checked or audited run reports
+        identical statistics *and* an identical fault sequence to a
+        plain one.
         """
-        chip = self.chips[chip_id]
-        stats = chip.stats
-        saved = stats.reads, stats.busy_time_us
-        try:
-            with self.faults_suspended():
-                return chip.read_page(ppn)
-        finally:
-            stats.reads, stats.busy_time_us = saved
+        with self.faults_suspended():
+            return self.chips[chip_id].read_page(ppn)
 
     # ------------------------------------------------------------------
     # write-path plumbing

@@ -4,9 +4,9 @@ When a secured page is invalidated, scrSSD destroys it with a one-shot
 scrub pulse on its wordline.  In TLC flash a wordline holds three pages,
 so any live sibling pages must first be relocated -- the copy overhead
 the paper quantifies (WAF up to 4.41x, IOPS ~34 % of baseline).  The
-scrub pulse itself is modelled at 100 us, matching Section 7 ("we set
-the scrubbing latency to 100 us assuming that the one-shot programming
-scheme is used").
+scrub pulse costs ``SSDConfig.t_scrub_us`` on the timing model, 100 us
+by default, matching Section 7 ("we set the scrubbing latency to 100 us
+assuming that the one-shot programming scheme is used").
 
 Two bookkeeping subtleties the real design would face are modelled
 explicitly:
@@ -31,8 +31,6 @@ class ScrubBasedFtl(PageMappedFtl):
     tracks_secure = True
     #: every secured stale copy's wordline is scrubbed within the batch.
     sanitize_scope = "all"
-    #: one-shot scrub pulse latency (Section 7).
-    t_scrub_us = 100.0
 
     # ------------------------------------------------------------------
     def _sanitize_host_batch(self, events: list[InvalidationEvent]) -> None:
@@ -91,9 +89,7 @@ class ScrubBasedFtl(PageMappedFtl):
                 self.status.live_pages(gb, siblings), "scrub-relocate"
             )
             self.stats.relocation_copies += len(moved)
-        self.chips[chip_id].scrub_wordline(
-            local_block, wordline, latency_us=self.t_scrub_us
-        )
+        self.chips[chip_id].scrub_wordline(local_block, wordline)
         self.timing.scrub(chip_id)
         self.stats.scrubs += 1
         for gppa in self.status.invalid_pages(gb, siblings):

@@ -22,7 +22,7 @@ from repro.sim.arrivals import (
 )
 from repro.sim.engine import EngineReport, QueueingEngine, Segment, Server
 from repro.sim.events import SimClock
-from repro.sim.metrics import PERCENTILES, DepthSeries, LatencyRecorder, percentile
+from repro.sim.metrics import PERCENTILES, DepthSeries, percentile
 from repro.sim.ops import (
     LOCK_KINDS,
     SUSPENDABLE_KINDS,
@@ -51,7 +51,6 @@ __all__ = [
     "FifoPolicy",
     "FlashOp",
     "LOCK_KINDS",
-    "LatencyRecorder",
     "OpKind",
     "PERCENTILES",
     "POLICIES",

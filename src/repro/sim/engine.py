@@ -51,11 +51,12 @@ from dataclasses import dataclass, field
 
 from repro.ftl.request import IoRequest, RequestOp
 from repro.sim.events import SimClock
-from repro.sim.metrics import DepthSeries, LatencyRecorder, StepSeries
+from repro.sim.metrics import DepthSeries, StepSeries
 from repro.sim.ops import FlashOp, OpKind, RecordingTiming
 from repro.sim.policies import DeferLocksPolicy, SchedulingPolicy
 from repro.ssd.device import SSD
 from repro.telemetry import Telemetry
+from repro.telemetry.histogram import SampleLog
 
 _EV_ARRIVAL = "arrival"
 _EV_DONE = "done"
@@ -315,7 +316,7 @@ class QueueingEngine:
         self._events: list[tuple[float, int, str, object]] = []
         self._event_seq = 0
         self._events_pushed = 0
-        self.latency = LatencyRecorder()
+        self.latency = SampleLog(RequestOp)
         self.depth = DepthSeries()
         #: outstanding sanitization-class flash work (lock pulses,
         #: scrubs, erases issued but not yet serviced), in microseconds

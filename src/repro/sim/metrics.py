@@ -1,80 +1,31 @@
-"""Tail-latency accounting and queue-depth time series.
+"""Queue-depth and backlog time series for the engine's reports.
 
 The point of the closed-loop engine is the distribution, not the mean:
 one erSSD relocation storm shows up as a p99.9 spike that average IOPS
-hides entirely.  Percentiles use the nearest-rank method (deterministic,
-no interpolation ambiguity across platforms), and every summary is a
-plain dict of floats so reports serialize byte-identically for the
-same-seed determinism guarantee.
+hides entirely.  Request latencies are kept exactly in a
+:class:`repro.telemetry.histogram.SampleLog`; percentiles use the
+nearest-rank method (deterministic, no interpolation ambiguity across
+platforms), and every summary is a plain dict of floats so reports
+serialize byte-identically for the same-seed determinism guarantee.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from itertools import chain, islice
-
-from repro.ftl.request import RequestOp
 
 # the shared nearest-rank implementation and report-order percentile
 # list live in repro.telemetry.histogram; re-exported here because the
 # sim package's public API predates the telemetry layer.
-from repro.telemetry.histogram import (
-    PERCENTILES,
-    percentile,
-    summarize,
-)
+from repro.telemetry.histogram import PERCENTILES, percentile
 
 __all__ = [
     "PERCENTILES",
     "percentile",
-    "LatencyRecorder",
     "DepthSeries",
     "StepSeries",
     "spread_indices",
 ]
-
-
-@dataclass
-class LatencyRecorder:
-    """End-to-end request latency samples, grouped by request class."""
-
-    samples: dict[RequestOp, array] = field(
-        default_factory=lambda: {op: array("d") for op in RequestOp}
-    )
-
-    def add(self, op: RequestOp, latency_us: float) -> None:
-        if latency_us < 0.0:
-            raise ValueError("latency cannot be negative")
-        self.samples[op].append(latency_us)
-
-    def count(self, op: RequestOp | None = None) -> int:
-        if op is not None:
-            return len(self.samples[op])
-        return sum(len(v) for v in self.samples.values())
-
-    # ------------------------------------------------------------------
-    def summary_for(self, op: RequestOp | None) -> dict[str, float]:
-        if op is not None:
-            return summarize(self.samples[op])
-        data = array("d")
-        for values in self.samples.values():
-            data.extend(values)
-        return summarize(data)
-
-    def summary(self) -> dict[str, dict[str, float]]:
-        """Per-class and combined percentile report (JSON-ready)."""
-        out = {op.value: self.summary_for(op) for op in RequestOp}
-        out["all"] = self.summary_for(None)
-        return out
-
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict[str, list[float]]:
-        """Checkpoint payload, keyed by the op's string value."""
-        return {op.value: values.tolist() for op, values in self.samples.items()}
-
-    def load_state_dict(self, state: dict[str, list[float]]) -> None:
-        self.samples = {op: array("d", state.get(op.value, ())) for op in RequestOp}
 
 
 def spread_indices(n: int, max_points: int) -> range | list[int]:

@@ -161,6 +161,42 @@ def simulate_trace(
         policy = policy_by_name(policy)
     if arrivals is None:
         arrivals = ClosedLoopArrivals()
+    engine = build_engine(
+        config,
+        variant,
+        requests,
+        steady_start,
+        seed=seed,
+        policy=policy,
+        arrivals=arrivals,
+        checked=checked,
+        check_interval=check_interval,
+        faults=faults,
+        telemetry=telemetry,
+    )
+    return assemble_result(workload, variant, engine, engine.run())
+
+
+def build_engine(
+    config: SSDConfig,
+    variant: str,
+    requests: list[IoRequest],
+    steady_start: int,
+    seed: int,
+    policy: SchedulingPolicy,
+    arrivals: ArrivalProcess,
+    checked: bool | None,
+    check_interval: int | None,
+    faults: FaultPlan | None,
+    telemetry: Telemetry | None,
+) -> QueueingEngine:
+    """A fresh device with timing capture, under a ready engine.
+
+    The one build every run shares: :func:`simulate_trace` and the
+    checkpointed campaigns (:mod:`repro.checkpoint.campaign`), which
+    rebuild it for each generation a resume tries.  The device is
+    ``engine.ssd``.
+    """
     ssd = SSD(
         config,
         variant,
@@ -171,20 +207,26 @@ def simulate_trace(
         telemetry=telemetry,
     )
     ssd.instrument_timing(RecordingTiming.from_config(config))
-    engine = QueueingEngine(
+    return QueueingEngine(
         ssd, requests, arrivals, policy, steady_start=steady_start
     )
-    report = engine.run()
+
+
+def assemble_result(
+    workload: str, variant: str, engine: QueueingEngine, report: EngineReport
+) -> SimResult:
+    """The :class:`SimResult` of a finished engine and its report."""
+    ssd = engine.ssd
     run = ssd.result()
     run.latency = report.latency
     run.utilization = report.utilization
     return SimResult(
         workload=workload,
         variant=variant,
-        policy=policy.describe(),
-        arrivals=arrivals.describe(),
-        requests=len(requests),
-        steady_start=steady_start,
+        policy=engine.policy.describe(),
+        arrivals=engine.arrivals.describe(),
+        requests=len(engine.requests),
+        steady_start=engine.steady_start,
         report=report,
         run=run,
         device=ssd,

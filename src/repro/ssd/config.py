@@ -163,6 +163,57 @@ class SSDConfig:
         }
 
 
+def config_fingerprint(config: SSDConfig) -> str:
+    """Short deterministic fingerprint of the device configuration."""
+    # imported here: repro.checkpoint imports this module
+    from repro.checkpoint.codec import canonical_dumps, section_checksum
+
+    geometry = config.geometry
+    payload = {
+        "n_channels": config.n_channels,
+        "chips_per_channel": config.chips_per_channel,
+        "blocks_per_chip": geometry.blocks_per_chip,
+        "wordlines_per_block": geometry.wordlines_per_block,
+        "cell_type": int(geometry.cell_type),
+        "page_size_bytes": geometry.page_size_bytes,
+        "overprovision": config.overprovision,
+        "gc_policy": config.gc_policy,
+        "t_prog_us": config.t_prog_us,
+        "t_erase_us": config.t_erase_us,
+        "t_plock_us": config.t_plock_us,
+        "t_block_lock_us": config.t_block_lock_us,
+        "t_scrub_us": config.t_scrub_us,
+    }
+    return section_checksum(canonical_dumps(payload))[:12]
+
+
+def run_meta(
+    config: SSDConfig,
+    workload: str,
+    variant: str,
+    seed: int | None = None,
+    **extra: object,
+) -> dict[str, object]:
+    """Run identity for a trace header: what ran, on which device.
+
+    Every header writer (live audits, fleet devices, ``simulate
+    --trace-out``, ``repro trace``) builds its metadata here, so an
+    offline audit of an archived trace certifies the same ``run``
+    section as the live audit of that run.
+    """
+    meta: dict[str, object] = {
+        "workload": workload,
+        "variant": variant,
+        "pages_per_block": config.geometry.pages_per_block,
+        "config_fingerprint": config_fingerprint(config),
+        "sanitize_latency_us": config.sanitize_latency_us(),
+    }
+    if seed is not None:
+        meta["seed"] = seed
+    meta.update(extra)
+    return meta
+
+
 def paper_config() -> SSDConfig:
     """The exact Section-7 SecureSSD configuration (32 GiB)."""
     return SSDConfig(

@@ -14,12 +14,12 @@ from repro.faults import FaultPlan
 from repro.ftl import FTL_VARIANTS
 from repro.ftl.base import PageMappedFtl
 from repro.ftl.observer import FtlObserver, NullObserver
-from repro.ftl.request import IoRequest
+from repro.ftl.request import IoRequest, RequestOp
 from repro.ftl.stats import RunResult
 from repro.ssd.config import SSDConfig
-from repro.ssd.worklog import WorkLog
 from repro.telemetry import Telemetry
 from repro.telemetry.bridge import TelemetryObserver
+from repro.telemetry.histogram import SampleLog
 
 
 class SSD:
@@ -97,7 +97,7 @@ class SSD:
             if self.ftl.fault_injector is not None:
                 self.ftl.fault_injector.bus = self.telemetry.bus
         #: per-request device-work log (sanitization-tail analysis).
-        self.work_log = WorkLog()
+        self.work_log = SampleLog(RequestOp)
 
     # ------------------------------------------------------------------
     @property
@@ -138,7 +138,7 @@ class SSD:
         before = self._busy_total()
         self.ftl.submit(request)
         work_us = self._busy_total() - before
-        self.work_log.record(request.op, work_us)
+        self.work_log.add(request.op, work_us)
         if self.telemetry is not None:
             self.telemetry.metrics.histogram(
                 f"request_work_us.{request.op.value}"

@@ -1,8 +1,8 @@
-"""Shared percentile math and fixed-bucket histograms.
+"""Shared percentile math, per-request sample logs and fixed-bucket histograms.
 
-One nearest-rank implementation serves every consumer -- the work log
-(:mod:`repro.ssd.worklog`), the engine's latency recorder
-(:mod:`repro.sim.metrics`), and the tail-latency tables
+One nearest-rank implementation serves every consumer -- the
+per-request sample logs (:class:`SampleLog`: the device's work log and
+the engine's latency recorder) and the tail-latency tables
 (:mod:`repro.analysis.latency`) -- so a percentile means the same thing
 in every report.  Nearest-rank is deliberate: it is deterministic, has
 no interpolation ambiguity across platforms, and returns an actually
@@ -17,8 +17,10 @@ min, and max are kept alongside, so rates and means stay exact.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections.abc import Iterable
+from enum import Enum
 from math import ceil
 
 #: the percentiles every latency/work summary reports, in report order.
@@ -76,6 +78,55 @@ def summarize(data: Iterable[float]) -> dict[str, float]:
         out[label] = percentile(ordered, q)
     out["max_us"] = ordered[-1] if ordered else 0.0
     return out
+
+
+class SampleLog:
+    """Exact per-request samples, one ``array("d")`` column per class.
+
+    The engine's end-to-end request latencies and the device's
+    per-request flash work are each one of these, keyed by
+    :class:`~repro.ftl.request.RequestOp`; the classes are passed in,
+    so this layer imports nothing above it.  Summaries go through
+    :func:`summarize`, and a checkpoint stores each column as a list
+    keyed by the class's string value.
+    """
+
+    def __init__(self, classes: Iterable[Enum]) -> None:
+        self.samples: dict[Enum, array] = {op: array("d") for op in classes}
+
+    def add(self, op: Enum, value_us: float) -> None:
+        if value_us < 0.0:
+            raise ValueError("a sample cannot be negative")
+        self.samples[op].append(value_us)
+
+    def count(self, op: Enum | None = None) -> int:
+        if op is not None:
+            return len(self.samples[op])
+        return sum(len(v) for v in self.samples.values())
+
+    def summary_for(self, op: Enum | None) -> dict[str, float]:
+        """:func:`summarize` of one class, or of every class for None."""
+        if op is not None:
+            return summarize(self.samples[op])
+        data = array("d")
+        for values in self.samples.values():
+            data.extend(values)
+        return summarize(data)
+
+    def summary(self) -> dict[str, dict[str, float]]:
+        """Per-class and combined (``"all"``) report, JSON-ready."""
+        out = {op.value: self.summary_for(op) for op in self.samples}
+        out["all"] = self.summary_for(None)
+        return out
+
+    def state_dict(self) -> dict[str, list[float]]:
+        """Checkpoint payload, keyed by the class's string value."""
+        return {op.value: values.tolist() for op, values in self.samples.items()}
+
+    def load_state_dict(self, state: dict[str, list[float]]) -> None:
+        self.samples = {
+            op: array("d", state.get(op.value, ())) for op in self.samples
+        }
 
 
 class FixedBucketHistogram:

@@ -105,3 +105,28 @@ class TestByteDeterminism:
         text = certificate_text(cert)
         assert text.endswith("\n")
         assert json.loads(text) == cert
+
+
+class TestRunIdentity:
+    def test_archived_trace_certifies_the_live_run_section(
+        self, tmp_path, capsys
+    ):
+        # every header writer builds its run identity in one place, so
+        # the offline audit of a `repro trace --jsonl` archive certifies
+        # the same run (config fingerprint included) as the live audit
+        from repro.cli import main
+
+        scale = ["--workload", "MailServer", "--blocks", "8",
+                 "--wordlines", "4", "--multiplier", "0.5"]
+        archive = tmp_path / "trace.jsonl"
+        assert main(["trace", "--variants", "secSSD", "--qd", "8", *scale,
+                     "--out", str(tmp_path / "trace.json"),
+                     "--jsonl", str(archive)]) == 0
+        offline, live = tmp_path / "offline.json", tmp_path / "live.json"
+        assert main(["audit", str(archive), "--cert-out", str(offline)]) == 0
+        assert main(["audit", "--variant", "secSSD", *scale,
+                     "--cert-out", str(live)]) == 0
+        capsys.readouterr()
+        run = json.loads(live.read_text())["sections"]["run"]
+        assert "config_fingerprint" in run
+        assert json.loads(offline.read_text())["sections"]["run"] == run

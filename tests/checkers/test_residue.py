@@ -290,7 +290,7 @@ class TestCheckpointLockProbe:
 
         def leaky_read(ppn, now=0.0, strict=False):
             if ppn == target:
-                return ReadResult(ERASED_DATA, {}, chip.t_read_us)
+                return ReadResult(ERASED_DATA, {})
             return honest(ppn, now, strict)
 
         chip.read_page = leaky_read

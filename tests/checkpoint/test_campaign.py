@@ -19,7 +19,8 @@ from repro.checkpoint.campaign import (
     run_chunked_simulation,
 )
 from repro.checkpoint.codec import canonical_dumps, section_checksum
-from repro.checkpoint.store import CheckpointError
+from repro.checkpoint.store import FORMAT_VERSION, CheckpointError
+from repro.cli import main
 from repro.faults import FaultKind, FaultPlan
 from repro.sim.runner import simulate_workload
 from repro.telemetry import Telemetry
@@ -241,6 +242,33 @@ class TestCorruptionRecovery:
         recovery = final.run.extra["checkpoint_recovery"]
         assert [r["reason"] for r in recovery] == ["audit-failed"]
 
+    def test_format_v4_generation_is_quarantined_as_stale(
+        self, ck_config, tmp_path
+    ):
+        # v4 chips carried a ``stats`` payload; such a generation must be
+        # quarantined unread, and the resume must fall back past it
+        reference = run_chunked_simulation(
+            ck_config, "MailServer", "secSSD", tmp_path / "ref", EVERY, **KW
+        )
+        directory = tmp_path / "run"
+        run_chunked_simulation(
+            ck_config, "MailServer", "secSSD", directory, EVERY,
+            stop_after=2, **KW,
+        )
+        mpath = newest_gen(directory) / "MANIFEST.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["format_version"] = 4
+        mpath.write_text(canonical_dumps(manifest))
+        final = run_chunked_simulation(
+            ck_config, "MailServer", "secSSD", directory, EVERY,
+            resume=True, **KW,
+        )
+        assert final.to_json() == reference.to_json()
+        [report] = final.run.extra["checkpoint_recovery"]
+        assert report["reason"] == "stale-version"
+        assert report["detail"] == f"format_version=4, expected {FORMAT_VERSION}"
+        assert (directory / "quarantine" / report["quarantined_to"]).is_dir()
+
     def test_every_generation_corrupt_is_a_clean_error(
         self, ck_config, tmp_path
     ):
@@ -302,6 +330,28 @@ class TestCampaignManifest:
                 telemetry=Telemetry(capacity=500, sample={"sim.service": 7}),
                 resume=True, **KW,
             )
+
+    def test_format_v4_directory_is_refused_in_one_line(self, tmp_path, capsys):
+        # a whole directory written by the v4 format fingerprints its
+        # format in campaign.json, so resume names it before any restore
+        argv = [
+            "simulate", "--workload", "MailServer", "--variants", "secSSD",
+            "--blocks", "8", "--wordlines", "4", "--multiplier", "0.3",
+            "--qd", "8", "--checkpoint-every", "200",
+            "--checkpoint-dir", str(tmp_path),
+        ]
+        assert main(argv + ["--stop-after", "1"]) == 0
+        capsys.readouterr()
+        for path in (tmp_path / "secSSD").rglob("*.json"):
+            payload = json.loads(path.read_text())
+            if isinstance(payload, dict) and "format_version" in payload:
+                payload["format_version"] = 4
+                path.write_text(canonical_dumps(payload))
+        assert main(argv + ["--resume"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "simulate: campaign parameters do not match the checkpoint "
+            "directory's manifest; diverging field(s): format_version"
+        ]
 
     def test_different_variant_diverges(self, ck_config, tmp_path):
         run_chunked_simulation(

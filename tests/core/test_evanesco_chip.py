@@ -6,6 +6,7 @@ from repro.core.evanesco_chip import EvanescoChip
 from repro.flash.chip import ERASED_DATA, ZERO_DATA
 from repro.flash.errors import LockedBlockError, LockedPageError
 from repro.flash.geometry import small_geometry
+from repro.ftl.timing import TimingModel
 
 
 @pytest.fixture
@@ -30,13 +31,24 @@ class TestPLock:
         assert chip.read_page(1).data == ZERO_DATA
         assert chip.read_page(2).data == "d2"
 
-    def test_plock_latency(self, chip):
-        assert chip.plock(0) == chip.t_plock_us
+    def test_lock_commands_return_none(self, chip):
+        # cost is the timing model's to decide, not the chip's
+        assert chip.plock(0) is None
+        assert chip.block_lock(1) is None
+        assert chip.erase_block(1) is None
+
+    def test_plock_latency(self):
+        # a pLock's latency is charged by the timing model: a cell-only
+        # pulse, no channel transfer
+        timing = TimingModel(n_channels=1, chips_per_channel=1)
+        assert timing.plock(0) == timing.t_plock_us
 
     def test_plock_counts_stats(self, chip):
+        # the chip's record of issued pLocks is its pAP flag state
         chip.plock(0)
         chip.plock(1)
-        assert chip.stats.plocks == 2
+        assert chip.locked_page_count() == 2
+        assert [chip.page_locked(p) for p in range(3)] == [True, True, False]
 
     def test_plock_records_wordline_disturb(self, chip):
         chip.plock(0)
@@ -80,12 +92,17 @@ class TestBLock:
         with pytest.raises(LockedBlockError):
             chip.read_page(0, strict=True)
 
-    def test_block_lock_latency(self, chip):
-        assert chip.block_lock(0) == chip.t_block_lock_us
+    def test_block_lock_latency(self):
+        # a bLock's latency is charged by the timing model: a cell-only
+        # pulse, no channel transfer
+        timing = TimingModel(n_channels=1, chips_per_channel=1)
+        assert timing.block_lock(0) == timing.t_block_lock_us
 
     def test_block_lock_counts_stats(self, chip):
+        # the chip's record of issued bLocks is its bAP flag state
         chip.block_lock(0)
-        assert chip.stats.blocks_locked == 1
+        blocks = range(chip.geometry.blocks_per_chip)
+        assert [chip.block_locked(b) for b in blocks] == [True, False, False, False]
 
     def test_block_locked_query(self, chip):
         chip.block_lock(2)
@@ -153,9 +170,3 @@ class TestRetentionIntegration:
         chip.plock(0, now=0.0)
         one_hour_us = 3600.0 * 1e6
         assert chip.page_locked(0, now=one_hour_us)
-
-    def test_reads_still_cost_time_when_blocked(self, chip):
-        chip.plock(0)
-        before = chip.stats.busy_time_us
-        chip.read_page(0)
-        assert chip.stats.busy_time_us == before + chip.t_read_us

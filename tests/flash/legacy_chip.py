@@ -3,8 +3,10 @@
 A verbatim copy of the original ``Page``-list ``Block`` and ``FlashChip``
 (one ``Page`` object per physical page, an explicit per-page state),
 kept only as the oracle ``test_columnar_oracle.py`` compares the columnar
-production classes against.  The read-result, token and statistics types
-are shared with production, so results compare with ``==``.
+production classes against.  The read-result and token types are shared
+with production, so results compare with ``==``.  Like production, the
+chip keeps no timing constants, counters or latencies: what a command
+costs is the FTL timing model's business.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from repro.flash.chip import (
     FAULT_POWER_LOSS,
     SCRUBBED_DATA,
     TORN_DATA,
-    ChipStats,
     ReadResult,
 )
 from repro.flash.errors import (
@@ -280,9 +281,6 @@ class FlashChip:
 
     geometry: Geometry
     pe_limit: int | None = None
-    t_read_us: float = constants.T_READ_US
-    t_prog_us: float = constants.T_PROG_US
-    t_erase_us: float = constants.T_BERS_US
     #: optional fault hook (duck-typed :class:`repro.faults.FaultInjector`):
     #: consulted once per chip command; may fail the op or cut power.
     fault_hook: Any = None
@@ -293,14 +291,12 @@ class FlashChip:
     #: fresh-forever sense path bit-for-bit.
     wear_gate: Any = None
     blocks: list[Block] = field(init=False)
-    stats: ChipStats = field(init=False)
 
     def __post_init__(self) -> None:
         self.blocks = [
             Block(self.geometry, i, pe_limit=self.pe_limit)
             for i in range(self.geometry.blocks_per_chip)
         ]
-        self.stats = ChipStats()
         # incrementally maintained FREE-block set: every Block state
         # transition notifies _track_block_state, so free_blocks() never
         # rescans the whole array (it used to be O(blocks) per call)
@@ -362,9 +358,6 @@ class FlashChip:
             geometry.check_ppn(ppn)
         block_index, page_offset = divmod(ppn, geometry.pages_per_block)
         page = self.blocks[block_index].pages[page_offset]
-        stats = self.stats
-        stats.reads += 1
-        stats.busy_time_us += self.t_read_us
         if fail:
             raise UncorrectableError(
                 f"ppn {ppn}: injected transient read failure",
@@ -372,7 +365,7 @@ class FlashChip:
                 limit=constants.ECC_LIMIT_RBER,
             )
         if page.is_erased:
-            return ReadResult(ERASED_DATA, {}, self.t_read_us)
+            return ReadResult(ERASED_DATA, {})
         if page.spare.get("torn"):
             raise UncorrectableError(
                 f"ppn {ppn}: torn page (program was interrupted)",
@@ -381,7 +374,7 @@ class FlashChip:
             )
         if self.wear_gate is not None:
             self.wear_gate.check_readable(self.blocks[block_index], ppn)
-        return ReadResult(page.data, dict(page.spare), self.t_read_us)
+        return ReadResult(page.data, dict(page.spare))
 
     def program_page(
         self,
@@ -389,8 +382,8 @@ class FlashChip:
         data: Any,
         spare: dict[str, Any] | None = None,
         now: float = 0.0,
-    ) -> float:
-        """Program one page; returns the operation latency (us)."""
+    ) -> None:
+        """Program one page."""
         hook = self.fault_hook
         directive = "" if hook is None else hook.on_op("program")
         block, page_offset = self._locate(ppn)
@@ -398,29 +391,19 @@ class FlashChip:
             # the pulse train stopped mid-flight (status-fail or power
             # cut): the page is consumed with cells between distributions
             block.program(page_offset, TORN_DATA, {"torn": True}, now)
-            self.stats.programs += 1
-            self.stats.busy_time_us += self.t_prog_us
             if directive == FAULT_POWER_LOSS:
                 raise PowerLossInjected(f"power loss during program of ppn {ppn}")
             raise ProgramFailError(f"ppn {ppn}: program status-fail")
         block.program(page_offset, data, spare, now)
-        self.stats.programs += 1
-        self.stats.busy_time_us += self.t_prog_us
-        return self.t_prog_us
 
-    def erase_block(self, block_index: int, now: float = 0.0) -> float:
-        """Erase one block; returns the operation latency (us)."""
+    def erase_block(self, block_index: int, now: float = 0.0) -> None:
+        """Erase one block."""
         if self._begin_op("erase"):
             raise EraseFailError(f"block {block_index}: erase status-fail")
         block = self.block(block_index)
         block.erase(now)
-        self.stats.erases += 1
-        self.stats.busy_time_us += self.t_erase_us
-        return self.t_erase_us
 
-    def scrub_wordline(
-        self, block_index: int, wordline: int, latency_us: float = 100.0
-    ) -> float:
+    def scrub_wordline(self, block_index: int, wordline: int) -> None:
         """Destroy every page of a wordline with a one-shot scrub pulse.
 
         Section 4: scrubbing merges the Vth states of all cells on the
@@ -439,8 +422,6 @@ class FlashChip:
             if not page.is_erased:
                 page.data = SCRUBBED_DATA
                 page.spare = {}
-        self.stats.busy_time_us += latency_us
-        return latency_us
 
     # ------------------------------------------------------------------
     def next_programmable_page(self, block_index: int) -> int | None:
@@ -462,10 +443,7 @@ class FlashChip:
     # ------------------------------------------------------------------
     def state_dict(self) -> dict[str, Any]:
         """Checkpoint payload (see :mod:`repro.checkpoint`)."""
-        return {
-            "blocks": [block.state_dict() for block in self.blocks],
-            "stats": self.stats.state_dict(),
-        }
+        return {"blocks": [block.state_dict() for block in self.blocks]}
 
     def load_state_dict(self, state: dict[str, Any]) -> None:
         """Restore in place -- Block objects are mutated, not replaced,
@@ -473,7 +451,6 @@ class FlashChip:
         rebuilt in one pass afterwards."""
         for block, payload in zip(self.blocks, state["blocks"]):
             block.load_state_dict(payload)
-        self.stats.load_state_dict(state["stats"])
         self._free_blocks = {
             i
             for i, block in enumerate(self.blocks)

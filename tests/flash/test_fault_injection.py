@@ -163,7 +163,7 @@ class TestChipFaultSemantics:
         with pytest.raises(ProgramFailError):
             chip.program_page(0, "secret")
         # the page is consumed mid-distribution: unreadable, not erased
-        assert chip.stats.programs == 1
+        assert chip.blocks[0].next_page == 1
         with pytest.raises(UncorrectableError):
             chip.read_page(0)
 
@@ -214,7 +214,7 @@ class TestChipFaultSemantics:
         chip = FlashChip(geometry, fault_hook=injector(schedule=((0, FaultKind.POWER_LOSS),)))
         with pytest.raises(PowerLossInjected):
             chip.erase_block(0)
-        assert chip.stats.erases == 0
+        assert chip.blocks[0].erase_count == 0
 
     def test_power_loss_during_program_still_tears(self, geometry):
         chip = FlashChip(

@@ -1,9 +1,11 @@
-"""Percentiles, latency recording, and queue-depth series."""
+"""Percentiles, latency recording (the engine's ``SampleLog``), and
+queue-depth series."""
 
 import pytest
 
 from repro.ftl.request import RequestOp
-from repro.sim.metrics import PERCENTILES, DepthSeries, LatencyRecorder, percentile
+from repro.sim.metrics import PERCENTILES, DepthSeries, percentile
+from repro.telemetry.histogram import SampleLog
 
 
 class TestPercentile:
@@ -29,7 +31,7 @@ class TestPercentile:
 
 class TestLatencyRecorder:
     def test_groups_by_request_class(self):
-        rec = LatencyRecorder()
+        rec = SampleLog(RequestOp)
         rec.add(RequestOp.READ, 10.0)
         rec.add(RequestOp.READ, 30.0)
         rec.add(RequestOp.WRITE, 100.0)
@@ -38,10 +40,10 @@ class TestLatencyRecorder:
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            LatencyRecorder().add(RequestOp.READ, -1.0)
+            SampleLog(RequestOp).add(RequestOp.READ, -1.0)
 
     def test_summary_has_every_class_and_all(self):
-        rec = LatencyRecorder()
+        rec = SampleLog(RequestOp)
         rec.add(RequestOp.TRIM, 5.0)
         summary = rec.summary()
         assert set(summary) == {op.value for op in RequestOp} | {"all"}
@@ -51,7 +53,7 @@ class TestLatencyRecorder:
             } | {label for label, _ in PERCENTILES}
 
     def test_summary_values(self):
-        rec = LatencyRecorder()
+        rec = SampleLog(RequestOp)
         for v in (10.0, 20.0, 30.0, 40.0):
             rec.add(RequestOp.READ, v)
         stats = rec.summary_for(RequestOp.READ)
@@ -62,11 +64,11 @@ class TestLatencyRecorder:
         assert stats["p50_us"] == 20.0  # nearest rank ceil(0.5 * 4) - 1 = 1
 
     def test_empty_class_is_all_zeros(self):
-        stats = LatencyRecorder().summary_for(RequestOp.WRITE)
+        stats = SampleLog(RequestOp).summary_for(RequestOp.WRITE)
         assert all(v == 0.0 for v in stats.values())
 
     def test_all_merges_every_class(self):
-        rec = LatencyRecorder()
+        rec = SampleLog(RequestOp)
         rec.add(RequestOp.READ, 1.0)
         rec.add(RequestOp.WRITE, 3.0)
         stats = rec.summary_for(None)

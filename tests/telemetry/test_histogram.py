@@ -10,6 +10,7 @@ from repro.telemetry.histogram import (
     DEFAULT_BOUNDS_US,
     PERCENTILES,
     FixedBucketHistogram,
+    SampleLog,
     percentile,
     summarize,
 )
@@ -78,14 +79,13 @@ class TestNearestRankPercentile:
 
     def test_worklog_uses_shared_implementation(self):
         from repro.ftl.request import RequestOp
-        from repro.ssd.worklog import WorkLog
 
-        log = WorkLog()
+        log = SampleLog(RequestOp)
         data = [5.0, 1.0, 9.0, 3.0, 7.0]
         for v in data:
-            log.record(RequestOp.READ, v)
-        assert log.percentile(50) == percentile(sorted(data), 50)
-        assert log.percentile(100) == 9.0
+            log.add(RequestOp.READ, v)
+        assert log.summary_for(None)["p50_us"] == percentile(sorted(data), 50)
+        assert log.summary_for(None)["max_us"] == 9.0
 
 
 class TestSummarize:

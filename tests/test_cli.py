@@ -399,43 +399,6 @@ class TestFleetCommand:
         assert "cached" in capsys.readouterr().out
 
 
-class TestProfileCommand:
-    def test_options_and_defaults(self):
-        args = build_parser().parse_args(["profile", "--", "fig9"])
-        assert args.command == "profile"
-        assert args.sort == "cumulative"
-        assert args.limit == 25
-        assert args.cmd == ["--", "fig9"]
-
-    def test_profiles_a_command(self, tmp_path, capsys):
-        out_path = tmp_path / "sim.json"
-        code = main(
-            ["profile", "--limit", "5", "--",
-             "simulate", "--workload", "Mobile", "--variants", "baseline",
-             "--blocks", "8", "--wordlines", "4", "--multiplier", "0.3",
-             "--qd", "8", "--json", str(out_path)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "full reports written" in out  # the command itself ran
-        assert "cumulative" in out                  # the pstats report
-        assert "function calls" in out
-        assert out_path.exists()
-
-    def test_propagates_exit_status(self, capsys):
-        assert main(
-            ["profile", "--", "simulate", "--variants", "ghostSSD"]
-        ) == 2
-
-    def test_empty_command_rejected(self, capsys):
-        assert main(["profile"]) == 2
-        assert "give a repro command" in capsys.readouterr().out
-
-    def test_cannot_profile_itself(self, capsys):
-        assert main(["profile", "--", "profile", "fig9"]) == 2
-        assert "cannot profile itself" in capsys.readouterr().out
-
-
 class TestTraceCommand:
     def test_options_and_defaults(self):
         args = build_parser().parse_args(["trace"])
