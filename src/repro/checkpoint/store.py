@@ -87,7 +87,10 @@ __all__ = [
 #: v4: the telemetry events are append-only segments listed in the
 #: manifest's ``chains``, and each block stores its pages as columns.
 #: v5: chip state drops its ``stats`` key (chips keep no cost model).
-FORMAT_VERSION = 5
+#: v6: traced ``fifo`` engines take the calendar path, so the events
+#: segments hold ``sim.service`` spans in reservation order and the
+#: engine's ``latency`` lists are in calendar completion order.
+FORMAT_VERSION = 6
 
 _MANIFEST = "MANIFEST.json"
 _GEN_PREFIX = "gen-"

@@ -169,10 +169,6 @@ class EvanescoChip(FlashChip):
                     out[base + offset] = block.data[offset]
         return out
 
-    def locked_page_count(self) -> int:
-        """Pages with a pLock issued (plus none from bLock), for stats."""
-        return sum(len(pap.locked_offsets()) for pap in self._pap)
-
     # ------------------------------------------------------------------
     def state_dict(self) -> dict[str, object]:
         """Base chip state plus the pAP/bAP flag arrays."""

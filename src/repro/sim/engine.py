@@ -16,19 +16,18 @@ How a request flows:
    latency is completion minus arrival.  Closed-loop arrivals release
    the next request at that instant.
 
-Two dispatch paths share this model (DESIGN.md 3e).  Under an in-order
-policy (``fifo``) each stage starts at ``max(server free-at, now,
-previous stage's end)``, all known at dispatch, so an untraced
-closed-loop engine takes the **calendar** path: it reserves every
-stage's service window at once and schedules one completion event per
-request.  Every other engine takes the **segment** path: a
-:class:`Segment` per stage, queued per resource, with one DONE event per
-stage.  That covers the event-driven policies (``read_priority``,
-``suspend``, ``defer``), traced ``fifo`` runs, whose DONE events emit the
-``sim.service`` spans in order, and open-loop ``fifo`` runs.  Both paths
-give the same report.  ``events`` counts arrivals plus service segments
-on either path.  The only difference is the order of latency samples
-recorded at one simulated instant.
+The policy picks one of two dispatch paths (DESIGN.md 3e).  Under the
+in-order policy (``fifo``) each stage starts at ``max(server free-at,
+now, previous stage's end)``, all known at dispatch, so every ``fifo``
+engine -- traced or not, closed or open loop -- takes the **calendar**
+path: it reserves every stage's service window at once, publishes the
+stage's ``sim.service`` span as it reserves it, and schedules one
+completion event per request.  The work-conserving policies
+(``read_priority``, ``suspend``, ``defer``) take the **segment** path: a
+:class:`Segment` per stage, queued per resource in a priority heap,
+with one DONE event per stage.  ``events`` counts arrivals plus service
+segments on either path.  Telemetry only observes: a traced engine runs
+the same code and ends in the same state as an untraced one.
 
 The engine therefore answers what the open-loop occupancy model cannot:
 how long a host request *waits* behind GC relocation storms, erase
@@ -103,7 +102,6 @@ class Segment:
         "duration_us",
         "request",
         "successor",
-        "ready",
         "seq",
         "drain",
         "sanitize",
@@ -124,13 +122,9 @@ class Segment:
         #: sanitization attribution carried from the captured FlashOp;
         #: survives a severed request link (deferred lock pulses).
         self.sanitize = sanitize
-        #: a two-stage op's second stage and its server.  In-order mode
-        #: queues it at dispatch, unready, and readies it when this stage
-        #: ends; work-conserving mode queues it when this stage ends.
+        #: a two-stage op's second stage and its server, queued when this
+        #: stage ends.
         self.successor: tuple[Server, Segment] | None = None
-        #: in-order mode: an unready head-of-queue segment *stalls* its
-        #: server (the open-loop model's reservation semantics).
-        self.ready = True
         self.seq = -1  # assigned at enqueue time
         #: telemetry: set on deferred lock pulses when tracing is on; the
         #: last segment of the batch to finish emits the drain span.
@@ -155,16 +149,11 @@ class Server:
         "waiting",
     )
 
-    def __init__(self, key: str, chip_id: int | None, fifo: bool = False) -> None:
+    def __init__(self, key: str, chip_id: int | None) -> None:
         self.key = key
         self.chip_id = chip_id  # None for channels
-        # FIFO-family non-preemptive policies keep strict submission
-        # order, so the queue degenerates to a deque of bare Segments
-        # (append/popleft); priority policies get a heap of
-        # (priority, seq, Segment) tuples
-        self.queue: deque[Segment] | list[tuple[int, int, Segment]] = (
-            deque() if fifo else []
-        )
+        #: segment path: a heap of (priority, seq, Segment) tuples.
+        self.queue: list[tuple[int, int, Segment]] = []
         self.current: Segment | None = None
         self.current_start_us = 0.0
         self.current_end_us = 0.0
@@ -290,21 +279,10 @@ class QueueingEngine:
         #: campaigns move it forward window by window (``run_window``).
         self._limit = len(requests)
 
-        # a policy that never overrides priority() (FIFO family) and
-        # never preempts keeps heap order exactly submission order: server
-        # queues become deques (see Server)
-        self._fifo_queues: bool = (
-            type(policy).priority is SchedulingPolicy.priority
-            and not policy.preemptive
-        )
         n_chips = timing.n_chips
-        fifo = self._fifo_queues
         self.servers: list[Server] = [
-            Server(f"chip{i}", chip_id=i, fifo=fifo) for i in range(n_chips)
-        ] + [
-            Server(f"chan{j}", chip_id=None, fifo=fifo)
-            for j in range(timing.n_channels)
-        ]
+            Server(f"chip{i}", chip_id=i) for i in range(n_chips)
+        ] + [Server(f"chan{j}", chip_id=None) for j in range(timing.n_channels)]
         self._chan_base = n_chips
         self._cpc = timing.chips_per_channel
 
@@ -343,14 +321,10 @@ class QueueingEngine:
             self._tel.bus.clock = lambda: self.clock.now_us
 
         #: calendar mode (DESIGN.md 3e): an in-order policy fixes every
-        #: stage's service window at dispatch, so untraced closed-loop
-        #: runs schedule one completion event per request instead of one
-        #: per stage.  Traced runs keep the segment path, whose DONE
-        #: events emit the ``sim.service`` spans in their order; so do
-        #: open-loop runs, whose arrivals can tie with stage ends.
-        self._calendar = (
-            policy.in_order and self._tel is None and arrivals.closed_loop
-        )
+        #: stage's service window at dispatch, so its runs schedule one
+        #: completion event per request instead of one per stage.  The
+        #: policy alone decides: telemetry and the arrival process do not.
+        self._calendar: bool = policy.in_order
         #: calendar mode: min-heap of (end, duration) of sanitize-tagged
         #: cell stages not yet taken off the backlog series.
         self._backlog_ends: list[tuple[float, float]] = []
@@ -481,7 +455,6 @@ class QueueingEngine:
         inflight, ops = self._admit(index)
         now = self.clock.now_us
         deferring = isinstance(self.policy, DeferLocksPolicy)
-        in_order = self.policy.in_order
         # the ops loop runs once per captured flash op; hoist the
         # per-iteration attribute walks out of it
         timing = self.timing
@@ -513,14 +486,6 @@ class QueueingEngine:
                 )
                 first.successor = second
                 self._enqueue(server, first)
-                if in_order:
-                    # the second stage sits unready in its server's queue;
-                    # under the FIFO discipline an unready head stalls the
-                    # server, reproducing the open-loop model's
-                    # in-submission-order resource reservation (and its
-                    # head-of-line blocking) exactly
-                    second[1].ready = False
-                    self._enqueue(*second)
             else:
                 # the FlashOp carries the attribution (lock/scrub pulses
                 # always; reads/programs/erases when the FTL captured
@@ -550,10 +515,10 @@ class QueueingEngine:
         """Calendar mode: reserve every stage's service window now.
 
         In-order service starts each stage at
-        ``max(server free-at, now, previous stage's end)`` -- the moment
-        the segment path would start it -- so the whole schedule, and the
-        request's completion time, is known here.  One completion event
-        is scheduled at the latest stage end.
+        ``max(server free-at, now, previous stage's end)``, so the whole
+        schedule, and the request's completion time, is known here.  Each
+        stage's ``sim.service`` span is published as it is reserved, and
+        one completion event is scheduled at the latest stage end.
         """
         inflight, ops = self._admit(index)
         now = self.clock.now_us
@@ -568,6 +533,7 @@ class QueueingEngine:
         cpc = self._cpc
         backlog_add = 0.0
         backlog_ends = self._backlog_ends
+        traced = self._tel is not None
         done = now
         n_segments = 0
         for op in ops:
@@ -602,6 +568,9 @@ class QueueingEngine:
             first.free_at = end
             first.busy_us += end - start
             first.token += 1
+            if traced:
+                # a span stamped at its start: no reordering needed
+                self._publish_service(kind, first, start, end)
             cell_end = end
             if second is not None:
                 # the second stage is unready until the first ends, after
@@ -616,6 +585,8 @@ class QueueingEngine:
                 second.free_at = end
                 second.busy_us += end - start
                 second.token += 1
+                if traced:
+                    self._publish_service(kind, second, start, end)
                 n_segments += 2
                 if second is chip:
                     cell_end = end
@@ -643,13 +614,27 @@ class QueueingEngine:
         self._seq += n_segments
         self._schedule(done, _EV_COMPLETE, inflight, count=n_segments)
 
+    def _publish_service(
+        self, kind: OpKind, server: Server, start: float, end: float
+    ) -> None:
+        """Publish one stage's ``sim.service`` span: a chip serves the
+        ``cell`` stage, a channel the ``xfer`` stage."""
+        self._tel.bus.complete(
+            "sim.service",
+            kind.value,
+            ts_us=start,
+            dur_us=end - start,
+            tid=server.key,
+            args={"stage": "xfer" if server.chip_id is None else "cell"},
+        )
+
     def _retire(self, now: float) -> int:
         """Calendar mode: drop the reserved stages that have started by
         the time this arrival is handled; returns the queued count.
 
-        Every stage starting at or before ``now`` has, since on the
-        segment path every event at ``now`` precedes a closed-loop
-        arrival: the completion that releases it is handled at ``now``.
+        A stage starting at or before ``now`` counts as started, so
+        ``queued_segments`` is the number of reserved stages still
+        waiting strictly after the arrival instant.
         """
         queued = self.queued_segments
         for server in self.servers:
@@ -705,14 +690,9 @@ class QueueingEngine:
     ) -> None:
         segment.seq = self._seq
         self._seq += 1
-        if self._fifo_queues:
-            # a priority override (lock-drain flush) cannot reach a FIFO
-            # queue: only DeferLocksPolicy defers, and it is priority-based
-            server.queue.append(segment)
-        else:
-            if priority is None:
-                priority = self.policy.priority(segment)
-            heapq.heappush(server.queue, (priority, segment.seq, segment))
+        if priority is None:
+            priority = self.policy.priority(segment)
+        heapq.heappush(server.queue, (priority, segment.seq, segment))
         self.queued_segments += 1
         if self.queued_segments > self.queued_segments_peak:
             self.queued_segments_peak = self.queued_segments
@@ -745,16 +725,9 @@ class QueueingEngine:
         self.suspensions += 1
 
     def _start_next(self, server: Server) -> None:
-        queue = server.queue
-        if server.current is not None or not queue:
+        if server.current is not None or not server.queue:
             return
-        segment = queue[0] if self._fifo_queues else queue[0][2]
-        if not segment.ready:
-            return  # in-order mode: head-of-line stall until ready
-        if self._fifo_queues:
-            queue.popleft()
-        else:
-            heapq.heappop(queue)
+        segment = heapq.heappop(server.queue)[2]
         self.queued_segments -= 1
         now = self.clock.now_us
         server.current = segment
@@ -773,13 +746,8 @@ class QueueingEngine:
         now = self.clock.now_us
         server.busy_us += now - server.current_start_us
         if self._tel is not None:
-            self._tel.bus.complete(
-                "sim.service",
-                segment.kind.value,
-                ts_us=server.current_start_us,
-                dur_us=now - server.current_start_us,
-                tid=server.key,
-                args={"stage": segment.stage},
+            self._publish_service(
+                segment.kind, server, server.current_start_us, now
             )
             if segment.drain is not None:
                 batch = segment.drain
@@ -812,13 +780,7 @@ class QueueingEngine:
             self._sanitize_backlog_us = backlog_us
             self.sanitize_backlog.record(now, backlog_us)
         if segment.successor is not None:
-            target, successor = segment.successor
-            if self.policy.in_order:
-                successor.ready = True  # queued at dispatch
-                if target.current is None:
-                    self._start_next(target)
-            else:
-                self._enqueue(target, successor)
+            self._enqueue(*segment.successor)
         if segment.request is not None:
             segment.request.remaining -= 1
             if segment.request.remaining == 0:

@@ -1,10 +1,11 @@
 """Scheduling policies: how a chip/channel picks its next operation.
 
-Each simulated resource serves one operation segment at a time from a
-priority queue ordered by ``(priority(segment), enqueue seq)``.  The
-policy decides the priority, whether in-service cell operations can be
-suspended for reads, and whether sanitization lock pulses are deferred
-out of the request critical path:
+Each simulated resource serves one operation segment at a time.  The
+policy decides the order (``fifo`` reserves stages in submission order;
+the others serve a priority queue ordered by ``(priority(segment),
+enqueue seq)``), whether in-service cell operations can be suspended
+for reads, and whether sanitization lock pulses are deferred out of the
+request critical path:
 
 * :class:`FifoPolicy` -- strict arrival order (the open-loop model's
   implicit discipline; the agreement cross-check runs under it);
@@ -60,7 +61,8 @@ class SchedulingPolicy:
     #: extra chip time when a suspended cell op resumes (re-ramp cost).
     resume_overhead_us = 0.0
     #: reserve both stages of two-stage ops in submission order (the
-    #: open-loop model's discipline, incl. head-of-line blocking); the
+    #: open-loop model's discipline, incl. head-of-line blocking), which
+    #: the engine does at dispatch on its calendar path; the
     #: work-conserving policies dispatch a stage only when it is ready.
     in_order = False
 

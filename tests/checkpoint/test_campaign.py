@@ -242,10 +242,12 @@ class TestCorruptionRecovery:
         recovery = final.run.extra["checkpoint_recovery"]
         assert [r["reason"] for r in recovery] == ["audit-failed"]
 
+    @pytest.mark.parametrize("version", [4, 5])
     def test_format_v4_generation_is_quarantined_as_stale(
-        self, ck_config, tmp_path
+        self, ck_config, tmp_path, version
     ):
-        # v4 chips carried a ``stats`` payload; such a generation must be
+        # v4 chips carried a ``stats`` payload and v5 traced engines wrote
+        # their segment-path event order; such a generation must be
         # quarantined unread, and the resume must fall back past it
         reference = run_chunked_simulation(
             ck_config, "MailServer", "secSSD", tmp_path / "ref", EVERY, **KW
@@ -257,7 +259,7 @@ class TestCorruptionRecovery:
         )
         mpath = newest_gen(directory) / "MANIFEST.json"
         manifest = json.loads(mpath.read_text())
-        manifest["format_version"] = 4
+        manifest["format_version"] = version
         mpath.write_text(canonical_dumps(manifest))
         final = run_chunked_simulation(
             ck_config, "MailServer", "secSSD", directory, EVERY,
@@ -266,7 +268,9 @@ class TestCorruptionRecovery:
         assert final.to_json() == reference.to_json()
         [report] = final.run.extra["checkpoint_recovery"]
         assert report["reason"] == "stale-version"
-        assert report["detail"] == f"format_version=4, expected {FORMAT_VERSION}"
+        assert report["detail"] == (
+            f"format_version={version}, expected {FORMAT_VERSION}"
+        )
         assert (directory / "quarantine" / report["quarantined_to"]).is_dir()
 
     def test_every_generation_corrupt_is_a_clean_error(
@@ -331,8 +335,11 @@ class TestCampaignManifest:
                 resume=True, **KW,
             )
 
-    def test_format_v4_directory_is_refused_in_one_line(self, tmp_path, capsys):
-        # a whole directory written by the v4 format fingerprints its
+    @pytest.mark.parametrize("version", [4, 5])
+    def test_format_v4_directory_is_refused_in_one_line(
+        self, tmp_path, capsys, version
+    ):
+        # a whole directory written by an older format fingerprints its
         # format in campaign.json, so resume names it before any restore
         argv = [
             "simulate", "--workload", "MailServer", "--variants", "secSSD",
@@ -345,7 +352,7 @@ class TestCampaignManifest:
         for path in (tmp_path / "secSSD").rglob("*.json"):
             payload = json.loads(path.read_text())
             if isinstance(payload, dict) and "format_version" in payload:
-                payload["format_version"] = 4
+                payload["format_version"] = version
                 path.write_text(canonical_dumps(payload))
         assert main(argv + ["--resume"]) == 2
         assert capsys.readouterr().out.splitlines() == [

@@ -47,8 +47,8 @@ class TestPLock:
         # the chip's record of issued pLocks is its pAP flag state
         chip.plock(0)
         chip.plock(1)
-        assert chip.locked_page_count() == 2
-        assert [chip.page_locked(p) for p in range(3)] == [True, True, False]
+        pages = range(chip.geometry.pages_per_block)
+        assert [chip.page_locked(p) for p in pages] == [p in (0, 1) for p in pages]
 
     def test_plock_records_wordline_disturb(self, chip):
         chip.plock(0)
@@ -160,7 +160,8 @@ class TestForensics:
     def test_locked_page_count(self, chip):
         chip.plock(0)
         chip.plock(5)
-        assert chip.locked_page_count() == 2
+        pages = range(chip.geometry.pages_per_block)
+        assert [chip.page_locked(p) for p in pages] == [p in (0, 5) for p in pages]
 
 
 class TestRetentionIntegration:

@@ -16,7 +16,10 @@ from repro.sim import (
     simulate_workload,
 )
 from repro.ftl.request import IoRequest, RequestOp
+from repro.sim.runner import build_engine
+from repro.ssd.config import scaled_config
 from repro.ssd.device import SSD
+from repro.telemetry import Telemetry
 
 
 def _engine(config, requests, policy=None, queue_depth=8):
@@ -200,3 +203,26 @@ class TestDeferral:
         assert result.report.deferred_lock_pulses == 0
         assert result.report.lock_drains == 0
         assert result.report.suspensions == 0
+
+
+class TestTracingInvariance:
+    @pytest.mark.parametrize("variant", ["secSSD", "erSSD"])
+    def test_traced_engine_ends_in_the_untraced_state(self, variant):
+        config = scaled_config(8, 4)
+        requests, steady_start = capture_block_trace(
+            config, "MailServer", write_multiplier=0.5
+        )
+        states = []
+        for telemetry in (None, Telemetry()):
+            engine = build_engine(
+                config, variant, requests, steady_start, seed=1,
+                policy=FifoPolicy(), arrivals=ClosedLoopArrivals(8),
+                checked=False, check_interval=None, faults=None,
+                telemetry=telemetry,
+            )
+            engine.run()
+            states.append(engine.state_dict())
+        # raw latency lists, unsorted: telemetry must not change the order
+        # in which requests complete
+        untraced, traced = states
+        assert traced == untraced
