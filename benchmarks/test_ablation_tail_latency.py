@@ -11,32 +11,36 @@ from __future__ import annotations
 
 from conftest import run_once
 
+from repro.analysis.latency import request_work
 from repro.analysis.tables import render_table
 from repro.ftl.request import RequestOp
-from repro.host.filesystem import FileSystem
-from repro.host.trace import TraceReplayer
+from repro.sim.runner import capture_generator_trace
 from repro.ssd.device import SSD
 from repro.workloads import WORKLOADS
 
 VARIANTS = ("baseline", "secSSD", "scrSSD", "erSSD")
 
 
-def _run(variant: str, config):
-    ssd = SSD(config, variant)
-    generator = WORKLOADS["DBServer"](capacity_pages=config.logical_pages, seed=4)
-    TraceReplayer(FileSystem(ssd)).replay(generator.ops(write_multiplier=1.0))
-    return ssd
-
-
 def test_ablation_write_tails(benchmark, versioning_config):
+    # one DBServer trace (setup + one capacity of steady writes) for all
+    generator = WORKLOADS["DBServer"](
+        capacity_pages=versioning_config.logical_pages, seed=4
+    )
+    requests, _ = capture_generator_trace(
+        versioning_config, generator, versioning_config.logical_pages
+    )
     runs = run_once(
-        benchmark, lambda: {v: _run(v, versioning_config) for v in VARIANTS}
+        benchmark,
+        lambda: {
+            v: request_work(SSD(versioning_config, v), requests)
+            for v in VARIANTS
+        },
     )
 
     rows = []
     p99 = {}
-    for variant, ssd in runs.items():
-        summary = ssd.work_log.summary_for(RequestOp.WRITE)
+    for variant, work in runs.items():
+        summary = work.summary_for(RequestOp.WRITE)
         p99[variant] = summary["p99_us"]
         rows.append(
             [

@@ -45,10 +45,10 @@ from repro.analysis.tables import render_table
 from repro.checkpoint.campaign import run_chunked_simulation
 from repro.checkpoint.store import CheckpointStore
 from repro.ssd.config import SSDConfig
+from repro.telemetry import MetricsRegistry
 
 if TYPE_CHECKING:
     from repro.analysis.progress import ProgressReporter
-    from repro.telemetry import Telemetry
 
 #: the Figure-14 comparison set, in canonical (grid) order.
 AGING_VARIANTS = ("baseline", "secSSD", "erSSD", "scrSSD")
@@ -116,7 +116,6 @@ def run_aging_campaign(
     jobs: int = 1,
     stop_after: int | None = None,
     progress: "ProgressReporter | None" = None,
-    telemetry: "Telemetry | None" = None,
 ) -> dict[str, Any]:
     """Run the per-variant lifetime campaign grid; merge the reports.
 
@@ -172,8 +171,6 @@ def run_aging_campaign(
         task.variant: result
         for task, result in zip(tasks, grid.results)
     }
-    if telemetry is not None:
-        _publish_gauges(telemetry, reports)
     return {
         "workload": workload,
         "pe_limit": config.pe_limit,
@@ -183,13 +180,12 @@ def run_aging_campaign(
     }
 
 
-def _publish_gauges(
-    telemetry: "Telemetry", reports: dict[str, dict[str, Any]]
-) -> None:
-    """Fold per-variant wear gauges into a telemetry session."""
+def wear_gauges(reports: dict[str, dict[str, Any]]) -> dict[str, object]:
+    """Per-variant wear gauges of a finished campaign's reports, as a
+    :class:`~repro.telemetry.MetricsRegistry` snapshot."""
+    metrics = MetricsRegistry()
     for variant, report in reports.items():
         wear = report["wear"]
-        metrics = telemetry.metrics
         metrics.gauge(f"age.{variant}.erase_spread").set(
             float(wear["max_erases"] - wear["min_erases"])
         )
@@ -202,6 +198,7 @@ def _publish_gauges(
         metrics.gauge(f"age.{variant}.retired_blocks").set(
             float(report["grown_bad_blocks"])
         )
+    return metrics.snapshot()
 
 
 def format_lifetime(payload: dict[str, Any]) -> str:

@@ -22,15 +22,23 @@ Run with ``checked=True`` (the default here) the runtime sanitizer
 probes every sanitized page for real unreadability *while* deferral is
 active -- the study asserts the paper's latency win without weakening
 its security claim.
+
+:func:`request_work` is the queue-free companion: the flash work each
+request puts on the device, which is where a sanitization storm shows
+before any queueing spreads it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
+from repro.ftl.request import IoRequest, RequestOp
 from repro.sim.arrivals import ArrivalProcess, ClosedLoopArrivals
 from repro.sim.policies import DeferLocksPolicy, ReadPriorityPolicy, SchedulingPolicy
 from repro.sim.runner import SimResult, capture_block_trace, simulate_trace
 from repro.ssd.config import SSDConfig
-from repro.telemetry.histogram import PERCENTILES
+from repro.ssd.device import SSD
+from repro.telemetry.histogram import PERCENTILES, SampleLog
 
 from repro.analysis.tables import render_table
 
@@ -52,6 +60,25 @@ def policy_for_variant(variant: str) -> SchedulingPolicy:
     if variant.startswith("secSSD"):
         return DeferLocksPolicy(max_pending=8)
     return ReadPriorityPolicy()
+
+
+def request_work(ssd: SSD, requests: Iterable[IoRequest]) -> SampleLog:
+    """Submit ``requests`` to ``ssd``; log each one's device work.
+
+    A request's work is how far it advances the device's summed flash
+    busy time (``timing.total_work_us``): its own reads and programs
+    plus every GC, relocation, lock or erase it triggers, with no
+    queueing.  The log is keyed by request class.
+    """
+    log = SampleLog(RequestOp)
+    timing = ssd.ftl.timing
+    before = timing.total_work_us
+    for request in requests:
+        ssd.submit(request)
+        after = timing.total_work_us
+        log.add(request.op, after - before)
+        before = after
+    return log
 
 
 def run_tail_latency_study(

@@ -12,8 +12,7 @@ names the subsystem, not a byte offset:
 ``faults``     fault-plan cursor, RNG stream, injected-fault log
 ``timing``     busy clocks and work accumulators (t_* validated)
 ``checker``    the runtime sanitizer's shadow state (checked runs)
-``worklog``    per-request device-work samples
-``telemetry``  metrics registry + trace-bus retention accounting
+``telemetry``  trace-bus retention accounting (traced runs)
 ``events``     the trace events appended since the last generation
                (a :class:`~repro.checkpoint.store.Segment`)
 ``engine``     sim clock, arrival cursor, latency/depth recorders
@@ -100,8 +99,9 @@ def snapshot_device(
         ),
         "timing": ftl.timing.state_dict(),
         "checker": None if ftl.checker is None else ftl.checker.state_dict(),
-        "worklog": ssd.work_log.state_dict(),
-        "telemetry": None if telemetry is None else telemetry.state_dict(),
+        "telemetry": (
+            None if telemetry is None else {"bus": telemetry.bus.state_dict()}
+        ),
     }
     if telemetry is not None:
         bus = telemetry.bus
@@ -160,7 +160,6 @@ def restore_device(
                 "restored device is checked"
             )
         ftl.checker.load_state_dict(checker)
-    ssd.work_log.load_state_dict(sections["worklog"])
     telemetry = sections.get("telemetry")
     if telemetry is not None and ssd.telemetry is not None:
         # a store load yields the chain's payloads, an in-memory
@@ -168,7 +167,7 @@ def restore_device(
         events = sections.get(EVENTS, [])
         if isinstance(events, Segment):
             events = [events.payload]
-        ssd.telemetry.load_state_dict(telemetry, events)
+        ssd.telemetry.bus.load_state_dict(telemetry["bus"], events)
     if engine is not None:
         engine.load_state_dict(sections["engine"])
     if audit:

@@ -90,7 +90,9 @@ __all__ = [
 #: v6: traced ``fifo`` engines take the calendar path, so the events
 #: segments hold ``sim.service`` spans in reservation order and the
 #: engine's ``latency`` lists are in calendar completion order.
-FORMAT_VERSION = 6
+#: v7: no ``worklog`` section (the device keeps no per-request log),
+#: and the ``telemetry`` section holds only the trace bus's state.
+FORMAT_VERSION = 7
 
 _MANIFEST = "MANIFEST.json"
 _GEN_PREFIX = "gen-"

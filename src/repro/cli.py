@@ -741,15 +741,14 @@ def cmd_age(args: argparse.Namespace) -> int:
         AGING_VARIANTS,
         format_lifetime,
         run_aging_campaign,
+        wear_gauges,
     )
     from repro.analysis.parallel import GridTaskError
     from repro.checkpoint import CampaignMismatchError, CheckpointError
     from repro.ftl.allocator import OutOfBlocksError
-    from repro.telemetry import Telemetry
 
     variants = _variants(args, AGING_VARIANTS)
     config = _config(args)
-    telemetry = Telemetry()
 
     def _died(exc: OutOfBlocksError) -> int:
         print(f"age: device died mid-window ({exc})")
@@ -775,7 +774,6 @@ def cmd_age(args: argparse.Namespace) -> int:
                 jobs=args.jobs,
                 stop_after=args.stop_after,
                 progress=_progress(args),
-                telemetry=telemetry,
             )
         except OutOfBlocksError as exc:
             return _died(exc)
@@ -798,7 +796,7 @@ def cmd_age(args: argparse.Namespace) -> int:
         from repro.checkpoint.codec import canonical_dumps
 
         report = dict(payload)
-        report["gauges"] = telemetry.metrics.snapshot()
+        report["gauges"] = wear_gauges(payload["reports"])
         Path(args.json).write_text(canonical_dumps(report))
         print(f"lifetime report written to {args.json}")
     return 0

@@ -89,9 +89,9 @@ class DeviceStats:
     def to_dict(self) -> dict[str, int]:
         """Every counter field, losslessly (no derived quantities).
 
-        Unlike :meth:`snapshot` -- which is a report and mixes in the
-        computed WAF -- this is a round-trippable serialization: the
-        keys are exactly the dataclass fields, so
+        A round-trippable serialization: the keys are exactly the
+        dataclass fields (derived quantities such as :attr:`waf` are
+        not among them), so
         ``DeviceStats.from_dict(stats.to_dict()) == stats``.
         """
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -105,50 +105,20 @@ class DeviceStats:
             raise ValueError(f"unknown DeviceStats fields: {sorted(unknown)}")
         return cls(**data)
 
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "host_reads": self.host_reads,
-            "host_writes": self.host_writes,
-            "host_trims": self.host_trims,
-            "flash_reads": self.flash_reads,
-            "flash_programs": self.flash_programs,
-            "flash_erases": self.flash_erases,
-            "gc_copies": self.gc_copies,
-            "gc_invocations": self.gc_invocations,
-            "plocks": self.plocks,
-            "block_locks": self.block_locks,
-            "scrubs": self.scrubs,
-            "relocation_copies": self.relocation_copies,
-            "sanitize_erases": self.sanitize_erases,
-            "refreshes": self.refreshes,
-            "refresh_copies": self.refresh_copies,
-            "wear_levelings": self.wear_levelings,
-            "wear_level_copies": self.wear_level_copies,
-            "waf": self.waf,
-            **self.robustness(),
-        }
-
 
 @dataclass
 class RunResult:
-    """Outcome of replaying one workload on one SSD configuration."""
+    """Outcome of replaying one workload on one SSD configuration.
+
+    The device's side only: a closed-loop run's latency percentiles and
+    per-resource utilization are the engine's, on its ``EngineReport``.
+    """
 
     name: str
     stats: DeviceStats
     elapsed_us: float
-    extra: dict[str, float] = field(default_factory=dict)
-    #: per-request end-to-end latency percentiles by request class
-    #: (``{"read": {"p50_us": ..., "p99_us": ...}, ...}``) -- populated
-    #: by closed-loop runs through :mod:`repro.sim`; empty for open-loop
-    #: replays, whose occupancy model has no per-request completion time.
-    latency: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: busy fraction per simulated resource (``chip0`` .. ``chanN``) --
-    #: populated by :mod:`repro.sim` runs.
-    utilization: dict[str, float] = field(default_factory=dict)
-    #: telemetry snapshot (counters/gauges/histograms + trace retention
-    #: accounting) -- populated when the run carried a
-    #: :class:`~repro.telemetry.Telemetry` session; empty otherwise.
-    telemetry: dict[str, object] = field(default_factory=dict)
+    #: a checkpointed campaign's ``"checkpoint_recovery"`` reports.
+    extra: dict[str, object] = field(default_factory=dict)
 
     @property
     def iops(self) -> float:

@@ -31,7 +31,6 @@ class FileInfo:
     flags: OpenFlags = OpenFlags.NONE
     #: LPA of each page of the file, indexed by page offset within file.
     lpas: list[int] = field(default_factory=list)
-    created_tick: int = 0
     deleted: bool = False
     #: derived from ``flags`` (fixed at open), once: the file's data must
     #: be tracked as secured.

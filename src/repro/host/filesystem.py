@@ -64,12 +64,7 @@ class FileSystem:
         """Create an empty file; fails if the name exists."""
         if name in self._by_name:
             raise FileSystemError(f"file exists: {name!r}")
-        info = FileInfo(
-            fid=self._next_fid,
-            name=name,
-            flags=flags,
-            created_tick=self.ssd.ftl.logical_time,
-        )
+        info = FileInfo(fid=self._next_fid, name=name, flags=flags)
         self._next_fid += 1
         self._files[info.fid] = info
         self._by_name[name] = info

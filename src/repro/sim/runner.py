@@ -10,8 +10,13 @@ and then dispatched by the event engine with queueing applied.  The
 capture also marks where the generator's setup (pre-fill) phase ends, so
 latency percentiles cover only steady state.
 
-:func:`simulate_workload` is the one entry point the CLI, benchmarks,
-and examples share.
+The CLI, the studies and the fleet render a trace once
+(:func:`capture_block_trace`, or :func:`capture_generator_trace` for a
+fleet device's tenants) and hand it to :func:`simulate_trace` for every
+variant; :func:`simulate_workload` renders and simulates in one
+call.  Both, and the checkpointed campaigns
+(:mod:`repro.checkpoint.campaign`), build their engine with
+:func:`build_engine`.
 """
 
 from __future__ import annotations
@@ -33,18 +38,11 @@ from repro.telemetry import Telemetry
 from repro.workloads import WORKLOADS
 
 
-class _CaptureFtl:
-    """Just enough FTL surface for :class:`FileSystem` (logical_time)."""
-
-    logical_time = 0
-
-
 class _CaptureDevice:
     """Stub device that records the block requests a trace generates."""
 
     def __init__(self, logical_pages: int) -> None:
         self.logical_pages = logical_pages
-        self.ftl = _CaptureFtl()
         self.requests: list[IoRequest] = []
         #: record a request (the list's own ``append``, no wrapper frame)
         self.submit = self.requests.append
@@ -217,9 +215,6 @@ def assemble_result(
 ) -> SimResult:
     """The :class:`SimResult` of a finished engine and its report."""
     ssd = engine.ssd
-    run = ssd.result()
-    run.latency = report.latency
-    run.utilization = report.utilization
     return SimResult(
         workload=workload,
         variant=variant,
@@ -228,7 +223,7 @@ def assemble_result(
         requests=len(engine.requests),
         steady_start=engine.steady_start,
         report=report,
-        run=run,
+        run=ssd.result(),
         device=ssd,
     )
 
@@ -251,11 +246,13 @@ def simulate_workload(
 
     The captured block trace is identical for every variant at a given
     (config, workload, seed), so cross-variant comparisons see the same
-    host traffic.  The returned :class:`RunResult` carries the engine's
-    latency percentiles and per-resource utilization alongside the usual
-    functional statistics.  Passing a :class:`~repro.telemetry.Telemetry`
-    session records the run's structured event trace and metrics (the
-    engine points the trace clock at the simulated time base).
+    host traffic.  The result's :class:`EngineReport` carries the
+    latency percentiles and per-resource utilization, its
+    :class:`RunResult` the device's functional statistics.  Passing a
+    :class:`~repro.telemetry.Telemetry` session records the run's
+    structured event trace (the engine points the trace clock at the
+    simulated time base); it only observes, so the returned result
+    equals the untraced run's.
     """
     requests, steady_start = capture_block_trace(
         config,

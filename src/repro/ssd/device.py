@@ -14,12 +14,11 @@ from repro.faults import FaultPlan
 from repro.ftl import FTL_VARIANTS
 from repro.ftl.base import PageMappedFtl
 from repro.ftl.observer import FtlObserver, NullObserver
-from repro.ftl.request import IoRequest, RequestOp
+from repro.ftl.request import IoRequest
 from repro.ftl.stats import RunResult
 from repro.ssd.config import SSDConfig
 from repro.telemetry import Telemetry
 from repro.telemetry.bridge import TelemetryObserver
-from repro.telemetry.histogram import SampleLog
 
 
 class SSD:
@@ -57,10 +56,14 @@ class SSD:
         session: a :class:`~repro.telemetry.bridge.TelemetryObserver`
         is chained in front of ``observer`` (so the sanitizer, when
         ``checked``, still audits the same stream), the trace clock
-        defaults to the FTL's occupancy clock, the fault injector gains
-        an event tap, and :meth:`result` snapshots the metrics registry
-        into ``RunResult.telemetry``.  ``None`` (the default) keeps the
-        untraced hot path unchanged.
+        defaults to the FTL's occupancy clock, and the fault injector
+        gains an event tap.  The session only observes: a traced run's
+        :meth:`result` equals the untraced run's.  ``None`` (the
+        default) keeps the untraced hot path unchanged.
+
+        The device keeps no per-request log; a study that wants each
+        request's flash work measures it around the requests it replays
+        (:func:`repro.analysis.latency.request_work`).
         """
         if ftl_class is None:
             if variant not in FTL_VARIANTS:
@@ -96,8 +99,6 @@ class SSD:
                 self.telemetry.bus.clock = lambda: self.ftl.timing.elapsed_us
             if self.ftl.fault_injector is not None:
                 self.ftl.fault_injector.bus = self.telemetry.bus
-        #: per-request device-work log (sanitization-tail analysis).
-        self.work_log = SampleLog(RequestOp)
 
     # ------------------------------------------------------------------
     @property
@@ -135,17 +136,7 @@ class SSD:
         self.ftl.timing = timing
 
     def submit(self, request: IoRequest) -> None:
-        before = self._busy_total()
         self.ftl.submit(request)
-        work_us = self._busy_total() - before
-        self.work_log.add(request.op, work_us)
-        if self.telemetry is not None:
-            self.telemetry.metrics.histogram(
-                f"request_work_us.{request.op.value}"
-            ).observe(work_us)
-
-    def _busy_total(self) -> float:
-        return self.ftl.timing.total_work_us
 
     def replay(self, requests: Iterable[IoRequest]) -> RunResult:
         """Replay a request stream and return the run metrics."""
@@ -158,15 +149,6 @@ class SSD:
             name=self.variant,
             stats=self.ftl.stats,
             elapsed_us=self.ftl.elapsed_us(),
-            extra={
-                "logical_time": float(self.ftl.logical_time),
-                "chip_utilization_max": max(
-                    self.ftl.timing.utilization(), default=0.0
-                ),
-            },
-            telemetry=(
-                self.telemetry.snapshot() if self.telemetry is not None else {}
-            ),
         )
 
     # ------------------------------------------------------------------

@@ -1,21 +1,24 @@
-"""Unified telemetry: event bus, metrics registry, spans, exporters.
+"""Unified telemetry: event bus, spans, metrics registry, exporters.
 
 One :class:`Telemetry` session rides along with one SSD run and bundles
-the three instruments every layer publishes into:
+the two instruments every layer publishes into:
 
 * :attr:`Telemetry.bus` -- the structured :class:`~repro.telemetry.
   events.TraceBus` (ring-buffered, category-sampled trace events on the
   simulated clock, stored as columns; ``bus.events`` builds
   :class:`~repro.telemetry.events.TraceEvent` objects on demand);
-* :attr:`Telemetry.metrics` -- the :class:`~repro.telemetry.metrics.
-  MetricsRegistry` (counters/gauges/fixed-bucket histograms);
 * :attr:`Telemetry.tracer` -- the :class:`~repro.telemetry.spans.
   Tracer` for nested macro-phase spans (GC, lock batches, relocation
   storms, recovery scans).
 
+A session counts nothing: every count of a run has one owner,
+``DeviceStats`` for the device and ``EngineReport`` for the engine.
+The :class:`~repro.telemetry.metrics.MetricsRegistry` is a standalone
+report builder (fleet metrics, aging gauges), not part of a session.
+
 **Zero cost when disabled** is the design contract: the module-level
-:data:`DISABLED` singleton reports ``enabled=False``, carries no bus or
-registry, and hands out one shared no-op span.  Emitters either hold a
+:data:`DISABLED` singleton reports ``enabled=False``, carries no bus,
+and hands out one shared no-op span.  Emitters either hold a
 reference to :data:`DISABLED` (FTL spans -- a handful per GC round) or
 are simply not installed at all (the observer bridge, the engine's
 per-segment hooks), so the per-operation hot path of an untraced run
@@ -25,14 +28,15 @@ Wiring: pass ``Telemetry()`` as the ``telemetry=`` argument of
 :class:`repro.ssd.device.SSD` / :func:`repro.sim.runner.
 simulate_workload`, then export ``tel.bus.events`` via
 :mod:`repro.telemetry.export`; the audit layer reads
-``tel.bus.columns()`` instead.  The ``repro trace`` subcommand and the
+``tel.bus.columns()`` instead; a checkpoint carries ``tel.bus``'s
+state.  The ``repro trace`` subcommand and the
 ``--trace-out`` flags of ``repro simulate`` / ``repro torture`` do all
 of that in one step.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 from repro.telemetry.events import TraceBus, TraceEvent
 from repro.telemetry.histogram import (
@@ -57,30 +61,7 @@ class Telemetry:
         sample: Mapping[str, int] | None = None,
     ) -> None:
         self.bus = TraceBus(capacity=capacity, sample=sample)
-        self.metrics = MetricsRegistry()
         self.tracer = Tracer(self.bus)
-
-    def snapshot(self) -> dict[str, object]:
-        """Metrics plus bus retention accounting, JSON-ready."""
-        out = self.metrics.snapshot()
-        out["trace"] = self.bus.stats()
-        return out
-
-    def state_dict(self) -> dict[str, object]:
-        """Checkpoint payload (see :mod:`repro.checkpoint`): the metrics
-        and the bus accounting; the events go as ``bus.segment()``s."""
-        return {
-            "metrics": self.metrics.state_dict(),
-            "bus": self.bus.state_dict(),
-        }
-
-    def load_state_dict(
-        self,
-        state: dict[str, object],
-        segments: Sequence[dict[str, object]] = (),
-    ) -> None:
-        self.metrics.load_state_dict(state["metrics"])
-        self.bus.load_state_dict(state["bus"], segments)
 
 
 class _DisabledTelemetry:
@@ -88,13 +69,9 @@ class _DisabledTelemetry:
 
     enabled = False
     bus = None
-    metrics = None
 
     def __init__(self) -> None:
         self.tracer = NullTracer()
-
-    def snapshot(self) -> dict[str, object]:
-        return {}
 
 
 #: process-wide disabled session: referenced, never mutated.

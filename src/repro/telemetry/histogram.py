@@ -1,8 +1,9 @@
 """Shared percentile math, per-request sample logs and fixed-bucket histograms.
 
 One nearest-rank implementation serves every consumer -- the
-per-request sample logs (:class:`SampleLog`: the device's work log and
-the engine's latency recorder) and the tail-latency tables
+per-request sample logs (:class:`SampleLog`: the engine's latency
+recorder and the per-request work of
+:func:`repro.analysis.latency.request_work`) and the tail-latency tables
 (:mod:`repro.analysis.latency`) -- so a percentile means the same thing
 in every report.  Nearest-rank is deliberate: it is deterministic, has
 no interpolation ambiguity across platforms, and returns an actually
@@ -83,12 +84,12 @@ def summarize(data: Iterable[float]) -> dict[str, float]:
 class SampleLog:
     """Exact per-request samples, one ``array("d")`` column per class.
 
-    The engine's end-to-end request latencies and the device's
-    per-request flash work are each one of these, keyed by
-    :class:`~repro.ftl.request.RequestOp`; the classes are passed in,
-    so this layer imports nothing above it.  Summaries go through
-    :func:`summarize`, and a checkpoint stores each column as a list
-    keyed by the class's string value.
+    The engine's end-to-end request latencies and a study's
+    per-request flash work (:func:`repro.analysis.latency.request_work`)
+    are each one of these, keyed by :class:`~repro.ftl.request.RequestOp`;
+    the classes are passed in, so this layer imports nothing above it.
+    Summaries go through :func:`summarize`, and a checkpoint stores the
+    engine's columns as lists keyed by the class's string value.
     """
 
     def __init__(self, classes: Iterable[Enum]) -> None:

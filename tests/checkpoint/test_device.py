@@ -143,7 +143,6 @@ class TestEngineState:
         }
         for op in RequestOp:
             columns[f"latency.{op.value}"] = target.latency.samples[op]
-            columns[f"worklog.{op.value}"] = target_ssd.work_log.samples[op]
         for name, column in columns.items():
             assert isinstance(column, array), name
             assert column.typecode == ("q" if name == "depth.levels" else "d"), name

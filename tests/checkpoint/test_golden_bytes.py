@@ -2,9 +2,11 @@
 
 A tiny faulted, telemetered secSSD campaign is checkpointed and a sha256
 is taken over every file of its directory (relative path + content).
-The pinned digest is of format version 6 (telemetry events as
+The pinned digest is of format version 7 (telemetry events as
 append-only segments, block pages as columns, chips without a
-``stats`` key, ``sim.service`` spans in calendar reservation order); any
+``stats`` key, ``sim.service`` spans in calendar reservation order, no
+``worklog`` section, a ``telemetry`` section holding only the trace
+bus's accounting); any
 codec, store or state_dict change that alters a single
 checkpoint byte fails here, and must either be fixed or ship with a
 ``FORMAT_VERSION`` bump and a new digest.
@@ -23,7 +25,7 @@ from repro.faults import FaultKind, FaultPlan
 from repro.ssd.config import scaled_config
 from repro.telemetry import Telemetry
 
-GOLDEN = "af75570907176160f4977271ac03e8d86395a8ceed166189cb7a9c72ddb38984"
+GOLDEN = "03aee6043b8757fdc81c212122f670fe7e86a0056fd473e8976273cf6a879f86"
 
 #: codec tags the pinned campaign must exercise (page-status tables
 #: carry the enums, RNG states the tuples), counted over the newest

@@ -79,10 +79,12 @@ class TestDeviceStats:
         assert DeviceStats(host_writes=10).iops(0.0) == 0.0
 
     def test_snapshot_roundtrip(self):
-        stats = DeviceStats(host_writes=3, plocks=2)
-        snap = stats.snapshot()
+        stats = DeviceStats(host_writes=3, plocks=2, flash_programs=6)
+        snap = stats.to_dict()
         assert snap["host_writes"] == 3
         assert snap["plocks"] == 2
+        assert snap["host_writes_at_first_wearout"] == -1
+        assert stats.waf == 2.0
 
     def test_to_dict_from_dict_round_trip(self):
         stats = DeviceStats(
@@ -91,10 +93,10 @@ class TestDeviceStats:
         assert DeviceStats.from_dict(stats.to_dict()) == stats
 
     def test_to_dict_is_lossless_not_a_report(self):
-        # snapshot() mixes in the computed WAF; to_dict() must not
+        # the computed WAF is a property, never a serialized field
         fields = DeviceStats().to_dict()
         assert "waf" not in fields
-        assert set(DeviceStats().snapshot()) - set(fields) == {"waf"}
+        assert set(fields) == set(DeviceStats.__dataclass_fields__)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown DeviceStats"):

@@ -30,8 +30,8 @@ class TestReplay:
     def test_result_extra_fields(self, tiny_config):
         ssd = SSD(tiny_config, "baseline")
         result = ssd.replay([write(0)])
-        assert "logical_time" in result.extra
-        assert result.extra["logical_time"] == 4.0  # 16 KiB = four 4-KiB ticks
+        assert result.extra == {}  # only a resumed campaign fills it
+        assert ssd.ftl.logical_time == 4  # 16 KiB = four 4-KiB ticks
 
     def test_raw_dump_passthrough(self, tiny_config):
         ssd = SSD(tiny_config, "baseline")

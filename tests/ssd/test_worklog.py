@@ -4,18 +4,19 @@ import random
 
 import pytest
 
+from repro.analysis.latency import request_work
 from repro.ftl.request import RequestOp, read, trim, write
 from repro.ssd.device import SSD
 from repro.telemetry.histogram import SampleLog, percentile
 
 
 def work_log() -> SampleLog:
-    """An empty log of the kind ``SSD.work_log`` keeps."""
+    """An empty log of the kind :func:`request_work` returns."""
     return SampleLog(RequestOp)
 
 
-def p99(ssd, op=RequestOp.WRITE):
-    return ssd.work_log.summary_for(op)["p99_us"]
+def p99(log, op=RequestOp.WRITE):
+    return log.summary_for(op)["p99_us"]
 
 
 class TestWorkLogMechanics:
@@ -79,43 +80,41 @@ class TestWorkLogMechanics:
 
 class TestDeviceIntegration:
     def test_write_work_includes_program_and_transfer(self, tiny_config):
-        ssd = SSD(tiny_config, "baseline")
-        ssd.submit(write(0))
-        work = ssd.work_log.summary_for(RequestOp.WRITE)["max_us"]
+        log = request_work(SSD(tiny_config, "baseline"), [write(0)])
+        work = log.summary_for(RequestOp.WRITE)["max_us"]
         assert work == pytest.approx(
             tiny_config.t_prog_us + tiny_config.t_xfer_us
         )
 
     def test_read_cheaper_than_write(self, tiny_config):
-        ssd = SSD(tiny_config, "baseline")
-        ssd.submit(write(0))
-        ssd.submit(read(0))
-        mean = lambda op: ssd.work_log.summary_for(op)["mean_us"]
+        log = request_work(SSD(tiny_config, "baseline"), [write(0), read(0)])
+        mean = lambda op: log.summary_for(op)["mean_us"]
         assert mean(RequestOp.READ) < mean(RequestOp.WRITE)
 
     def test_trim_on_baseline_is_free(self, tiny_config):
-        ssd = SSD(tiny_config, "baseline")
-        ssd.submit(write(0))
-        ssd.submit(trim(0))
-        assert ssd.work_log.summary_for(RequestOp.TRIM)["max_us"] == 0.0
+        log = request_work(SSD(tiny_config, "baseline"), [write(0), trim(0)])
+        assert log.summary_for(RequestOp.TRIM)["max_us"] == 0.0
 
     def test_secure_trim_costs_one_plock(self, tiny_config):
-        ssd = SSD(tiny_config, "secSSD")
-        ssd.submit(write(0, secure=True))
-        ssd.submit(trim(0))
-        assert ssd.work_log.summary_for(RequestOp.TRIM)["max_us"] == pytest.approx(
+        log = request_work(
+            SSD(tiny_config, "secSSD"), [write(0, secure=True), trim(0)]
+        )
+        assert log.summary_for(RequestOp.TRIM)["max_us"] == pytest.approx(
             tiny_config.t_plock_us
         )
 
 
 class TestSanitizationTails:
     def _churn(self, variant, config, seed=0):
-        ssd = SSD(config, variant)
         rng = random.Random(seed)
         span = int(config.logical_pages * 0.7)
-        for _ in range(config.physical_pages):
-            ssd.submit(write(rng.randrange(span), secure=True))
-        return ssd
+        return request_work(
+            SSD(config, variant),
+            [
+                write(rng.randrange(span), secure=True)
+                for _ in range(config.physical_pages)
+            ],
+        )
 
     def test_erssd_has_catastrophic_write_tails(self, tiny_config):
         """One secured overwrite can cost a whole block of relocations."""
