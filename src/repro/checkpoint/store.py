@@ -92,7 +92,10 @@ __all__ = [
 #: engine's ``latency`` lists are in calendar completion order.
 #: v7: no ``worklog`` section (the device keeps no per-request log),
 #: and the ``telemetry`` section holds only the trace bus's state.
-FORMAT_VERSION = 7
+#: v8: the allocator keeps one open-block cursor per chip (no
+#: ``streams`` map), and ``campaign.json``'s ``config`` drops the GC
+#: stream switch and the five FTL settings that became constants.
+FORMAT_VERSION = 8
 
 _MANIFEST = "MANIFEST.json"
 _GEN_PREFIX = "gen-"

@@ -1,18 +1,12 @@
 """Per-chip block allocation with lazy erase -- Section 5.4.
 
 Each chip keeps a pool of erased free blocks, a pool of *erase-pending*
-GC victims, and one or more open ("active") blocks that absorb page
-writes.  Blocks are erased **lazily**: a GC victim is not erased when it
+GC victims, and one open ("active") block that absorbs every page write
+on the chip, host writes and relocations alike (the paper's FlashBench
+FTL).  Blocks are erased **lazily**: a GC victim is not erased when it
 is reclaimed but right before it is reused, which minimizes the open
 interval (the time a block sits erased before programming) and thus the
 Figure-10 reliability penalty.
-
-Writes are grouped into *streams*: by default everything shares the
-``"host"`` stream (one open block per chip, the paper's FlashBench FTL);
-an FTL may route GC relocations to a separate ``"gc"`` stream so that
-colder relocated data does not intermix with fresh host writes -- the
-classic hot/cold separation whose effect the ablation benchmarks
-quantify.
 """
 
 from __future__ import annotations
@@ -20,9 +14,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
-
-HOST_STREAM = "host"
-GC_STREAM = "gc"
 
 
 class OutOfBlocksError(RuntimeError):
@@ -37,28 +28,15 @@ class OutOfBlocksError(RuntimeError):
 
 
 @dataclass
-class StreamState:
-    """Open-block cursor of one write stream on one chip."""
-
-    active_block: int | None = None
-    next_offset: int = 0
-
-
-@dataclass
 class ChipAllocState:
     """Allocation state for one chip."""
 
     free_blocks: deque[int] = field(default_factory=deque)   # erased, empty
     pending_blocks: deque[int] = field(default_factory=deque)  # lazy-erase queue
-    streams: dict[str, StreamState] = field(default_factory=dict)
     retired: set[int] = field(default_factory=set)  # grown-bad, never reused
-
-    def stream(self, name: str) -> StreamState:
-        state = self.streams.get(name)
-        if state is None:
-            state = StreamState()
-            self.streams[name] = state
-        return state
+    #: the open block's cursor: None, or the block and its next page
+    active_block: int | None = None
+    next_offset: int = 0
 
 
 class BlockAllocator:
@@ -79,7 +57,7 @@ class BlockAllocator:
         for state in self._chips:
             state.free_blocks.extend(range(blocks_per_chip))
         #: optional wear oracle ``(chip_id, block) -> erase_count``.  When
-        #: set (``SSDConfig.wear_aware_allocation``), a stream opens the
+        #: set (``SSDConfig.wear_aware_allocation``), a chip opens the
         #: least-worn reusable block instead of the FIFO head -- dynamic
         #: wear leveling.  Ties break on block index, so the choice is a
         #: pure function of (wear counts, pool membership) and stays
@@ -114,7 +92,6 @@ class BlockAllocator:
             state.free_blocks.clear()
             state.free_blocks.extend(sorted(free))
             state.pending_blocks.clear()
-            state.streams.clear()
             if retired_blocks is not None:
                 state.retired = set(retired_blocks[chip_id])
                 if state.retired.intersection(state.free_blocks):
@@ -131,16 +108,8 @@ class BlockAllocator:
         st = self._chips[chip_id]
         return len(st.free_blocks) + len(st.pending_blocks)
 
-    def active_block(self, chip_id: int, stream: str = HOST_STREAM) -> int | None:
-        return self._chips[chip_id].stream(stream).active_block
-
-    def active_blocks(self, chip_id: int) -> list[int]:
-        """Every stream's open block on a chip (for victim exclusion)."""
-        return [
-            s.active_block
-            for s in self._chips[chip_id].streams.values()
-            if s.active_block is not None
-        ]
+    def active_block(self, chip_id: int) -> int | None:
+        return self._chips[chip_id].active_block
 
     def retire_victim(self, chip_id: int, block: int) -> None:
         """Queue a fully-collected GC victim for lazy erase."""
@@ -159,42 +128,38 @@ class BlockAllocator:
     def retire_block(self, chip_id: int, block: int) -> None:
         """Pull a grown-bad block out of every pool, permanently.
 
-        Idempotent; also drops the block's open-block cursor if a stream
-        happened to have it active (a failed lazy erase at reuse).
+        Idempotent; also drops the chip's open-block cursor if the block
+        was the open one (a failed lazy erase at reuse).
         """
         st = self._chips[chip_id]
         if block in st.free_blocks:
             st.free_blocks.remove(block)
         if block in st.pending_blocks:
             st.pending_blocks.remove(block)
-        for stream in st.streams.values():
-            if stream.active_block == block:
-                stream.active_block = None
-                stream.next_offset = 0
+        if st.active_block == block:
+            st.active_block = None
+            st.next_offset = 0
         st.retired.add(block)
 
     def retired_blocks(self, chip_id: int) -> set[int]:
         return set(self._chips[chip_id].retired)
 
     # ------------------------------------------------------------------
-    def allocate_page(
-        self, chip_id: int, stream: str = HOST_STREAM
-    ) -> tuple[int, int, int | None]:
-        """Pick the next page to program on a chip's stream.
+    def allocate_page(self, chip_id: int) -> tuple[int, int, int | None]:
+        """Pick the next page to program on a chip.
 
         Returns ``(block, page_offset, erase_block)`` where ``erase_block``
         is a block the caller must erase *now* (lazy erase at reuse) or
         ``None``.  Raises ``RuntimeError`` when the chip is out of space --
         the FTL must GC before that happens.
         """
-        chip = self._chips[chip_id]
-        st = chip.stream(stream)
+        st = self._chips[chip_id]
         erase_needed: int | None = None
         if st.active_block is None:
-            if chip.free_blocks:
-                st.active_block = self._pick_block(chip_id, chip.free_blocks)
-            elif chip.pending_blocks:
-                st.active_block = self._pick_block(chip_id, chip.pending_blocks)
+            if st.free_blocks:
+                st.active_block = self._pick_block(chip_id, st.free_blocks)
+            elif st.pending_blocks:
+                st.active_block = self._pick_block(chip_id, st.pending_blocks)
                 erase_needed = st.active_block
             else:
                 raise OutOfBlocksError(
@@ -218,40 +183,24 @@ class BlockAllocator:
         pool.remove(best)
         return best
 
-    def active_position(
-        self, chip_id: int, stream: str = HOST_STREAM
-    ) -> tuple[int, int] | None:
-        """(active block, next offset) for a chip's stream, or None."""
-        st = self._chips[chip_id].stream(stream)
+    def active_position(self, chip_id: int) -> tuple[int, int] | None:
+        """(active block, next offset) for a chip, or None."""
+        st = self._chips[chip_id]
         if st.active_block is None:
             return None
         return st.active_block, st.next_offset
 
-    def stream_of_block(self, chip_id: int, block: int) -> str | None:
-        """Which stream (if any) currently has ``block`` open."""
-        for name, st in self._chips[chip_id].streams.items():
-            if st.active_block == block:
-                return name
-        return None
-
-    def close_active(self, chip_id: int, stream: str = HOST_STREAM) -> int | None:
-        """Abandon a stream's open block (e.g. it must be erased now).
+    def close_active(self, chip_id: int) -> int | None:
+        """Abandon a chip's open block (e.g. it must be erased now).
 
         Returns the closed block's index or None.  The caller owns the
         block afterwards; its unwritten tail pages are lost until erase.
         """
-        st = self._chips[chip_id].stream(stream)
+        st = self._chips[chip_id]
         block = st.active_block
         st.active_block = None
         st.next_offset = 0
         return block
-
-    def active_pages_left(self, chip_id: int, stream: str = HOST_STREAM) -> int:
-        """Unwritten pages remaining in the stream's open block (0 if none)."""
-        st = self._chips[chip_id].stream(stream)
-        if st.active_block is None:
-            return 0
-        return self._pages_per_block - st.next_offset
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict[str, object]:
@@ -263,13 +212,8 @@ class BlockAllocator:
                 {
                     "free_blocks": deque(chip.free_blocks),
                     "pending_blocks": deque(chip.pending_blocks),
-                    "streams": {
-                        name: {
-                            "active_block": st.active_block,
-                            "next_offset": st.next_offset,
-                        }
-                        for name, st in chip.streams.items()
-                    },
+                    "active_block": chip.active_block,
+                    "next_offset": chip.next_offset,
                     "retired": set(chip.retired),
                 }
                 for chip in self._chips
@@ -283,11 +227,6 @@ class BlockAllocator:
         for chip, payload in zip(self._chips, chips):
             chip.free_blocks = deque(payload["free_blocks"])
             chip.pending_blocks = deque(payload["pending_blocks"])
-            chip.streams = {
-                name: StreamState(
-                    active_block=st["active_block"],
-                    next_offset=st["next_offset"],
-                )
-                for name, st in payload["streams"].items()
-            }
+            chip.active_block = payload["active_block"]
+            chip.next_offset = payload["next_offset"]
             chip.retired = set(payload["retired"])

@@ -38,7 +38,7 @@ from repro.flash.errors import (
     WearOutError,
 )
 from repro.flash.wear import WearReadGate
-from repro.ftl.allocator import BlockAllocator, GC_STREAM, HOST_STREAM
+from repro.ftl.allocator import BlockAllocator
 from repro.ftl.gc_policies import VictimView, policy_by_name
 from repro.ftl.mapping import L2PTable, UNMAPPED
 from repro.ftl.observer import FtlObserver, NullObserver
@@ -50,6 +50,17 @@ from repro.telemetry import DISABLED, AnyTelemetry, Telemetry
 
 if TYPE_CHECKING:
     from repro.ssd.config import SSDConfig
+
+#: GC starts when a chip's free+pending blocks drop below this count ...
+GC_THRESHOLD_BLOCKS = 3
+#: ... and stops once the reserve is back up to this many blocks.
+GC_TARGET_BLOCKS = 5
+#: read attempts (first try + retries) before a read surfaces
+#: UncorrectableError to the caller.
+READ_RETRY_LIMIT = 4
+#: program status-fails in one block before it is condemned and retired
+#: to the grown-bad table at its next collection.
+PROGRAM_FAIL_RETIRE_THRESHOLD = 2
 
 
 class InvalidationEvent(NamedTuple):
@@ -314,18 +325,16 @@ class PageMappedFtl:
     # fault-tolerant flash access
     # ------------------------------------------------------------------
     def _read_flash_page(
-        self, chip_id: int, ppn: int, attempts: int | None = None
+        self, chip_id: int, ppn: int, attempts: int = READ_RETRY_LIMIT
     ) -> ReadResult:
         """Read with the bounded retry loop real controllers implement.
 
         Transient sense failures re-roll on the next attempt; torn pages
         fail deterministically and exhaust the budget (``attempts``, by
-        default the configured retry limit).  Every attempt is a real
-        flash read (timed and counted); the final failure re-raises for
-        the caller to translate.
+        default :data:`READ_RETRY_LIMIT`).  Every attempt is a real flash
+        read (timed and counted); the final failure re-raises for the
+        caller to translate.
         """
-        if attempts is None:
-            attempts = self.config.read_retry_limit
         chip_read = self.chips[chip_id].read_page
         timing_read = self.timing.read
         stats = self.stats
@@ -344,24 +353,18 @@ class PageMappedFtl:
                 return result
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _reread_live_page(
-        self, chip_id: int, ppn: int, error: UncorrectableError
-    ) -> ReadResult:
-        """Finish reading a live page whose first read raised ``error``.
+    def _reread_live_page(self, chip_id: int, ppn: int) -> ReadResult:
+        """Finish reading a live page whose first read attempt failed.
 
-        Accounts that attempt, spends the rest of the retry budget, then
-        falls back to :meth:`_salvage_read`: a live page must not be lost
-        to a transient fault storm.  The counts match one
-        :meth:`_read_flash_page` call followed by that fallback.
+        Spends the rest of the retry budget, then falls back to
+        :meth:`_salvage_read`: a live page must not be lost to a
+        transient fault storm.  With the first attempt, which the caller
+        accounts, the counts match one :meth:`_read_flash_page` call
+        followed by that fallback.
         """
-        self.timing.read(chip_id)
-        self.stats.flash_reads += 1
-        retries = self.config.read_retry_limit - 1
+        self.stats.read_retries += 1
         try:
-            if retries == 0:
-                raise error  # the budget was one attempt
-            self.stats.read_retries += 1
-            return self._read_flash_page(chip_id, ppn, retries)
+            return self._read_flash_page(chip_id, ppn, READ_RETRY_LIMIT - 1)
         except UncorrectableError:
             self.stats.read_failures += 1
             return self._salvage_read(chip_id, ppn)
@@ -411,9 +414,7 @@ class PageMappedFtl:
         self._rr_chip = (self._rr_chip + 1) % self.n_chips
         return chip_id
 
-    def _program_new_page(
-        self, chip_id: int, data: object, spare: dict, stream: str = HOST_STREAM
-    ) -> int:
+    def _program_new_page(self, chip_id: int, data: object, spare: dict) -> int:
         """Allocate + program one page on a chip (no GC trigger).
 
         Survives injected faults: a program status-fail consumes the
@@ -430,7 +431,7 @@ class PageMappedFtl:
         gppa_base = chip_id * self._pages_per_chip
         while guard > 0:
             guard -= 1
-            block, offset, erase_block = alloc_page(chip_id, stream)
+            block, offset, erase_block = alloc_page(chip_id)
             if erase_block is not None and not self._erase_block_now(
                 chip_id, erase_block
             ):
@@ -471,10 +472,8 @@ class PageMappedFtl:
         self.status.set_invalid(gppa)
         self.observer.on_invalidate(gppa, -1, "program-fail")
         self._block_program_fails[gb] += 1
-        threshold = self.config.program_fail_retire_threshold
         if (
-            threshold > 0
-            and self._block_program_fails[gb] >= threshold
+            self._block_program_fails[gb] >= PROGRAM_FAIL_RETIRE_THRESHOLD
             and gb not in self._bad_blocks
         ):
             self._condemned.add(gb)
@@ -558,15 +557,15 @@ class PageMappedFtl:
     def _ensure_space(self, chip_id: int) -> None:
         """Run GC on a chip until its block reserve is healthy.
 
-        GC starts when the reserve drops below ``gc_threshold_blocks`` and
-        keeps collecting until ``gc_target_blocks`` (hysteresis, so GC
-        work arrives in bursts instead of once per write).
+        GC starts when the reserve drops below :data:`GC_THRESHOLD_BLOCKS`
+        and keeps collecting until :data:`GC_TARGET_BLOCKS` (hysteresis, so
+        GC work arrives in bursts instead of once per write).
         """
-        if self.alloc.reserve_blocks(chip_id) >= self.config.gc_threshold_blocks:
+        if self.alloc.reserve_blocks(chip_id) >= GC_THRESHOLD_BLOCKS:
             return
         guard = self.geometry.blocks_per_chip + 1
         while (
-            self.alloc.reserve_blocks(chip_id) < self.config.gc_target_blocks
+            self.alloc.reserve_blocks(chip_id) < GC_TARGET_BLOCKS
             and guard > 0
         ):
             if not self._collect_chip(chip_id):
@@ -582,17 +581,17 @@ class PageMappedFtl:
     def _select_victim(self, chip_id: int) -> int | None:
         """Pick a GC victim using the configured policy.
 
-        Only fully-programmed, non-pending, non-active blocks with at
+        Only fully-programmed, non-pending, non-open blocks with at
         least one invalid page are candidates (a fully-live victim would
         make no progress regardless of policy).
         """
         chip = self.chips[chip_id]
-        actives = set(self.alloc.active_blocks(chip_id))
+        active = self.alloc.active_block(chip_id)
         best: int | None = None
         best_score = float("-inf")
         for local_block in range(self.geometry.blocks_per_chip):
             gb = self.global_block(chip_id, local_block)
-            if gb in self._pending_victims or local_block in actives:
+            if gb in self._pending_victims or local_block == active:
                 continue
             if gb in self._bad_blocks:
                 continue  # grown-bad: nothing to reclaim, ever
@@ -656,21 +655,24 @@ class PageMappedFtl:
         on_invalidate = self.observer.on_invalidate
         on_program = self.observer.on_program
         program = self._program_new_page
-        stream = GC_STREAM if self.config.separate_gc_stream else HOST_STREAM
         events: list[InvalidationEvent] = []
         for gppa in gppas:
             chip_id, ppn = divmod(gppa, pages_per_chip)  # split_gppa, inlined
             lpa = reverse(gppa)
             try:
                 result = chips[chip_id].read_page(ppn)
-            except UncorrectableError as error:
-                result = self._reread_live_page(chip_id, ppn, error)
+            except UncorrectableError:
+                # rare path: spelled self.* so the SIM06 accounting
+                # pairing stays visible to the lint
+                self.timing.read(chip_id)
+                self.stats.flash_reads += 1
+                result = self._reread_live_page(chip_id, ppn)
             else:
                 timing_read(chip_id)
                 stats.flash_reads += 1
             # result.spare is the read's own copy: the new page stores it
             spare = result.spare
-            new_gppa = program(chip_id, result.data, spare, stream)
+            new_gppa = program(chip_id, result.data, spare)
             old = remap(lpa, new_gppa)
             assert old == gppa, "page move raced with the L2P table"
             was_secured = set_invalid(gppa) is PageStatus.SECURED
@@ -698,7 +700,7 @@ class PageMappedFtl:
         chip_id, local_block = self.split_global_block(gb)
         if gb in self._pending_victims:
             return  # already collected; erase will reset the counter
-        if local_block in self.alloc.active_blocks(chip_id):
+        if local_block == self.alloc.active_block(chip_id):
             return  # open blocks are not refreshable; retry once closed
         self.stats.refreshes += 1
         with self.tel.tracer.span(
@@ -730,13 +732,13 @@ class PageMappedFtl:
         maximum by ``wear_leveling_threshold`` or more, the coldest such
         laggard is evacuated exactly like a GC victim (its stale copies
         run through the variant's sanitization hook) and queued for
-        reuse, so the hot write stream starts wearing it.  Anchoring the
+        reuse, so the write cursor starts wearing it.  Anchoring the
         trigger on the *victim's* lag (not just the chip-wide min, which
         a soon-to-circulate free block can pin forever) makes the
         process convergent: once every full block is within the
         threshold of the leader there is nothing left to migrate.
         Migration transiently draws on the free pool for its copies --
-        at most one block open mid-move (the stream cursor absorbs the
+        at most one block open mid-move (the open block absorbs the
         rest), plus one spare in case that open lazy-erases into a
         wear-out retirement -- so it defers on a leaner chip until the
         next erase re-marks it due.  Ties break on
@@ -759,7 +761,7 @@ class PageMappedFtl:
                 hi = count
         if hi is None:
             return
-        actives = set(self.alloc.active_blocks(chip_id))
+        active = self.alloc.active_block(chip_id)
         best: int | None = None
         best_key: tuple[int, int] | None = None
         for local_block in range(self._blocks_per_chip):
@@ -768,7 +770,7 @@ class PageMappedFtl:
                 gb in self._bad_blocks
                 or gb in self._pending_victims
                 or gb in self._condemned
-                or local_block in actives
+                or local_block == active
             ):
                 continue
             block = chip.blocks[local_block]

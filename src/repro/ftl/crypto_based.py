@@ -61,16 +61,14 @@ class CryptoFtl(PageMappedFtl):
         self.timing.t_xfer_us += T_CRYPTO_US
 
     # ------------------------------------------------------------------
-    def _program_new_page(
-        self, chip_id: int, data: object, spare: dict, stream: str = "host"
-    ) -> int:
+    def _program_new_page(self, chip_id: int, data: object, spare: dict) -> int:
         if not is_ciphertext(data):
             key_id = self._next_key
             self._next_key += 1
             self.key_store[key_id] = True
             data = (ENC_MARKER, key_id, data)
         # GC moves arrive already encrypted and keep their key
-        return super()._program_new_page(chip_id, data, spare, stream)
+        return super()._program_new_page(chip_id, data, spare)
 
     # ------------------------------------------------------------------
     def _sanitize_host_batch(self, events: list[InvalidationEvent]) -> None:

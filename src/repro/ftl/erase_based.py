@@ -62,11 +62,10 @@ class EraseBasedFtl(PageMappedFtl):
         with self.tel.tracer.span(
             "relocation_storm", cat="ftl.sanitize", chip=chip_id, block=gb
         ), self.timing.sanitize_region():
-            stream = self.alloc.stream_of_block(chip_id, local_block)
-            if stream is not None:
-                # the stale copy sits in an open block: close its stream so
-                # the relocations (and future writes) land elsewhere.
-                self.alloc.close_active(chip_id, stream)
+            if self.alloc.active_block(chip_id) == local_block:
+                # the stale copy sits in the open block: close it so the
+                # relocations (and future writes) land elsewhere.
+                self.alloc.close_active(chip_id)
             moved = self._move_pages(
                 self.status.live_pages(gb), "sanitize-relocate"
             )

@@ -105,20 +105,15 @@ class ScrubBasedFtl(PageMappedFtl):
         sequential-program invariant while letting the scrub pulse destroy
         the whole wordline safely.
         """
-        stream = self.alloc.stream_of_block(chip_id, local_block)
-        if stream is None:
-            return
         last_offset = (wordline + 1) * self.geometry.pages_per_wordline - 1
         while True:
-            position = self.alloc.active_position(chip_id, stream)
+            position = self.alloc.active_position(chip_id)
             if position is None:
                 break
             active_block, next_offset = position
             if active_block != local_block or next_offset > last_offset:
                 break
-            gppa = self._program_new_page(
-                chip_id, data=None, spare={"pad": True}, stream=stream
-            )
+            gppa = self._program_new_page(chip_id, data=None, spare={"pad": True})
             self.status.set_written(gppa, False)
             # pads are FTL-internal traffic, but the observer stream must
             # still see every page transition or downstream auditors (and

@@ -17,7 +17,7 @@ Lock operations can *fail* (Section 4.1's k=9 pAP redundancy exists
 precisely because flag-cell programming is unreliable; the fault
 injector models the residual majority-loss case).  Every lock is
 therefore issued verify-after-write: the manager re-reads the AP state
-and re-pulses up to ``config.lock_retry_limit`` times (the pulses are
+and re-pulses up to :data:`LOCK_RETRY_LIMIT` times (the pulses are
 monotonic, so a retry programs the cells the last pulse missed).  A
 persistently failing pLock escalates to a bLock of the whole block
 (after evacuating live pages and padding); a persistently failing bLock
@@ -35,6 +35,11 @@ from collections import defaultdict
 from repro.core.evanesco_chip import EvanescoChip
 from repro.flash.errors import ProgramFailError
 from repro.ftl.base import InvalidationEvent, PageMappedFtl
+
+#: extra pLock/bLock pulses the lock manager re-issues (the pulses are
+#: monotonic: a retry re-programs missed flag cells) before it escalates
+#: down the fallback chain.
+LOCK_RETRY_LIMIT = 2
 
 
 class SecureFtl(PageMappedFtl):
@@ -130,7 +135,7 @@ class SecureFtl(PageMappedFtl):
         """pLock one stale copy, verify, retry; True when it stuck."""
         chip = self.chips[chip_id]
         _, ppn = self.split_gppa(event.gppa)
-        attempts = 1 + self.config.lock_retry_limit
+        attempts = 1 + LOCK_RETRY_LIMIT
         for attempt in range(attempts):
             chip.plock(ppn)
             self.timing.plock(chip_id)
@@ -151,7 +156,7 @@ class SecureFtl(PageMappedFtl):
     ) -> bool:
         """bLock a block, verify, retry; reports coverage on success."""
         chip = self.chips[chip_id]
-        attempts = 1 + self.config.lock_retry_limit
+        attempts = 1 + LOCK_RETRY_LIMIT
         for attempt in range(attempts):
             chip.block_lock(local_block)
             self.timing.block_lock(chip_id)
@@ -174,9 +179,10 @@ class SecureFtl(PageMappedFtl):
         """Escalate unlockable pages to a bLock of their whole block.
 
         The block may be live and even open, so this is the expensive
-        path: close its stream cursor, pad it full, relocate its live
-        pages, then bLock.  Returns True when the chain went all the way
-        to disposing of the block (erase or scrub+retire).
+        path: close the chip's open-block cursor, pad the block full,
+        relocate its live pages, then bLock.  Returns True when the chain
+        went all the way to disposing of the block (erase or
+        scrub+retire).
 
         Note: this escalation runs even for ``secSSD_nobLock`` --
         ``use_block_lock`` is the Section-6 *batching policy*, whereas
@@ -188,9 +194,8 @@ class SecureFtl(PageMappedFtl):
         with self.tel.tracer.span(
             "lock_fallback", cat="ftl.sanitize", chip=chip_id, block=gb
         ), self.timing.sanitize_region():
-            stream = self.alloc.stream_of_block(chip_id, local_block)
-            if stream is not None:
-                self.alloc.close_active(chip_id, stream)
+            if self.alloc.active_block(chip_id) == local_block:
+                self.alloc.close_active(chip_id)
             self._pad_block_full(chip_id, local_block)
             moved = self._move_pages(
                 self.status.live_pages(gb), "fallback-relocate"

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 from repro.flash import constants
 from repro.flash.geometry import CellType, Geometry
+from repro.ftl.base import GC_TARGET_BLOCKS
+from repro.ftl.gc_policies import GC_POLICIES
 
 
 @dataclass(frozen=True)
@@ -29,30 +31,12 @@ class SSDConfig:
     geometry: Geometry = field(default_factory=Geometry)
     #: fraction of physical capacity hidden from the host (overprovision).
     overprovision: float = 0.125
-    #: GC starts when a chip's free+pending blocks drop to this count.
-    gc_threshold_blocks: int = 3
-    #: GC stops once it has reclaimed up to this many free blocks.
-    gc_target_blocks: int = 5
     #: victim-selection policy (see repro.ftl.gc_policies.GC_POLICIES).
     gc_policy: str = "greedy"
-    #: route GC relocations to a separate open block per chip (hot/cold
-    #: stream separation); False matches the paper's single-stream FTL.
-    separate_gc_stream: bool = False
     #: host reads of one block before its data is refreshed (relocated)
     #: to cap read disturbance; None disables read refresh.  Real TLC
     #: parts refresh around 100K reads; scale with the device.
     read_refresh_threshold: int | None = None
-    #: read attempts (first try + retries) before a read surfaces
-    #: UncorrectableError to the caller.
-    read_retry_limit: int = 4
-    #: extra pLock/bLock pulses the lock manager re-issues (the pulses
-    #: are monotonic: a retry re-programs missed flag cells) before it
-    #: escalates down the fallback chain.
-    lock_retry_limit: int = 2
-    #: program status-fails in one block before it is condemned and
-    #: retired to the grown-bad table at its next collection; 0 disables
-    #: program-failure retirement.
-    program_fail_retire_threshold: int = 2
     #: per-block P/E endurance limit: an erase at this count raises
     #: ``WearOutError`` and the FTL scrubs + retires the block (the
     #: grown-bad flow).  None models an ideal, never-wearing device --
@@ -97,16 +81,6 @@ class SSDConfig:
                 raise ValueError(f"{name} must be positive, got {value!r}")
         if not 0.0 < self.overprovision < 1.0:
             raise ValueError("overprovision must be in (0, 1)")
-        if self.gc_threshold_blocks < 1:
-            raise ValueError("gc_threshold_blocks must be >= 1")
-        if self.gc_target_blocks < self.gc_threshold_blocks:
-            raise ValueError("gc_target_blocks must be >= gc_threshold_blocks")
-        if self.read_retry_limit < 1:
-            raise ValueError("read_retry_limit must be >= 1")
-        if self.lock_retry_limit < 0:
-            raise ValueError("lock_retry_limit must be >= 0")
-        if self.program_fail_retire_threshold < 0:
-            raise ValueError("program_fail_retire_threshold must be >= 0")
         if self.pe_limit is not None and self.pe_limit < 1:
             raise ValueError("pe_limit must be >= 1 (or None for no limit)")
         if (
@@ -116,12 +90,11 @@ class SSDConfig:
             raise ValueError(
                 "wear_leveling_threshold must be >= 1 (or None to disable)"
             )
-        min_blocks = self.gc_target_blocks + 2
+        min_blocks = GC_TARGET_BLOCKS + 2
         if self.geometry.blocks_per_chip <= min_blocks:
             raise ValueError(
                 f"need more than {min_blocks} blocks per chip for GC headroom"
             )
-        from repro.ftl.gc_policies import GC_POLICIES
 
         if self.gc_policy not in GC_POLICIES:
             raise ValueError(
@@ -231,8 +204,6 @@ def paper_config() -> SSDConfig:
 def scaled_config(
     blocks_per_chip: int = 56,
     wordlines_per_block: int = 32,
-    n_channels: int = 2,
-    chips_per_channel: int = 4,
     pe_limit: int | None = None,
     wear_coupling: bool = False,
     wear_leveling_threshold: int | None = None,
@@ -246,8 +217,6 @@ def scaled_config(
     device every pre-aging artifact was produced with.
     """
     return SSDConfig(
-        n_channels=n_channels,
-        chips_per_channel=chips_per_channel,
         geometry=Geometry(
             blocks_per_chip=blocks_per_chip,
             wordlines_per_block=wordlines_per_block,

@@ -1,5 +1,7 @@
 """Scorecard measurement collection (chip-level subset for speed)."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.paper_targets import evaluate
@@ -35,9 +37,8 @@ class TestSystemMeasurements:
         looser than the official bench config, so only structure is
         asserted here).  Two chips on one channel keep each chip's
         12x8 geometry and the write multiplier at a quarter of the work."""
-        config = scaled_config(
-            blocks_per_chip=12,
-            wordlines_per_block=8,
+        config = dataclasses.replace(
+            scaled_config(blocks_per_chip=12, wordlines_per_block=8),
             n_channels=1,
             chips_per_channel=2,
         )

@@ -8,6 +8,8 @@ MailServer/DBServer traces).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.ssd.config import scaled_config
@@ -15,9 +17,8 @@ from repro.ssd.config import scaled_config
 
 @pytest.fixture
 def ck_config():
-    return scaled_config(
-        blocks_per_chip=16,
-        wordlines_per_block=4,
+    return dataclasses.replace(
+        scaled_config(blocks_per_chip=16, wordlines_per_block=4),
         n_channels=1,
         chips_per_channel=2,
     )

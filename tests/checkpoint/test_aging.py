@@ -10,6 +10,8 @@ wear-leveling marks.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.aging import (
@@ -32,14 +34,16 @@ KW = dict(seed=1, write_multiplier=2.0)
 
 def aging_config(pe_limit=8, **kw):
     """Wears out in seconds: 2 small chips, endurance of 8 erases."""
-    return scaled_config(
-        blocks_per_chip=16,
-        wordlines_per_block=4,
+    return dataclasses.replace(
+        scaled_config(
+            blocks_per_chip=16,
+            wordlines_per_block=4,
+            pe_limit=pe_limit,
+            wear_leveling_threshold=4,
+            **kw,
+        ),
         n_channels=1,
         chips_per_channel=2,
-        pe_limit=pe_limit,
-        wear_leveling_threshold=4,
-        **kw,
     )
 
 

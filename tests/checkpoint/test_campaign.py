@@ -242,13 +242,14 @@ class TestCorruptionRecovery:
         recovery = final.run.extra["checkpoint_recovery"]
         assert [r["reason"] for r in recovery] == ["audit-failed"]
 
-    @pytest.mark.parametrize("version", [4, 5, 6])
+    @pytest.mark.parametrize("version", [4, 5, 6, 7])
     def test_format_v4_generation_is_quarantined_as_stale(
         self, ck_config, tmp_path, version
     ):
         # v4 chips carried a ``stats`` payload, v5 traced engines wrote
-        # their segment-path event order and v6 carried a ``worklog``
-        # section and a metrics registry; such a generation must be
+        # their segment-path event order, v6 carried a ``worklog``
+        # section and a metrics registry and v7 per-stream allocator
+        # cursors; such a generation must be
         # quarantined unread, and the resume must fall back past it
         reference = run_chunked_simulation(
             ck_config, "MailServer", "secSSD", tmp_path / "ref", EVERY, **KW
@@ -336,7 +337,7 @@ class TestCampaignManifest:
                 resume=True, **KW,
             )
 
-    @pytest.mark.parametrize("version", [4, 5, 6])
+    @pytest.mark.parametrize("version", [4, 5, 6, 7])
     def test_format_v4_directory_is_refused_in_one_line(
         self, tmp_path, capsys, version
     ):

@@ -2,14 +2,17 @@
 
 A tiny faulted, telemetered secSSD campaign is checkpointed and a sha256
 is taken over every file of its directory (relative path + content).
-The pinned digest is of format version 7 (telemetry events as
+The pinned digest is of format version 8 (telemetry events as
 append-only segments, block pages as columns, chips without a
 ``stats`` key, ``sim.service`` spans in calendar reservation order, no
 ``worklog`` section, a ``telemetry`` section holding only the trace
-bus's accounting); any
-codec, store or state_dict change that alters a single
-checkpoint byte fails here, and must either be fixed or ship with a
-``FORMAT_VERSION`` bump and a new digest.
+bus's accounting; v8 stores one open-block cursor per chip in the
+allocator payload instead of a map of write streams, and
+``campaign.json``'s ``config`` no longer lists the GC stream switch or
+the five FTL settings that became constants); any codec, store or
+state_dict change that alters a single checkpoint byte fails here, and
+must either be fixed or ship with a ``FORMAT_VERSION`` bump and a new
+digest.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from repro.faults import FaultKind, FaultPlan
 from repro.ssd.config import scaled_config
 from repro.telemetry import Telemetry
 
-GOLDEN = "03aee6043b8757fdc81c212122f670fe7e86a0056fd473e8976273cf6a879f86"
+GOLDEN = "62970b60fd1521ee0c2d7f0a87c30a4133e4c6f89e799ba9bd78b5c6dd08bff1"
 
 #: codec tags the pinned campaign must exercise (page-status tables
 #: carry the enums, RNG states the tuples), counted over the newest

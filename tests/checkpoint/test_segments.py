@@ -8,6 +8,7 @@ uninterrupted one holds -- evictions and category sampling included.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -52,9 +53,8 @@ def manifests(directory):
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
     """The uninterrupted evicting campaign and its directory."""
-    config = scaled_config(  # the ck_config device, for a module fixture
-        blocks_per_chip=16,
-        wordlines_per_block=4,
+    config = dataclasses.replace(  # the ck_config device, for a module fixture
+        scaled_config(blocks_per_chip=16, wordlines_per_block=4),
         n_channels=1,
         chips_per_channel=2,
     )

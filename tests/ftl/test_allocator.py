@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ftl.allocator import BlockAllocator
+from repro.ftl.allocator import BlockAllocator, OutOfBlocksError
 
 
 @pytest.fixture
@@ -97,11 +97,30 @@ class TestActiveBlock:
     def test_close_active_when_none(self, alloc):
         assert alloc.close_active(0) is None
 
-    def test_active_pages_left(self, alloc):
-        assert alloc.active_pages_left(0) == 0
-        alloc.allocate_page(0)
-        assert alloc.active_pages_left(0) == 2
-
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
             BlockAllocator(0, 1, 1)
+
+
+class TestRetireBlock:
+    def test_retiring_the_open_block(self, alloc):
+        # a failed lazy erase at reuse: the block is open when it retires
+        for _ in range(12):
+            alloc.allocate_page(0)
+        alloc.retire_victim(0, 2)
+        block, offset, erase = alloc.allocate_page(0)
+        assert (block, offset, erase) == (2, 0, 2)
+        alloc.retire_block(0, 2)
+        assert alloc.active_position(0) is None
+        assert alloc.retired_blocks(0) == {2}
+        with pytest.raises(ValueError):
+            alloc.add_erased(0, 2)
+        with pytest.raises(ValueError):
+            alloc.retire_victim(0, 2)
+        # every other block cycles through the pools again; 2 never does
+        for victim in (0, 1, 3):
+            alloc.retire_victim(0, victim)
+        handed = [alloc.allocate_page(0)[0] for _ in range(9)]
+        assert sorted(set(handed)) == [0, 1, 3]
+        with pytest.raises(OutOfBlocksError):
+            alloc.allocate_page(0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ftl.allocator import BlockAllocator, GC_STREAM, HOST_STREAM
+from repro.ftl.allocator import BlockAllocator
 from repro.ftl.page_status import PageStatus, StatusTable
 
 N_CHIPS = 2
@@ -14,20 +14,16 @@ PPB = 4
 
 @given(
     ops=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=N_CHIPS - 1),
-            st.sampled_from([HOST_STREAM, GC_STREAM]),
-        ),
-        max_size=40,
+        st.integers(min_value=0, max_value=N_CHIPS - 1), max_size=40
     )
 )
 @settings(max_examples=40, deadline=None)
 def test_allocator_never_hands_out_a_page_twice(ops):
     alloc = BlockAllocator(N_CHIPS, BLOCKS, PPB)
     seen: set[tuple[int, int, int]] = set()
-    for chip_id, stream in ops:
+    for chip_id in ops:
         try:
-            block, offset, _ = alloc.allocate_page(chip_id, stream)
+            block, offset, _ = alloc.allocate_page(chip_id)
         except RuntimeError:
             continue  # chip exhausted: acceptable terminal state
         key = (chip_id, block, offset)

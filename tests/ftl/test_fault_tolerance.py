@@ -8,8 +8,6 @@ by appending to the live injector's schedule at the *current* op index
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.analysis.torture import torture_requests
@@ -18,6 +16,7 @@ from repro.faults import FaultKind, FaultPlan
 from repro.flash.block import BlockState
 from repro.flash.errors import PowerLossInjected
 from repro.ftl import FTL_VARIANTS
+from repro.ftl.base import PROGRAM_FAIL_RETIRE_THRESHOLD, READ_RETRY_LIMIT
 from repro.ftl.recovery import PowerLossRecovery
 from repro.ftl.request import RequestOp, read, write
 from repro.ssd.device import SSD
@@ -45,7 +44,7 @@ class TestReadRetry:
 
     def test_exhausted_retries_surface_as_read_failure(self, ftl):
         ftl.submit(write(0))
-        budget = ftl.config.read_retry_limit
+        budget = READ_RETRY_LIMIT
         fail_next(ftl, FaultKind.READ_UNCORRECTABLE, count=budget)
         ftl.submit(read(0))  # must not raise to the host
         assert ftl.stats.read_failures == 1
@@ -59,13 +58,13 @@ class TestReadRetry:
             ftl.submit(read(7))
         assert ftl.stats.read_failures == 5
 
-    @pytest.mark.parametrize("budget", [1, 4])
-    def test_gc_move_past_the_retry_budget_salvages(self, tiny_config, budget):
-        config = dataclasses.replace(tiny_config, read_retry_limit=budget)
+    def test_gc_move_past_the_retry_budget_salvages(self, tiny_config):
+        budget = READ_RETRY_LIMIT
         plan = FaultPlan.single(FaultKind.READ_UNCORRECTABLE, 1.0, seed=3)
-        ftl = FTL_VARIANTS["baseline"](config, faults=plan)
-        span = int(config.logical_pages * 0.9)
-        for request in torture_requests(config.physical_pages * 2, span, seed=2):
+        ftl = FTL_VARIANTS["baseline"](tiny_config, faults=plan)
+        span = int(tiny_config.logical_pages * 0.9)
+        pages = tiny_config.physical_pages * 2
+        for request in torture_requests(pages, span, seed=2):
             if request.op is RequestOp.WRITE:
                 ftl.submit(request)
         copies = ftl.stats.gc_copies
@@ -92,14 +91,14 @@ class TestProgramFailRemap:
         assert ftl.stats.read_failures == 0  # remapped copy is readable
 
     def test_torn_page_is_dead_and_condemns_at_threshold(self, ftl):
-        threshold = ftl.config.program_fail_retire_threshold
+        threshold = PROGRAM_FAIL_RETIRE_THRESHOLD
         fail_next(ftl, FaultKind.PROGRAM_FAIL, count=threshold)
         ftl.submit(write(0))
         assert ftl.stats.program_fails == threshold
         assert len(ftl._condemned) == 1
 
     def test_condemned_block_is_retired_by_gc(self, ftl, tiny_config):
-        threshold = ftl.config.program_fail_retire_threshold
+        threshold = PROGRAM_FAIL_RETIRE_THRESHOLD
         fail_next(ftl, FaultKind.PROGRAM_FAIL, count=threshold)
         ftl.submit(write(0))
         (gb,) = ftl._condemned

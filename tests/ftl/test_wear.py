@@ -10,6 +10,7 @@ WearReadGate` coupling (off by default, deterministic when on).
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -41,13 +42,12 @@ def one_block_geometry() -> Geometry:
 
 def wear_config(pe_limit, **kw):
     """The smallest device that survives full-span random traffic."""
-    return scaled_config(
-        blocks_per_chip=16,
-        wordlines_per_block=4,
+    return dataclasses.replace(
+        scaled_config(
+            blocks_per_chip=16, wordlines_per_block=4, pe_limit=pe_limit, **kw
+        ),
         n_channels=1,
         chips_per_channel=2,
-        pe_limit=pe_limit,
-        **kw,
     )
 
 

@@ -1,5 +1,7 @@
 """The queueing engine end to end: determinism, edge cases, faults."""
 
+import dataclasses
+
 import pytest
 
 from repro.faults import FaultKind, FaultPlan
@@ -75,8 +77,8 @@ class TestEdgeCases:
     def test_single_chip_device(self):
         from repro.ssd.config import scaled_config
 
-        config = scaled_config(
-            blocks_per_chip=32, wordlines_per_block=16,
+        config = dataclasses.replace(
+            scaled_config(blocks_per_chip=32, wordlines_per_block=16),
             n_channels=1, chips_per_channel=1,
         )
         result = simulate_workload(

@@ -49,17 +49,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             SSDConfig(overprovision=1.0)
 
-    def test_rejects_bad_gc_thresholds(self):
-        with pytest.raises(ValueError):
-            SSDConfig(gc_threshold_blocks=0)
-        with pytest.raises(ValueError):
-            SSDConfig(gc_threshold_blocks=5, gc_target_blocks=3)
-
     def test_rejects_too_few_blocks(self):
         with pytest.raises(ValueError):
             SSDConfig(
                 geometry=Geometry(blocks_per_chip=4, wordlines_per_block=4),
-                gc_target_blocks=5,
             )
 
 
